@@ -86,3 +86,22 @@ def step_normals(
         base = step * np.uint64(slot_stride)
         ctr = base.reshape(-1, 1) + slots[None, :] if base.ndim else base + slots[None, :]
     return counter_normals(seed, path[:, None], ctr)
+
+
+def block_normals(
+    seed: int, path: np.ndarray, step: int, n_steps: int, n_slots: int, slot_stride: int
+) -> np.ndarray:
+    """Noise for steps ``step … step+n_steps−1`` in one call:
+    shape ``(n_steps, len(path), n_slots)``.
+
+    Entry ``[k]`` is bit-identical to ``step_normals(seed, path, step + k,
+    n_slots, slot_stride)``: the counters are the same ``step·stride + slot``,
+    so a loop may draw a block of steps ahead and drop the rows of paths that
+    stop inside it without changing any other path's stream.
+    """
+    path = np.asarray(path, dtype=np.uint64)
+    steps = np.arange(step, step + n_steps, dtype=np.uint64)
+    slots = np.arange(n_slots, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        ctr = steps[:, None, None] * np.uint64(slot_stride) + slots[None, None, :]
+    return counter_normals(seed, path[None, :, None], ctr)

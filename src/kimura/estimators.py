@@ -343,7 +343,10 @@ def corner_hit_probability(
 
     The cross-fed-drift preset cannot be classified (its faces are neither
     tangent nor transverse), so for it the estimate comes from the dedicated
-    corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.
+    corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One call of
+    :func:`sde.counterexample_ensemble` serves the whole sequence: each path
+    runs until it passes below the smallest ``eps`` and records its first
+    passage below every value on the way.
     """
     cfg = cfg or sde.SimConfig(T=1.0)
     eps_list = (
@@ -351,10 +354,8 @@ def corner_hit_probability(
     )
     i, j = faces
     if L.preset is not None and L.preset.name == "remark-counterexample":
-        out = []
-        for eps in eps_list:
-            hit, _ = sde.counterexample_ensemble(p0, cfg, n_paths, eps_abs=eps)
-            out.append((eps, *_prob_ci(int(hit.sum()), n_paths)))
+        hit, _ = sde.counterexample_ensemble(p0, cfg, n_paths, eps_abs=eps_list)
+        out = [(eps, *_prob_ci(int(h.sum()), n_paths)) for eps, h in zip(eps_list, hit.T)]
         return out if not np.isscalar(eps_corner) else out[0][1:]
     fc = L.classify_faces()
     if i not in fc.tangent:

@@ -475,14 +475,15 @@ def _n_steps(T: float, dt: float) -> tuple[int, float]:
     return n, T / n
 
 
-def _slice_steps(n_steps: int, dt: float, store_times, max_slices: int) -> list[int]:
+def _slice_steps(n_steps: int, dt: float, store_times, max_slices: int) -> set[int]:
+    """Steps whose state a march stores (step 0 is always stored)."""
     keep = {0, n_steps}
     if store_times is not None:
         for t in store_times:
             keep.add(min(n_steps, max(0, int(round(t / dt)))))
     stride = max(1, n_steps // max(2, max_slices))
     keep.update(range(0, n_steps + 1, stride))
-    return sorted(keep)
+    return keep
 
 
 def mu_inner(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> float:
@@ -557,7 +558,7 @@ def solve_backward(
         u = stepper.step(u)
         l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
         min_val = min(min_val, float(np.min(u)))
-        if step in keep[1:]:
+        if step in keep:
             slices.append(u.copy())
             times.append(step * dt_eff)
     return SolveResult(
@@ -684,7 +685,7 @@ def dirichlet_kernel(
         min_density = min(min_density, float(np.min(k)))
         for fid, left in faces:
             flux[fid][step] = _face_flux(grid, k, left)
-        if step in keep[1:]:
+        if step in keep:
             slices.append(k.copy())
             times.append(step * dt_eff)
     if min_density < -_CLIP_TOL:
@@ -711,9 +712,18 @@ class CaloricDensity:
     values: np.ndarray
 
     def cumulative(self, t: float) -> float:
-        """∫₀^t h(s) ds by the trapezoid rule on the step grid."""
+        """∫₀^t h(s) ds as the backward-rectangle sum ``Σ dt·h(tᵢ)`` over the
+        steps ending by ``t``.
+
+        The implicit-Euler kernel march loses ``dt·h(tᵢ)`` through the face
+        in step ``i``, so this sum is the absorbed mass of the scheme itself:
+        survival plus the totals of all faces is 1 up to solver round-off
+        and the grid error of the one-sided flux stencil.  The trapezoid
+        rule would miss it by ``dt/2·(h(t) − h(0))``, which no grid
+        refinement closes.
+        """
         j = int(np.searchsorted(self.times, t + 1e-12))
-        return float(np.trapezoid(self.values[:j], self.times[:j]))
+        return float(np.dot(np.diff(self.times[:j]), self.values[1:j]))
 
     @property
     def total(self) -> float:
@@ -800,7 +810,7 @@ def solve_nonhomogeneous(
         u = stepper.step(u, boundary=(dir_idx, bvals))
         l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
         min_val = min(min_val, float(np.min(u)))
-        if step in keep[1:]:
+        if step in keep:
             slices.append(u.copy())
             times.append(step * dt_eff)
     return SolveResult(
@@ -871,7 +881,7 @@ def duhamel_solve(
         u = v + zeta(t) * phi
         l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
         min_val = min(min_val, float(np.min(u)))
-        if step in keep[1:]:
+        if step in keep:
             slices.append(u.copy())
             times.append(t)
     return SolveResult(
@@ -1094,7 +1104,7 @@ def solve_backward_2d(
     for step in range(1, n + 1):
         flat = stepper.step(flat)
         min_val = min(min_val, float(np.min(flat)))
-        if step in keep[1:]:
+        if step in keep:
             slices.append(flat.copy())
             times.append(step * dt_eff)
     vals = np.array(slices).reshape(len(slices), gx.n_nodes, gy.n_nodes)

@@ -38,6 +38,7 @@ push paths away from the corner.  The corner hit is tested on
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "PathRecord",
     "EnsembleResult",
     "CounterexampleResult",
-    "step",
     "simulate",
     "simulate_ensemble",
     "simulate_counterexample",
@@ -184,37 +184,6 @@ def _bits_to_stratum(bits: int) -> StratumId:
         bits >>= 1
         i += 1
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# single Euler step (spec'd building block; the engine uses the batched core)
-# ---------------------------------------------------------------------------
-
-
-def step(L: KimuraOperator, state: Point, dt: float, noise: np.ndarray) -> Point:
-    """One Euler–Maruyama step with boundary clamping.
-
-    ``noise`` supplies the standard normals (length ``n+m``).  Corner
-    coordinates are clamped at 0; on a simplex an overshoot of ``Σx ≤ 1`` is
-    projected onto the slack face through the chart swap.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    noise = np.asarray(noise, dtype=float).reshape(1, -1)
-    if noise.shape[1] != L.dim:
-        raise ValueError(f"need {L.dim} normals, got {noise.shape[1]}")
-    x = state.x[None, :].copy()
-    y = state.y[None, :].copy()
-    drift = L.drift_batch(x, y)
-    inc = L.noise_increment(x, y, noise)
-    z = np.concatenate([x, y], axis=1) + drift * dt + inc * math.sqrt(dt)
-    if not np.all(np.isfinite(z)):
-        raise NonFinite(f"state became non-finite stepping from {state}")
-    xn, yn = z[:, : L.n], z[:, L.n :]
-    xn = np.maximum(xn, 0.0)
-    if isinstance(L.dom, Simplex):
-        _simplex_clamp(xn)
-    return Point(xn[0], yn[0])
 
 
 def _simplex_clamp(x: np.ndarray) -> np.ndarray:
@@ -479,7 +448,8 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
                         res.occ[rows[close], row, j] += dt
         check_ctr += 1
         if check_ctr % 64 == 0 and not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            bad = rows[~np.all(np.isfinite(x), axis=1)]
+            finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+            bad = path_ids[rows[~finite]]
             raise NonFinite(f"non-finite state in paths {bad[:5].tolist()}...")
     for face, buf in child_buf.items():
         if not buf:
@@ -680,18 +650,33 @@ def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
 # ---------------------------------------------------------------------------
 
 
+# Normals drawn per call by the cross-fed loop: a fixed cap on the noise
+# buffer (2¹⁴ doubles, 128 KB).  A full ensemble still draws one step per
+# call; the long tail of a few paths draws many, so the fixed cost of a call
+# (tens of µs) no longer dominates its steps.
+_BLOCK_NORMALS = 2**14
+
+
 def counterexample_ensemble(
     p0: Point,
     cfg: SimConfig,
     n_paths: int,
-    eps_abs: float = 1e-6,
+    eps_abs: "float | Sequence[float]" = 1e-6,
     s_freeze: float = 16.0,
     path_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate ``dX₁ = X₂ dt + √(2X₁) dW₁, dX₂ = X₁ dt + √(2X₂) dW₂``.
 
-    Returns ``(hit, hit_time)`` arrays; a path counts as a corner hit when
-    ``S = X₁⁺ + X₂⁺`` drops to ``eps_abs`` or below before the horizon.
+    Returns ``(hit, hit_time)``; a path counts as a corner hit for ``ε`` when
+    ``S = X₁⁺ + X₂⁺`` drops to ``ε`` or below before the horizon, and
+    ``hit_time`` is the end of the first step at which it does (NaN if it
+    never does).  A scalar ``eps_abs`` gives arrays of shape ``(n_paths,)``.
+    A sequence gives ``(n_paths, n_eps)`` arrays, one column per ε in the
+    order given, from one ensemble: a path runs until ``S ≤ min(ε)`` or
+    ``S ≥ s_freeze``, and its first passage below each ε is recorded on the
+    way.  Up to that passage a path's trajectory does not depend on which ε
+    are asked for, so every column equals the scalar run for its ε
+    bit-for-bit.  A column with ``ε ≥ S₀`` is hit at time 0.
 
     The step is full truncation: ``z ← z + z⁺[::-1]·dt + √(2z⁺)·√dt·ξ`` with
     ``z`` left unclamped.  Neither face of this system absorbs, so clamping
@@ -705,39 +690,59 @@ def counterexample_ensemble(
     the probability of returning to 0 from level ``s`` is ``e^{−s}``
     (≈ 1.1e−7 at the default 16), far below the estimator tolerances, and the
     exponential outward drift makes further simulation pure cost.
+
+    The noise is ``_rng.step_normals(seed, path, step, 2, 2)``, drawn a block
+    of steps per call (:func:`_rng.block_normals`, at most ``2¹⁴`` normals);
+    a path that stops inside a block leaves the rest of its rows unused.
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
-    if eps_abs <= 0:
-        raise ValueError("eps_abs must be positive")
+    eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
+    if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
+        raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
     dt, sqdt, n_total = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
     ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    z = np.tile(np.asarray(p0.x, dtype=float), (n_paths, 1))
-    hit = np.zeros(n_paths, dtype=bool)
-    hit_time = np.full(n_paths, np.nan)
-    alive = np.arange(n_paths)
-    s0 = float(np.sum(p0.x))
-    if s0 <= eps_abs:
-        hit[:] = True
-        hit_time[:] = 0.0
-        return hit, hit_time
-    step_ctr = 0
-    while alive.size and step_ctr < n_total:
-        xi = _rng.step_normals(cfg.seed, ids[alive], step_ctr, 2, 2)
-        zp = np.maximum(z, 0.0)
-        z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
-        step_ctr += 1
-        S = np.maximum(z, 0.0).sum(axis=1)
-        if step_ctr % 64 == 0 and not np.all(np.isfinite(S)):
-            raise NonFinite("counterexample state became non-finite")
-        hits = S <= eps_abs
-        if hits.any():
-            hit[alive[hits]] = True
-            hit_time[alive[hits]] = min(step_ctr * dt, cfg.T)
-        gone = hits | (S >= s_freeze)
-        if gone.any():
-            keep = ~gone
-            z, alive = z[keep], alive[keep]
+    hit = np.zeros((n_paths, eps.size), dtype=bool)
+    hit_time = np.full((n_paths, eps.size), np.nan)
+    at_start = eps >= float(np.sum(p0.x))
+    hit[:, at_start] = True
+    hit_time[:, at_start] = 0.0
+    cols = np.flatnonzero(~at_start)
+    if cols.size:
+        e_min, e_max = eps[cols].min(), eps[cols].max()
+        z = np.tile(np.asarray(p0.x, dtype=float), (n_paths, 1))
+        alive = np.arange(n_paths)
+        step_ctr = 0
+        while alive.size and step_ctr < n_total:
+            n_blk = max(1, min(n_total - step_ctr, _BLOCK_NORMALS // (2 * alive.size)))
+            xi_blk = _rng.block_normals(cfg.seed, ids[alive], step_ctr, n_blk, 2, 2)
+            pos = np.arange(alive.size)  # row in xi_blk of each live path
+            for xi in xi_blk:
+                if pos.size < len(xi):
+                    xi = xi[pos]
+                zp = np.maximum(z, 0.0)
+                z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
+                step_ctr += 1
+                if step_ctr % 64 == 0 and not np.all(np.isfinite(z)):
+                    bad = ids[alive[~np.isfinite(z).all(axis=1)]]
+                    raise NonFinite(f"non-finite cross-fed state in paths {bad[:5].tolist()}...")
+                S = np.maximum(z, 0.0).sum(axis=1)
+                low = np.flatnonzero(S <= e_max)
+                if low.size:
+                    t = min(step_ctr * dt, cfg.T)
+                    for j in cols:
+                        new = alive[low[S[low] <= eps[j]]]
+                        new = new[~hit[new, j]]
+                        hit[new, j] = True
+                        hit_time[new, j] = t
+                gone = (S <= e_min) | (S >= s_freeze)
+                if gone.any():
+                    keep = ~gone
+                    z, alive, pos = z[keep], alive[keep], pos[keep]
+                    if not alive.size:
+                        break
+    if np.ndim(eps_abs) == 0:
+        return hit[:, 0], hit_time[:, 0]
     return hit, hit_time
 
 

@@ -16,9 +16,9 @@ from kimura.estimators import (
     transverse_occupation,
 )
 from kimura.geometry import Point
-from kimura.operator import model1d, product_operator
+from kimura.operator import model1d, product_operator, remark_counterexample
 from kimura.sde import SimConfig, simulate_ensemble
-from kimura import pde
+from kimura import pde, sde
 
 
 CFG = SimConfig(dt=1e-3, T=1.0, seed=9)
@@ -128,6 +128,25 @@ def test_corner_probability_eps_sweep_shares_paths():
     assert [r[0] for r in rows] == [1e-2, 1e-3]
     # bigger window can only catch more paths
     assert rows[0][1] >= rows[1][1]
+
+
+def test_corner_probability_crossfed_sweep_is_one_ensemble(monkeypatch):
+    calls = []
+    real = sde.counterexample_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("eps_abs"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "counterexample_ensemble", counted)
+    eps = (1e-3, 1e-5, 1e-2)
+    rows = corner_hit_probability(
+        remark_counterexample(), Point([0.05, 0.05]), (1, 2), 300,
+        cfg=SimConfig(dt=1e-3, T=5.0, seed=3), eps_corner=eps,
+    )
+    assert len(calls) == 1
+    assert [r[0] for r in rows] == list(eps)
+    assert rows[1][1] <= rows[0][1] <= rows[2][1]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,15 @@ def test_survival_is_monotone_and_mass_balances(wf):
     assert ks.min_density >= -1e-10
 
 
+def test_caloric_totals_close_the_mass_balance_of_the_march(wf):
+    """The absorbed mass is what the implicit march loses per step, so the
+    balance closes far inside the time step (the trapezoid rule missed it by
+    dt/2·flux, 2.5e-5 here)."""
+    ks = dirichlet_kernel(wf, 0.3, 1.0, 1e-4, M=800)
+    absorbed = caloric_density(ks, 1).total + caloric_density(ks, 2).total
+    assert abs(ks.survival_at(1.0) + absorbed - 1.0) <= 1e-5
+
+
 def test_kernel_refinement_converges(wf):
     vals = {}
     for M in (100, 200, 400):

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kimura._rng import counter_normals, counter_uniforms, step_normals
+from kimura._rng import block_normals, counter_normals, counter_uniforms, step_normals
 
 
 def test_uniforms_deterministic_and_in_range():
@@ -40,6 +40,19 @@ def test_step_normals_slot_layout_matches_flat_counters():
             11, paths, np.full(2, 4 * 8 + j, dtype=np.uint64)
         )
         assert np.array_equal(blk[:, j], flat)
+
+
+def test_block_normals_match_step_normals_step_by_step():
+    """A block of steps is the per-step stream, also for the rows that are
+    left after some paths drop out in the middle of the block."""
+    paths = np.array([5, 9, 2, 700_001], dtype=np.uint64)
+    blk = block_normals(11, paths, 4, 6, 2, slot_stride=3)
+    assert blk.shape == (6, 4, 2)
+    for k in range(6):
+        assert np.array_equal(blk[k], step_normals(11, paths, 4 + k, 2, 3))
+    pos = np.array([0, 2, 3])  # path 9 stops after the block's second step
+    for k in range(2, 6):
+        assert np.array_equal(blk[k][pos], step_normals(11, paths[pos], 4 + k, 2, 3))
 
 
 @given(

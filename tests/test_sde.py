@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from kimura.geometry import Point
-from kimura.operator import model1d, product_operator, wright_fisher
+from kimura import _rng
+from kimura.errors import NonFinite
+from kimura.geometry import CornerBox, Point
+from kimura.operator import KimuraOperator, model1d, product_operator, wright_fisher
 from kimura.sde import (
     SimConfig,
     counterexample_ensemble,
@@ -147,3 +149,48 @@ def test_sum_process_matches_counterexample_frequency():
     f2, f1 = hit_2d.mean(), hit_1d.mean()
     se = np.sqrt(f1 * (1 - f1) / 3000 + f2 * (1 - f2) / 3000)
     assert abs(f2 - f1) <= 3 * se
+
+
+def test_counterexample_eps_sequence_equals_scalar_runs():
+    """One ensemble for several ε gives, column by column, the scalar runs."""
+    cfg = SimConfig(dt=1e-3, T=10.0, seed=7)
+    p0 = Point([0.05, 0.05])
+    eps = (1e-3, 0.2, 1e-6, 1e-2)  # unsorted; 0.2 ≥ S₀ = 0.1
+    hit, t = counterexample_ensemble(p0, cfg, 300, eps_abs=eps)
+    assert hit.shape == t.shape == (300, 4)
+    for j, e in enumerate(eps):
+        h1, t1 = counterexample_ensemble(p0, cfg, 300, eps_abs=e)
+        assert np.array_equal(hit[:, j], h1)
+        assert np.array_equal(t[:, j], t1, equal_nan=True)
+    assert hit[:, 1].all() and np.all(t[:, 1] == 0.0)
+    # a larger ε is passed no later than a smaller one
+    both = hit[:, 2]
+    assert both.any() and np.all(hit[both]) and np.all(t[both, 0] <= t[both, 2])
+
+
+def test_counterexample_non_finite_names_the_path(monkeypatch):
+    real = _rng.block_normals
+
+    def poisoned(seed, path, *args):
+        out = real(seed, path, *args)
+        out[:, np.asarray(path) == 3, :] = np.nan
+        return out
+
+    monkeypatch.setattr(_rng, "block_normals", poisoned)
+    with pytest.raises(NonFinite, match=r"paths \[3\]"):
+        counterexample_ensemble(Point([0.05, 0.05]), SimConfig(dt=1e-3, T=1.0), 20)
+
+
+def test_non_finite_y_names_the_path(monkeypatch):
+    """A state whose y alone turns NaN is reported by its path id."""
+    L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(1.0,), d=((1.0,),))
+    real = _rng.step_normals
+
+    def poisoned(seed, path, *args):
+        out = real(seed, path, *args)
+        out[np.asarray(path) == 12, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(_rng, "step_normals", poisoned)
+    with pytest.raises(NonFinite, match=r"paths \[12\]"):
+        simulate_ensemble(L, Point([1.0], [0.0]), CFG, 5, path_offset=10)
