@@ -37,6 +37,7 @@ from .errors import (
     NoValidParams,
     NoValidRho,
 )
+from .estimators import _prob_ci
 from .geometry import Point
 from .operator import PRESET_NAMES, KimuraOperator, make_preset
 from .sde import SimConfig
@@ -313,15 +314,6 @@ def _stratum_label(stratum) -> str:
     return "{" + ",".join(str(f) for f in sorted(stratum)) + "}"
 
 
-def _prob_ci(count: int, n: int) -> tuple[float, float, float]:
-    """Estimate and 95% CI; rule of three for a zero count."""
-    p = count / n
-    if count == 0:
-        return 0.0, 0.0, 3.0 / n
-    half = 1.96 * math.sqrt(p * (1.0 - p) / n)
-    return p, max(0.0, p - half), min(1.0, p + half)
-
-
 def _sim_config(params: dict, seed: int, T: float, **extra) -> SimConfig:
     return SimConfig(dt=params["dt"], T=T, seed=seed, **extra)
 
@@ -405,12 +397,10 @@ def _task_simulate(L, params, seed, workers, out: Path) -> dict:
     counts: dict = {}
     for s in strata:
         counts[s] = counts.get(s, 0) + 1
-    mass = {
-        _stratum_label(s): dict(
-            zip(("estimate", "ci_lo", "ci_hi"), _prob_ci(c, ens.n_paths))
-        )
-        for s, c in sorted(counts.items(), key=lambda kv: sorted(kv[0]))
-    }
+    mass = {}
+    for s, c in sorted(counts.items(), key=lambda kv: sorted(kv[0])):
+        p, (lo, hi) = _prob_ci(c, ens.n_paths)
+        mass[_stratum_label(s)] = {"estimate": p, "ci_lo": lo, "ci_hi": hi}
     return {"n_paths": ens.n_paths, "strata": mass}
 
 
@@ -482,7 +472,7 @@ def _task_hitting(L, params, seed, workers, out: Path) -> dict:
             for i in range(marg.size)
         ],
     )
-    p, lo, hi = _prob_ci(hist.total, hist.n_paths)
+    p, (lo, hi) = _prob_ci(hist.total, hist.n_paths)
     return {
         "face": hist.face,
         "hit_mass": {"estimate": p, "ci_lo": lo, "ci_hi": hi},
@@ -540,11 +530,13 @@ def _task_kernel(L, params, seed, workers, out: Path) -> dict:
             for i in range(ks.step_times.size)
         ],
     )
+    # the implicit march loses dt·flux(tᵢ) through a face in step i, so the
+    # absorbed mass is the backward-rectangle sum, as in CaloricDensity.total
     return {
         "p0_snapped": ks.p0,
         "survival_final": float(ks.survival[-1]),
         "absorbed": {
-            str(f): float(np.trapezoid(ks.flux[f], ks.step_times)) for f in faces
+            str(f): float(np.dot(np.diff(ks.step_times), ks.flux[f][1:])) for f in faces
         },
     }
 
@@ -677,7 +669,7 @@ def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
             for i in range(params["n_paths"])
         ],
     )
-    p, lo, hi = _prob_ci(int(hit.sum()), params["n_paths"])
+    p, (lo, hi) = _prob_ci(int(hit.sum()), params["n_paths"])
     return {"frequency": p, "ci_lo": lo, "ci_hi": hi, "n_paths": params["n_paths"]}
 
 

@@ -17,6 +17,11 @@ used throughout the test-suite:
 * implicit Euler steps are M-matrix solves, so non-negativity and
   non-increasing mass are structural, not accidental.
 
+Every time-dependent solve is one implicit-Euler march ``(I − Δt B) u⁺ = u``
+over ``⌈T/Δt⌉`` equal steps (there is no θ-scheme), so the kernel loses
+``Δt·flux(tᵢ)`` through a face in step ``i``; absorbed mass is reported as
+that backward-rectangle sum.
+
 Boundary treatment: an endpoint whose weight vanishes (absorbing face)
 carries a homogeneous Dirichlet row; every other endpoint — reflecting face
 or chart edge — is natural, i.e. the half-cell at the end simply has no
@@ -32,7 +37,6 @@ back to adaptive quadrature.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,6 +51,7 @@ from .errors import (
     IncompatibleData,
     KimuraError,
     LinearSolveFailure,
+    NoConvergence,
     PointOutsideDomain,
 )
 from .geometry import CornerBox, Simplex
@@ -269,6 +274,12 @@ def _graded_nodes(edge: float, M: int, grade_left: bool, grade_right: bool) -> n
     return edge * u
 
 
+def _end_mask(n: int, left: bool, right: bool) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[0], mask[-1] = left, right
+    return mask
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """A graded finite-volume axis with its dμ cell masses and scale fluxes.
@@ -297,10 +308,7 @@ class Grid1D:
         return self.nodes.size
 
     def dirichlet_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[0] = self.dirichlet_left
-        mask[-1] = self.dirichlet_right
-        return mask
+        return _end_mask(self.n_nodes, self.dirichlet_left, self.dirichlet_right)
 
     def nearest_interior(self, x: float) -> int:
         """Index of the interior node closest to ``x``."""
@@ -339,13 +347,11 @@ class Grid1D:
             s = ss.scale_increment(float(nodes[k]), float(nodes[k + 1]))
             inv_scale[k] = 0.0 if not math.isfinite(s) else 1.0 / s
 
-        mass = np.empty(M + 1)
-        for k in range(M + 1):
-            if (k == 0 and dirichlet_left) or (k == M and dirichlet_right):
-                mass[k] = 0.0
-                continue
+        ends = _end_mask(M + 1, dirichlet_left, dirichlet_right)
+        mass = np.zeros(M + 1)  # Dirichlet end cells are absorbed: no mass
+        for k in np.flatnonzero(~ends):
             mass[k] = ss.cell_mass(float(lo[k]), float(hi[k]))
-        live = mass[~cls._dirichlet_ends(M, dirichlet_left, dirichlet_right)]
+        live = mass[~ends]
         if not np.all(np.isfinite(live)) or np.any(live <= 0.0):
             raise KimuraError(
                 "cell dμ masses must be positive and finite away from "
@@ -361,12 +367,6 @@ class Grid1D:
             face_right,
             ss,
         )
-
-    @staticmethod
-    def _dirichlet_ends(M: int, left: bool, right: bool) -> np.ndarray:
-        mask = np.zeros(M + 1, dtype=bool)
-        mask[0], mask[-1] = left, right
-        return mask
 
     @classmethod
     def for_operator(cls, L: KimuraOperator, M: int = 400) -> "Grid1D":
@@ -399,7 +399,6 @@ class Grid1D:
 def _axis_callables_1d(L: KimuraOperator):
     if L.n != 1 or L.m != 0:
         raise KimuraError(f"need a 1D corner operator, got n={L.n}, m={L.m}")
-    y = np.zeros((0, 0))
 
     def a_fn(t: np.ndarray) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, float))
@@ -444,46 +443,82 @@ def generator_matrix(grid: Grid1D) -> sparse.csr_matrix:
 
 
 class _Stepper:
-    """LU-factored θ-scheme step ``(I − θΔt B) u⁺ = (I + (1−θ)Δt B) u``."""
+    """LU-factored implicit-Euler step ``(I − Δt B) u⁺ = u``."""
 
-    def __init__(self, B: sparse.spmatrix, dt: float, theta: float):
-        n = B.shape[0]
-        eye = sparse.identity(n, format="csc")
-        self.explicit = None
-        if theta < 1.0:
-            self.explicit = (eye + (1.0 - theta) * dt * B).tocsr()
+    def __init__(self, B: sparse.spmatrix, dt: float):
+        eye = sparse.identity(B.shape[0], format="csc")
         try:
-            self.lu = splu((eye - theta * dt * B).tocsc()) if theta > 0 else None
+            self.lu = splu((eye - dt * B).tocsc())
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
 
-    def step(self, u: np.ndarray, boundary: np.ndarray | None = None) -> np.ndarray:
-        rhs = u if self.explicit is None else self.explicit @ u
+    def step(self, rhs: np.ndarray, boundary: tuple | None = None) -> np.ndarray:
+        """Solve for the next state; ``boundary = (rows, values)`` pins rows."""
         if boundary is not None:
             rhs = rhs.copy()
             rhs[boundary[0]] = boundary[1]
-        out = rhs if self.lu is None else self.lu.solve(rhs)
+        out = self.lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("non-finite values after linear solve")
         return out
 
 
-def _n_steps(T: float, dt: float) -> tuple[int, float]:
+def _march(
+    B: sparse.spmatrix,
+    u: np.ndarray,
+    T: float,
+    dt: float,
+    store_times: Sequence[float] | None,
+    max_slices: int,
+    *,
+    pinned: Callable[[float], tuple] | None = None,
+    source: Callable[[float], np.ndarray] | None = None,
+    view: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Implicit-Euler march ``(I − Δt B) u⁺ = u − Δt·source(t⁺)`` from ``u``.
+
+    ``T`` is split into ``⌈T/dt⌉`` equal steps.  ``pinned(t)`` gives the
+    ``(rows, values)`` set on the right-hand side of the step ending at
+    ``t``; ``view(u, t)`` is the quantity stored and minimised (the state
+    itself by default); ``on_step(step, u)`` runs after every step.  Step 0,
+    the last step, the steps nearest ``store_times`` and every
+    ``n // max_slices``-th step are stored.  Returns the step length
+    used, the stored times and states, and the minimum over all steps.
+    """
     if not (T > 0 and dt > 0):
         raise ValueError(f"need T, Δt > 0; got T={T}, Δt={dt}")
     n = max(1, int(math.ceil(T / dt - 1e-9)))
-    return n, T / n
+    dt = T / n
+    stepper = _Stepper(B, dt)
+    keep = {0, n}
+    for t in () if store_times is None else store_times:
+        keep.add(min(n, max(0, int(round(t / dt)))))
+    keep.update(range(0, n + 1, max(1, n // max(2, max_slices))))
+
+    shown = u if view is None else view(u, 0.0)
+    slices, times = [shown.copy()], [0.0]
+    lowest = float(np.min(shown))
+    for step in range(1, n + 1):
+        t = step * dt
+        rhs = u if source is None else u - dt * source(t)
+        u = stepper.step(rhs, None if pinned is None else pinned(t))
+        shown = u if view is None else view(u, t)
+        lowest = min(lowest, float(np.min(shown)))
+        if on_step is not None:
+            on_step(step, u)
+        if step in keep:
+            slices.append(shown.copy())
+            times.append(t)
+    return dt, np.array(times), np.array(slices), lowest
 
 
-def _slice_steps(n_steps: int, dt: float, store_times, max_slices: int) -> set[int]:
-    """Steps whose state a march stores (step 0 is always stored)."""
-    keep = {0, n_steps}
-    if store_times is not None:
-        for t in store_times:
-            keep.add(min(n_steps, max(0, int(round(t / dt)))))
-    stride = max(1, n_steps // max(2, max_slices))
-    keep.update(range(0, n_steps + 1, stride))
-    return keep
+def _slice_index(times: np.ndarray, dt: float, t: float) -> int:
+    """Index of the stored slice at ``t`` (within half a step)."""
+    j = int(np.argmin(np.abs(times - t)))
+    if abs(float(times[j]) - t) > 0.5 * dt + 1e-12:
+        raise KeyError(f"no stored slice near t={t}; ask for it via store_times")
+    return j
 
 
 def mu_inner(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> float:
@@ -493,22 +528,16 @@ def mu_inner(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Stored time slices of a 1D solve, plus per-step diagnostics."""
+    """Stored time slices of a 1D solve and the march's minimum value."""
 
     grid: Grid1D
     dt: float
-    theta: float
     times: np.ndarray  # (n_slices,)
     values: np.ndarray  # (n_slices, n_nodes)
-    step_times: np.ndarray  # (n_steps+1,)
-    l2_mu: np.ndarray  # (n_steps+1,) discrete ‖u‖_{L²(dμ)}
     min_value: float
 
     def at(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[j]) - t) > 0.5 * self.dt + 1e-12:
-            raise KeyError(f"no stored slice near t={t}; ask for it via store_times")
-        return self.values[j]
+        return self.values[_slice_index(self.times, self.dt, t)]
 
     @property
     def final(self) -> np.ndarray:
@@ -521,7 +550,6 @@ def solve_backward(
     T: float,
     dt: float,
     *,
-    theta: float = 1.0,
     M: int = 400,
     grid: Grid1D | None = None,
     store_times: Sequence[float] | None = None,
@@ -529,47 +557,15 @@ def solve_backward(
 ) -> SolveResult:
     """March ``u_t = L u`` from ``u(0) = f`` with absorbing ends pinned to 0.
 
-    ``f`` may be a callable of x or a node array.  θ=1 is implicit Euler
-    (default); θ<1/2 loses unconditional stability and triggers a warning.
+    ``f`` may be a callable of x or a node array.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
-    if theta < 0.5:
-        warnings.warn(
-            f"θ={theta} < 1/2 is conditionally stable on this graded grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     grid = grid if grid is not None else Grid1D.for_operator(L, M)
     u = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float).copy()
     if u.shape != grid.nodes.shape:
         raise ValueError(f"initial data shape {u.shape} != grid {grid.nodes.shape}")
     u[grid.dirichlet_mask()] = 0.0
-
-    n, dt_eff = _n_steps(T, dt)
-    B = generator_matrix(grid)
-    stepper = _Stepper(B, dt_eff, theta)
-    keep = _slice_steps(n, dt_eff, store_times, max_slices)
-    slices, times = [u.copy()], [0.0]
-    l2 = np.empty(n + 1)
-    l2[0] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
-    min_val = float(np.min(u))
-    for step in range(1, n + 1):
-        u = stepper.step(u)
-        l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
-        min_val = min(min_val, float(np.min(u)))
-        if step in keep:
-            slices.append(u.copy())
-            times.append(step * dt_eff)
     return SolveResult(
-        grid,
-        dt_eff,
-        theta,
-        np.array(times),
-        np.array(slices),
-        dt_eff * np.arange(n + 1),
-        l2,
-        min_val,
+        grid, *_march(generator_matrix(grid), u, T, dt, store_times, max_slices)
     )
 
 
@@ -626,10 +622,7 @@ class KernelSolution:
     min_density: float
 
     def at(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[j]) - t) > 0.5 * self.dt + 1e-12:
-            raise KeyError(f"no stored kernel slice near t={t}")
-        return self.k[j]
+        return self.k[_slice_index(self.times, self.dt, t)]
 
     def survival_at(self, t: float) -> float:
         j = int(round(t / self.dt))
@@ -656,10 +649,6 @@ def dirichlet_kernel(
     """
     grid = grid if grid is not None else Grid1D.for_operator(L, M)
     j0 = grid.nearest_interior(p0)
-    n, dt_eff = _n_steps(T, dt)
-    B = generator_matrix(grid)
-    stepper = _Stepper(_forward_matrix(grid, B), dt_eff, 1.0)
-
     k = np.zeros(grid.n_nodes)
     k[j0] = 1.0 / grid.cell_mass[j0]
     faces = []
@@ -668,38 +657,31 @@ def dirichlet_kernel(
     if grid.dirichlet_right and grid.face_right is not None:
         faces.append((grid.face_right, False))
 
-    keep = _slice_steps(n, dt_eff, None, max_slices)
-    slices, times = [k.copy()], [0.0]
-    survival = np.empty(n + 1)
-    survival[0] = float(np.sum(grid.cell_mass * k))
-    flux = {fid: np.zeros(n + 1) for fid, _ in faces}
-    min_density = 0.0
-    for step in range(1, n + 1):
-        k = stepper.step(k)
+    survival = [float(np.sum(grid.cell_mass * k))]
+    flux = {fid: [0.0] for fid, _ in faces}
+
+    def account(step: int, k: np.ndarray) -> None:
         s = float(np.sum(grid.cell_mass * k))
-        if s > survival[step - 1] + 1e-12:
-            raise KimuraError(
-                f"forward mass increased at step {step}: {survival[step - 1]} -> {s}"
-            )
-        survival[step] = s
-        min_density = min(min_density, float(np.min(k)))
+        if s > survival[-1] + 1e-12:
+            raise KimuraError(f"forward mass increased at step {step}: {survival[-1]} -> {s}")
+        survival.append(s)
         for fid, left in faces:
-            flux[fid][step] = _face_flux(grid, k, left)
-        if step in keep:
-            slices.append(k.copy())
-            times.append(step * dt_eff)
-    if min_density < -_CLIP_TOL:
-        raise KimuraError(f"kernel density fell below −{_CLIP_TOL}: {min_density}")
+            flux[fid].append(_face_flux(grid, k, left))
+
+    B = _forward_matrix(grid, generator_matrix(grid))
+    dt, times, slices, lowest = _march(B, k, T, dt, None, max_slices, on_step=account)
+    if lowest < -_CLIP_TOL:
+        raise KimuraError(f"kernel density fell below −{_CLIP_TOL}: {lowest}")
     return KernelSolution(
         grid,
         float(grid.nodes[j0]),
-        dt_eff,
-        np.array(times),
-        np.clip(np.array(slices), 0.0, None),
-        dt_eff * np.arange(n + 1),
-        survival,
-        flux,
-        min_density,
+        dt,
+        times,
+        np.clip(slices, 0.0, None),
+        dt * np.arange(len(survival)),
+        np.array(survival),
+        {fid: np.array(v) for fid, v in flux.items()},
+        lowest,
     )
 
 
@@ -763,14 +745,19 @@ def caloric_density(ks: KernelSolution, face: int) -> CaloricDensity:
 # --------------------------------------------------------------------------
 
 
-def _boundary_face_index(grid: Grid1D, face: int | None) -> int:
-    """Node index carrying the data (default: the left absorbing end)."""
+def _boundary_data_setup(L, zeta, face, M, grid) -> tuple[Grid1D, int, np.ndarray]:
+    """The grid, the node carrying ζ (default: the left absorbing end) and
+    the Dirichlet rows of a boundary-data solve."""
+    if abs(zeta(0.0)) > 1e-14:
+        raise IncompatibleData(f"boundary data must vanish at t=0, got {zeta(0.0)}")
+    grid = grid if grid is not None else Grid1D.for_operator(L, M)
+    dir_idx = np.flatnonzero(grid.dirichlet_mask())
     if face is None:
         face = grid.face_left if grid.dirichlet_left else grid.face_right
     if face == grid.face_left and grid.dirichlet_left:
-        return 0
+        return grid, 0, dir_idx
     if face == grid.face_right and grid.dirichlet_right:
-        return grid.n_nodes - 1
+        return grid, grid.n_nodes - 1, dir_idx
     raise FaceNotTangent(f"face {face!r} is not an absorbing end of this grid")
 
 
@@ -791,37 +778,15 @@ def solve_nonhomogeneous(
     The Dirichlet row is pinned to ζ(t_{n+1}) each implicit step; the other
     absorbing end (if any) stays homogeneous.
     """
-    if abs(zeta(0.0)) > 1e-14:
-        raise IncompatibleData(f"boundary data must vanish at t=0, got {zeta(0.0)}")
-    grid = grid if grid is not None else Grid1D.for_operator(L, M)
-    j_data = _boundary_face_index(grid, face)
-    n, dt_eff = _n_steps(T, dt)
-    stepper = _Stepper(generator_matrix(grid), dt_eff, 1.0)
-    dir_idx = np.flatnonzero(grid.dirichlet_mask())
+    grid, j_data, dir_idx = _boundary_data_setup(L, zeta, face, M, grid)
+
+    def pinned(t: float) -> tuple:
+        return dir_idx, np.where(dir_idx == j_data, zeta(t), 0.0)
 
     u = np.zeros(grid.n_nodes)
-    keep = _slice_steps(n, dt_eff, store_times, max_slices)
-    slices, times = [u.copy()], [0.0]
-    l2 = np.empty(n + 1)
-    l2[0] = 0.0
-    min_val = 0.0
-    for step in range(1, n + 1):
-        bvals = np.where(dir_idx == j_data, zeta(step * dt_eff), 0.0)
-        u = stepper.step(u, boundary=(dir_idx, bvals))
-        l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
-        min_val = min(min_val, float(np.min(u)))
-        if step in keep:
-            slices.append(u.copy())
-            times.append(step * dt_eff)
     return SolveResult(
         grid,
-        dt_eff,
-        1.0,
-        np.array(times),
-        np.array(slices),
-        dt_eff * np.arange(n + 1),
-        l2,
-        min_val,
+        *_march(generator_matrix(grid), u, T, dt, store_times, max_slices, pinned=pinned),
     )
 
 
@@ -845,14 +810,8 @@ def duhamel_solve(
     evaluation of the superposition integral with the discrete semigroup.
     Agrees with :func:`solve_nonhomogeneous` to discretization order.
     """
-    if abs(zeta(0.0)) > 1e-14:
-        raise IncompatibleData(f"boundary data must vanish at t=0, got {zeta(0.0)}")
-    grid = grid if grid is not None else Grid1D.for_operator(L, M)
-    j_data = _boundary_face_index(grid, face)
-    n, dt_eff = _n_steps(T, dt)
+    grid, j_data, dir_idx = _boundary_data_setup(L, zeta, face, M, grid)
     B = generator_matrix(grid)
-    stepper = _Stepper(B, dt_eff, 1.0)
-    dir_idx = np.flatnonzero(grid.dirichlet_mask())
 
     x = grid.nodes
     phi = ((grid.edge - x) / grid.edge) ** 2 if j_data == 0 else (x / grid.edge) ** 2
@@ -863,37 +822,18 @@ def duhamel_solve(
         lo = max(t - delta, 0.0)
         return (zeta(t + delta) - zeta(lo)) / (t + delta - lo)
 
-    v = np.zeros(grid.n_nodes)
-    keep = _slice_steps(n, dt_eff, store_times, max_slices)
-    u0 = v + zeta(0.0) * phi
-    slices, times = [u0], [0.0]
-    l2 = np.empty(n + 1)
-    l2[0] = math.sqrt(max(mu_inner(grid, u0, u0), 0.0))
-    min_val = float(np.min(u0))
-    for step in range(1, n + 1):
-        t = step * dt_eff
-        g = dzeta(t) * phi - zeta(t) * Bphi
-        rhs = v - dt_eff * g
-        rhs[dir_idx] = 0.0
-        v = stepper.lu.solve(rhs)
-        if not np.all(np.isfinite(v)):
-            raise LinearSolveFailure("non-finite values in superposition march")
-        u = v + zeta(t) * phi
-        l2[step] = math.sqrt(max(mu_inner(grid, u, u), 0.0))
-        min_val = min(min_val, float(np.min(u)))
-        if step in keep:
-            slices.append(u.copy())
-            times.append(t)
-    return SolveResult(
-        grid,
-        dt_eff,
-        1.0,
-        np.array(times),
-        np.array(slices),
-        dt_eff * np.arange(n + 1),
-        l2,
-        min_val,
+    march = _march(
+        B,
+        np.zeros(grid.n_nodes),
+        T,
+        dt,
+        store_times,
+        max_slices,
+        pinned=lambda t: (dir_idx, 0.0),
+        source=lambda t: dzeta(t) * phi - zeta(t) * Bphi,
+        view=lambda v, t: v + zeta(t) * phi,
     )
+    return SolveResult(grid, *march)
 
 
 @dataclass(frozen=True)
@@ -1032,16 +972,7 @@ class SolveResult2D:
     min_value: float
 
     def at(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[j]) - t) > 0.5 * self.dt + 1e-12:
-            raise KeyError(f"no stored slice near t={t}")
-        return self.values[j]
-
-    def at_point(self, t: float, p) -> float:
-        u = self.at(t)
-        i = int(np.argmin(np.abs(self.grid_x.nodes - p[0])))
-        j = int(np.argmin(np.abs(self.grid_y.nodes - p[1])))
-        return float(u[i, j])
+        return self.values[_slice_index(self.times, self.dt, t)]
 
 
 def solve_backward_2d(
@@ -1051,7 +982,6 @@ def solve_backward_2d(
     dt: float,
     *,
     M: int = 128,
-    theta: float = 1.0,
     store_times: Sequence[float] | None = None,
     max_slices: int = 60,
 ) -> SolveResult2D:
@@ -1060,12 +990,6 @@ def solve_backward_2d(
     Same contracts as the 1D solver: Dirichlet rows at absorbing faces,
     natural ends everywhere else, M-matrix implicit steps.
     """
-    if theta < 0.5:
-        warnings.warn(
-            f"θ={theta} < 1/2 is conditionally stable on this graded grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     fc = L.classify_faces()
     grids = []
     for axis in range(2):
@@ -1085,8 +1009,6 @@ def solve_backward_2d(
         )
     gx, gy = grids
     B, mask = tensor_generator(gx, gy)
-    n, dt_eff = _n_steps(T, dt)
-    stepper = _Stepper(B, dt_eff, theta)
 
     if callable(f):
         X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
@@ -1096,19 +1018,9 @@ def solve_backward_2d(
     if u.shape != (gx.n_nodes, gy.n_nodes):
         raise ValueError(f"initial data shape {u.shape} != grid {(gx.n_nodes, gy.n_nodes)}")
     u[mask] = 0.0
-    flat = u.ravel().copy()
-
-    keep = _slice_steps(n, dt_eff, store_times, max_slices)
-    slices, times = [flat.copy()], [0.0]
-    min_val = float(np.min(flat))
-    for step in range(1, n + 1):
-        flat = stepper.step(flat)
-        min_val = min(min_val, float(np.min(flat)))
-        if step in keep:
-            slices.append(flat.copy())
-            times.append(step * dt_eff)
-    vals = np.array(slices).reshape(len(slices), gx.n_nodes, gy.n_nodes)
-    return SolveResult2D(gx, gy, dt_eff, np.array(times), vals, min_val)
+    dt, times, slices, lowest = _march(B, u.ravel().copy(), T, dt, store_times, max_slices)
+    vals = slices.reshape(times.size, gx.n_nodes, gy.n_nodes)
+    return SolveResult2D(gx, gy, dt, times, vals, lowest)
 
 
 def solve_elliptic_2d(
@@ -1128,13 +1040,11 @@ def solve_elliptic_2d(
     node values on the Dirichlet set (shape (nx, ny); other entries are
     ignored).
     """
-    from .errors import NoConvergence
-
     B, mask = tensor_generator(grid_x, grid_y)
     nx, ny = grid_x.n_nodes, grid_y.n_nodes
     if boundary.shape != (nx, ny):
         raise ValueError(f"boundary shape {boundary.shape} != grid {(nx, ny)}")
-    stepper = _Stepper(B, dt, 1.0)
+    stepper = _Stepper(B, dt)
     dir_idx = np.flatnonzero(mask.ravel())
     bvals = boundary.ravel()[dir_idx]
 

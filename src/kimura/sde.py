@@ -53,10 +53,8 @@ __all__ = [
     "HitEvent",
     "PathRecord",
     "EnsembleResult",
-    "CounterexampleResult",
     "simulate",
     "simulate_ensemble",
-    "simulate_counterexample",
     "counterexample_ensemble",
     "sum_process_ensemble",
 ]
@@ -75,15 +73,12 @@ class SimConfig:
     (first-hit statistics) instead of continuing inside the face;
     ``allow_nonclean`` — simulate operators whose faces are not cleanly
     tangent/transverse (non-tangent faces then clamp without absorbing).
-    ``clamp`` and ``tangent_hit_rule`` name the fixed boundary policy.
     """
 
     dt: float = 1e-4
     T: float = 1.0
     seed: int = 0
     max_steps: int = 2_000_000_000
-    clamp: str = "zero"
-    tangent_hit_rule: str = "clamp-absorbs"
     occupation_eps: tuple[float, ...] = ()
     stop_at_first_tangent_hit: bool = False
     allow_nonclean: bool = False
@@ -91,10 +86,6 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0 and self.dt <= self.T):
             raise ValueError(f"need 0 < dt ≤ T, got dt={self.dt}, T={self.T}")
-        if self.clamp != "zero":
-            raise ValueError("the only boundary policy is clamp-to-zero")
-        if self.tangent_hit_rule != "clamp-absorbs":
-            raise ValueError("the only tangent hit rule is clamp-absorbs")
         eps = tuple(float(e) for e in self.occupation_eps)
         if any(e <= 0 for e in eps) or list(eps) != sorted(eps):
             raise ValueError("occupation_eps must be positive and ascending")
@@ -165,14 +156,6 @@ class EnsembleResult:
 
     def strata(self) -> list[StratumId]:
         return [_bits_to_stratum(int(b)) for b in self.strata_bits]
-
-
-@dataclass(frozen=True)
-class CounterexampleResult:
-    """Outcome of one cross-fed-drift path: did ``X₁+X₂`` reach the corner?"""
-
-    corner_hit: bool
-    hit_time: float | None
 
 
 def _bits_to_stratum(bits: int) -> StratumId:
@@ -744,15 +727,6 @@ def counterexample_ensemble(
     if np.ndim(eps_abs) == 0:
         return hit[:, 0], hit_time[:, 0]
     return hit, hit_time
-
-
-def simulate_counterexample(
-    p0: Point, cfg: SimConfig, eps_abs: float = 1e-6, path_index: int = 0
-) -> CounterexampleResult:
-    """One path of the cross-fed-drift system; see
-    :func:`counterexample_ensemble`."""
-    hit, t = counterexample_ensemble(p0, cfg, 1, eps_abs=eps_abs, path_offset=path_index)
-    return CounterexampleResult(bool(hit[0]), float(t[0]) if hit[0] else None)
 
 
 def sum_process_ensemble(

@@ -185,3 +185,39 @@ def test_kernel_task_artifacts(tmp_path):
     assert (out / "survival.csv").exists()
     doc = _summary(out)
     assert 0.0 < doc["results"]["survival_final"] < 1.0
+
+
+def test_kernel_task_absorbed_mass_closes_the_balance(tmp_path):
+    """``absorbed`` is what the implicit march loses per step, so survival
+    plus absorbed is 1 far inside the time step (the trapezoid rule missed
+    by 2.4e-4 here)."""
+    out = tmp_path / "out"
+    params = {"p0": 0.3, "T": 1.0, "dt": 1e-3, "M": 400}
+    cfg = _base("kernel", out, operator=WF, params=params)
+    assert cli.main(["kernel", "--config", _write(tmp_path, cfg)]) == 0
+    res = _summary(out)["results"]
+    assert abs(res["survival_final"] + sum(res["absorbed"].values()) - 1.0) <= 2e-5
+
+
+def test_counterexample_all_hit_interval_is_rule_of_three(tmp_path):
+    """With every path hit (eps_abs ≥ s₀), the interval is [1 − 3/n, 1], as
+    in the corner task, not the zero-width [1, 1]."""
+    out = tmp_path / "out"
+    params = {
+        "p0": [0.05, 0.05],
+        "dt": 1e-3,
+        "n_paths": 100,
+        "T": 5.0,
+        "eps_abs": 0.2,
+    }
+    cfg = _base(
+        "counterexample",
+        out,
+        operator={"preset": "remark-counterexample", "params": {}},
+        params=params,
+    )
+    assert cli.main(["counterexample", "--config", _write(tmp_path, cfg)]) == 0
+    res = _summary(out)["results"]
+    assert res["frequency"] == 1.0
+    assert res["ci_lo"] == 0.97
+    assert res["ci_hi"] == 1.0

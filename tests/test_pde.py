@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kimura.errors import GridTooCoarse, IncompatibleData
+from kimura.errors import GridTooCoarse, IncompatibleData, LinearSolveFailure
 from kimura.geometry import Point
 from kimura.operator import model1d, product_operator, wright_fisher
 from kimura.pde import (
@@ -198,11 +198,6 @@ def test_backward_march_is_positivity_preserving(wf):
     assert res.min_value >= -1e-12
 
 
-def test_theta_below_half_warns(wf):
-    with pytest.warns(RuntimeWarning):
-        solve_backward(wf, lambda x: x, 0.01, 1e-3, M=50, theta=0.3)
-
-
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         Grid1D.for_operator(model1d(0.0), M=4)
@@ -244,3 +239,42 @@ def test_2d_backward_matches_product_of_1d():
     ry = solve_backward(Ly, fy, T, dt, grid=res2.grid_y)
     ref = np.outer(rx.final, ry.final)
     assert np.max(np.abs(res2.values[-1] - ref)) < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# solve health
+# ---------------------------------------------------------------------------
+
+
+def _nan_at_interior(values):
+    out = np.array(values, dtype=float)
+    out[(3,) * out.ndim] = np.nan
+    return out
+
+
+def _nan_after_half(t):
+    return math.nan if t > 0.5 else t * t
+
+
+_POISONED = {
+    "backward": lambda: solve_backward(
+        wright_fisher(1, [0.0, 0.0]), _nan_at_interior, 0.01, 1e-3, M=50
+    ),
+    "backward_2d": lambda: solve_backward_2d(
+        product_operator(model1d(0.0, radius=2.0), model1d(0.5, radius=2.0)),
+        lambda X, Y: _nan_at_interior(X * Y),
+        0.01,
+        1e-3,
+        M=16,
+    ),
+    "nonhomogeneous": lambda: solve_nonhomogeneous(
+        model1d(0.0), _nan_after_half, 1.0, 1e-2, M=50
+    ),
+    "duhamel": lambda: duhamel_solve(model1d(0.0), _nan_after_half, 1.0, 1e-2, M=50),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_POISONED))
+def test_non_finite_data_raise_linear_solve_failure(solver):
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
+        _POISONED[solver]()
