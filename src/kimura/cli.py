@@ -651,8 +651,13 @@ def _task_corner(L, params, seed, workers, out: Path) -> dict:
 
 
 def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
-    from .sde import counterexample_ensemble
+    from .sde import _is_cross_fed, counterexample_ensemble
 
+    if not _is_cross_fed(L):
+        raise ConfigInvalid(
+            "the counterexample task integrates the cross-fed-drift system only",
+            field="operator.preset",
+        )
     cfg = _sim_config(params, seed, params["T"])
     hit, hit_time = counterexample_ensemble(
         _point(params),

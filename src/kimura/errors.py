@@ -56,10 +56,6 @@ class FaceNotTangent(KimuraError):
     """Restriction requested at a face that is not tangent."""
 
 
-class FactorizationFailure(KimuraError):
-    """Diffusion matrix indefinite beyond the clip tolerance."""
-
-
 # --- sde ----------------------------------------------------------------------
 
 

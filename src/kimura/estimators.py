@@ -21,7 +21,7 @@ independent of worker count, because the path engine is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,11 +125,7 @@ def decompose(
     of faces they were absorbed on, and bins terminal locations.  Standard
     errors are binomial.
     """
-    base = cfg or sde.SimConfig()
-    cfg_t = sde.SimConfig(
-        dt=base.dt, T=t, seed=base.seed, max_steps=base.max_steps,
-        occupation_eps=base.occupation_eps, allow_nonclean=base.allow_nonclean,
-    )
+    cfg_t = replace(cfg or sde.SimConfig(), T=t, stop_at_first_tangent_hit=False)
     ens = sde.simulate_ensemble(L, p0, cfg_t, n_paths, workers=workers)
     return decompose_ensemble(L, p0, t, ens, bins=bins)
 
@@ -247,9 +243,8 @@ def hitting_histogram(
     if face not in fc.tangent:
         raise FaceNotTangent(f"face {face} is not tangent; no hitting law on it")
     if ens is None:
-        run_cfg = sde.SimConfig(
-            dt=cfg.dt, T=cfg.T, seed=cfg.seed, max_steps=cfg.max_steps,
-            stop_at_first_tangent_hit=True,
+        run_cfg = replace(
+            cfg, occupation_eps=(), stop_at_first_tangent_hit=True, allow_nonclean=False
         )
         ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     else:
@@ -341,10 +336,11 @@ def corner_hit_probability(
     per value and a list of ``(eps, estimate, (lo, hi))`` is returned.  A zero
     count yields the rule-of-three interval ``(0, 3/n)``.
 
-    The cross-fed-drift preset cannot be classified (its faces are neither
-    tangent nor transverse), so for it the estimate comes from the dedicated
-    corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One call of
-    :func:`sde.counterexample_ensemble` serves the whole sequence: each path
+    The cross-fed-drift system (``b = (x₂, x₁)`` on a two-dimensional box,
+    recognised by its coefficients) cannot be classified (its faces are
+    neither tangent nor transverse), so for it the estimate comes from the
+    dedicated corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One
+    call of :func:`sde.counterexample_ensemble` serves the whole sequence: each path
     runs until it passes below the smallest ``eps`` and records its first
     passage below every value on the way.
     """
@@ -353,17 +349,14 @@ def corner_hit_probability(
         [float(eps_corner)] if np.isscalar(eps_corner) else [float(e) for e in eps_corner]
     )
     i, j = faces
-    if L.preset is not None and L.preset.name == "remark-counterexample":
+    if sde._is_cross_fed(L):
         hit, _ = sde.counterexample_ensemble(p0, cfg, n_paths, eps_abs=eps_list)
         out = [(eps, *_prob_ci(int(h.sum()), n_paths)) for eps, h in zip(eps_list, hit.T)]
         return out if not np.isscalar(eps_corner) else out[0][1:]
     fc = L.classify_faces()
     if i not in fc.tangent:
         raise FaceNotTangent(f"face {i} is not tangent")
-    run_cfg = sde.SimConfig(
-        dt=cfg.dt, T=cfg.T, seed=cfg.seed, max_steps=cfg.max_steps,
-        stop_at_first_tangent_hit=True, allow_nonclean=cfg.allow_nonclean,
-    )
+    run_cfg = replace(cfg, occupation_eps=(), stop_at_first_tangent_hit=True)
     ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     hit_rows = ens.first_hit_face > 0
     d_i = _face_distance(L.dom, ens.first_hit_xy, i)
@@ -455,13 +448,12 @@ def transverse_occupation(
     workers: int = 1,
 ) -> OccupationCurve:
     """Mean occupation time of ``eps``-collars of the transverse faces."""
-    base = cfg or sde.SimConfig()
     eps = np.asarray(sorted(float(e) for e in eps_grid))
     if eps.size == 0 or eps[0] <= 0:
         raise ValueError("eps_grid must be positive")
-    run_cfg = sde.SimConfig(
-        dt=base.dt, T=T, seed=base.seed, max_steps=base.max_steps,
-        occupation_eps=tuple(eps), allow_nonclean=base.allow_nonclean,
+    run_cfg = replace(
+        cfg or sde.SimConfig(), T=T, occupation_eps=tuple(eps),
+        stop_at_first_tangent_hit=False,
     )
     ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     if ens.occupation is None or not ens.tracked_faces:

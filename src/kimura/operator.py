@@ -28,13 +28,14 @@ Structural quantities computed here:
   operator of the same class in one fewer corner coordinate;
 * the **zoom rescaling** ``x = λ x′, y = √λ y′`` under which the class is
   invariant and first-order corner terms are *not* lower order;
-* SDE coefficients (drift vector, covariance ``2·M``, and a factor ``G`` with
-  ``G Gᵀ = 2M``) for path simulation.
+* SDE coefficients for path simulation: the drift vector, the second-order
+  matrix ``M`` (covariance ``2·M``) and the noise increment ``G·ξ`` with
+  ``G Gᵀ = 2M``, whose closed form is chosen from the coefficients.
 
 Coefficients are :class:`CoefficientField` objects: constants, explicit
-polynomial tables (exact derivatives and exact restriction/rescaling algebra),
-or user closures.  Operators are immutable; all evaluation paths are
-re-entrant and vectorized over batches of points.
+polynomial tables (exact restriction/rescaling algebra), or user closures.
+Operators are immutable; all evaluation paths are re-entrant and vectorized
+over batches of points.
 """
 
 from __future__ import annotations
@@ -42,14 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Literal, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     DerivativeUnavailable,
     FaceNotTangent,
-    FactorizationFailure,
     KimuraError,
     NotClean,
 )
@@ -90,10 +90,9 @@ class CoefficientField:
     """A scalar coefficient on a corner domain.
 
     Concrete subclasses provide ``eval(x, y)`` on batches (``x`` of shape
-    ``(k, n)``, ``y`` of shape ``(k, m)``, returning shape ``(k,)``) and may
-    provide exact first partial derivatives via :meth:`partial`.  Every field
-    carries a ``provenance`` tag, one of ``"preset"``, ``"polynomial table"``
-    or ``"user closure"``.
+    ``(k, n)``, ``y`` of shape ``(k, m)``, returning shape ``(k,)``).  Every
+    field carries a ``provenance`` tag, one of ``"preset"``, ``"polynomial
+    table"`` or ``"user closure"``.
     """
 
     provenance: str = "user closure"
@@ -103,15 +102,6 @@ class CoefficientField:
 
     def __call__(self, p: Point) -> float:
         return float(self.eval(p.x[None, :], p.y[None, :])[0])
-
-    def partial(self, axis: Literal["x", "y"], index: int) -> "CoefficientField | None":
-        """Exact first partial in coordinate ``index`` (0-based), or None."""
-        return None
-
-    def partial_or_fd(self, axis: Literal["x", "y"], index: int) -> "CoefficientField":
-        """Analytic partial when available, else a central-difference field."""
-        exact = self.partial(axis, index)
-        return exact if exact is not None else _FDPartial(self, axis, index)
 
     @property
     def const(self) -> float | None:
@@ -137,9 +127,6 @@ class ConstField(CoefficientField):
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(x.shape[0] if x.ndim == 2 else y.shape[0], self.value)
 
-    def partial(self, axis, index):
-        return ConstField(0.0, self.provenance)
-
     @property
     def const(self) -> float | None:
         return self.value
@@ -150,8 +137,8 @@ class PolyField(CoefficientField):
     """A polynomial coefficient stored as an explicit term table.
 
     ``terms`` is a tuple of ``(coeff, xpow, ypow)`` with integer exponent
-    tuples of lengths ``n`` and ``m``.  Supports exact differentiation,
-    restriction to a face (substituting ``x_i = 0``) and zoom rescaling.
+    tuples of lengths ``n`` and ``m``.  Supports exact restriction to a face
+    (substituting ``x_i = 0``) and zoom rescaling.
     """
 
     terms: tuple[tuple[float, tuple[int, ...], tuple[int, ...]], ...]
@@ -179,20 +166,6 @@ class PolyField(CoefficientField):
                     t = t * y[:, l] ** p
             out += t
         return out
-
-    def partial(self, axis, index):
-        new = []
-        for coeff, xp, yp in self.terms:
-            pw = (xp if axis == "x" else yp)[index]
-            if pw == 0:
-                continue
-            if axis == "x":
-                nxp = xp[:index] + (pw - 1,) + xp[index + 1 :]
-                new.append((coeff * pw, nxp, yp))
-            else:
-                nyp = yp[:index] + (pw - 1,) + yp[index + 1 :]
-                new.append((coeff * pw, xp, nyp))
-        return PolyField(tuple(new), self.n, self.m, self.provenance)
 
     @property
     def const(self) -> float | None:
@@ -223,16 +196,12 @@ class FuncField(CoefficientField):
     """A coefficient given by a user callable.
 
     ``fn`` either takes a :class:`Point` (``vectorized=False``, the default) or
-    batch arrays ``(x, y) -> (k,)`` (``vectorized=True``).  Optional exact
-    partials may be supplied as tuples of callables with the same convention.
-    Callables must be pure and re-entrant (no hidden mutable state).
+    batch arrays ``(x, y) -> (k,)`` (``vectorized=True``).  Callables must be
+    pure and re-entrant (no hidden mutable state).
     """
 
     fn: Callable
     vectorized: bool = False
-    dfdx: tuple | None = None
-    dfdy: tuple | None = None
-    name: str = ""
     provenance: str = "user closure"
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -240,36 +209,6 @@ class FuncField(CoefficientField):
             return np.asarray(self.fn(x, y), dtype=float)
         k = x.shape[0] if x.ndim == 2 else y.shape[0]
         return np.array([float(self.fn(Point(x[r], y[r]))) for r in range(k)])
-
-    def partial(self, axis, index):
-        table = self.dfdx if axis == "x" else self.dfdy
-        if table is None or table[index] is None:
-            return None
-        return FuncField(table[index], self.vectorized, provenance=self.provenance)
-
-
-@dataclass(frozen=True, repr=False)
-class _FDPartial(CoefficientField):
-    """Central-difference partial derivative of another field."""
-
-    base: CoefficientField
-    axis: str
-    index: int
-
-    @property
-    def provenance(self) -> str:  # type: ignore[override]
-        return self.base.provenance
-
-    def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        coord = (x if self.axis == "x" else y)[:, self.index]
-        h = 1e-5 * np.maximum(1.0, np.abs(coord))
-        if self.axis == "x":
-            xp = x.copy(); xp[:, self.index] += h
-            xm = x.copy(); xm[:, self.index] -= h
-            return (self.base.eval(xp, y) - self.base.eval(xm, y)) / (2 * h)
-        yp = y.copy(); yp[:, self.index] += h
-        ym = y.copy(); ym[:, self.index] -= h
-        return (self.base.eval(x, yp) - self.base.eval(x, ym)) / (2 * h)
 
 
 @dataclass(frozen=True, repr=False)
@@ -983,9 +922,9 @@ class KimuraOperator:
 
         Coefficients are evaluated with ``x_face = 0`` and the face's row and
         column deleted, so that ``L_face u = (L U)|_face`` for extensions ``U``
-        constant across the face.  Presets restrict exactly (the result is
-        again a preset).  Raises :class:`FaceNotTangent` when the face weight
-        is not identically zero.
+        constant across the face.  The genetic-drift preset restricts exactly
+        (the result is again that preset).  Raises :class:`FaceNotTangent`
+        when the face weight is not identically zero.
         """
         self._check_face(face)
         W = self.weight(face)
@@ -1030,53 +969,28 @@ class KimuraOperator:
             raise ValueError(f"face {face} not a face of {self.dom}")
 
     # -- preset rules ---------------------------------------------------------
+    # The genetic-drift preset carries the slack-face chart swap in its
+    # parameters; no generic rule replaces it.  Every other operator goes
+    # through the generic weight and restriction.
 
     def _preset_weight(self, face: int) -> CoefficientField | None:
-        if self.preset is None:
+        if self.preset is None or self.preset.name != "wright-fisher":
             return None
-        if self.preset.name == "wright-fisher":
-            bpar = self.preset.params["b"]
-            return ConstField(2.0 * bpar[face - 1], "preset")
-        if self.preset.name == "product":
-            fac, local = _product_locate(self.preset.params["factors"], face)
-            return fac.weight(local)  # weights ignore the other factors
-        return None
+        return ConstField(2.0 * self.preset.params["b"][face - 1], "preset")
 
     def _preset_restrict(self, face: int) -> "KimuraOperator | None":
-        if self.preset is None:
+        if self.preset is None or self.preset.name != "wright-fisher":
             return None
-        if self.preset.name == "wright-fisher":
-            N, bpar = self.preset.params["N"], list(self.preset.params["b"])
-            if N == 1:
-                raise KimuraError(
-                    "faces of the 1-simplex are absorbing points, not sub-domains"
-                )
-            if face <= N:  # coordinate face: fold its rate into the slack rate
-                rest = bpar[:face - 1] + bpar[face:N] + [bpar[N] + bpar[face - 1]]
-            else:  # slack face: last coordinate becomes the new slack
-                rest = bpar[: N - 1] + [bpar[N - 1] + bpar[N]]
-            return wright_fisher(N - 1, tuple(rest))
-        if self.preset.name == "product":
-            factors = list(self.preset.params["factors"])
-            idx, local = _product_index(factors, face)
-            fac = factors[idx]
-            if fac.n == 1 and fac.m == 0:
-                del factors[idx]
-            else:
-                factors[idx] = fac.restrict(local)
-            if not factors:
-                raise KimuraError("restriction exhausts all factors")
-            return factors[0] if len(factors) == 1 else product_operator(*factors)
-        return None
-
-    def swap_chart(self) -> "KimuraOperator":
-        """The operator rewritten in the simplex chart that swaps the slack
-        face with the last coordinate face.  Preset rule only."""
-        if self.preset is not None and self.preset.name == "wright-fisher":
-            bpar = list(self.preset.params["b"])
-            bpar[-1], bpar[-2] = bpar[-2], bpar[-1]
-            return wright_fisher(self.preset.params["N"], tuple(bpar))
-        raise KimuraError("chart swap is available only for simplex presets")
+        N, bpar = self.preset.params["N"], list(self.preset.params["b"])
+        if N == 1:
+            raise KimuraError(
+                "faces of the 1-simplex are absorbing points, not sub-domains"
+            )
+        if face <= N:  # coordinate face: fold its rate into the slack rate
+            rest = bpar[:face - 1] + bpar[face:N] + [bpar[N] + bpar[face - 1]]
+        else:  # slack face: last coordinate becomes the new slack
+            rest = bpar[: N - 1] + [bpar[N - 1] + bpar[N]]
+        return wright_fisher(N - 1, tuple(rest))
 
     # -- rescaling -------------------------------------------------------------
 
@@ -1128,11 +1042,8 @@ class KimuraOperator:
 
     # -- SDE coefficients --------------------------------------------------------
 
-    def drift(self, p: Point) -> np.ndarray:
-        """Drift vector ``(b_1..b_n, e_1..e_m)`` at ``p``."""
-        return self.drift_batch(p.x[None, :], p.y[None, :])[0]
-
     def drift_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Drift vectors ``(b_1..b_n, e_1..e_m)`` at a batch of states."""
         k = x.shape[0]
         out = np.zeros((k, self.dim))
         if not self._b_zero:
@@ -1146,13 +1057,10 @@ class KimuraOperator:
                 out[:, self.n + l] = self.e[l].eval(x, y)
         return out
 
-    def diffusion_matrix(self, p: Point) -> np.ndarray:
-        """The generator's second-order coefficient matrix ``M(p)`` (symmetric
-        positive semidefinite for operators passing the structural checks).
-        The SDE covariance is ``2·M``."""
-        return self.diffusion_matrix_batch(p.x[None, :], p.y[None, :])[0]
-
     def diffusion_matrix_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The generator's second-order coefficient matrices ``M(z)``, shape
+        ``(k, dim, dim)`` (symmetric positive semidefinite for operators
+        passing the structural checks).  The SDE covariance is ``2·M``."""
         k, n, m = x.shape[0], self.n, self.m
         M = np.zeros((k, self.dim, self.dim))
         for i in range(n):
@@ -1174,25 +1082,15 @@ class KimuraOperator:
                     M[:, n + l, n + kk] += dlk.eval(x, y)
         return 0.5 * (M + np.swapaxes(M, 1, 2))
 
-    def diffusion_factor(self, p: Point) -> np.ndarray:
-        """A matrix ``G`` with ``G Gᵀ = 2 M(p)``.
-
-        Computed by symmetric eigendecomposition; eigenvalues in
-        ``[−1e−10·scale, 0)`` are clipped to zero.  Raises
-        :class:`FactorizationFailure` when ``2M`` is indefinite beyond that.
-        """
-        A = 2.0 * self.diffusion_matrix(p)
-        w, V = np.linalg.eigh(A)
-        thresh = 1e-10 * max(1.0, float(np.max(np.abs(A))))
-        if w[0] < -thresh:
-            raise FactorizationFailure(
-                f"diffusion matrix at {p} has eigenvalue {w[0]:.3e} < −{thresh:.1e}"
-            )
-        return V * np.sqrt(np.clip(w, 0.0, None))
-
     @cached_property
     def _noise_strategy(self) -> str:
-        if self.preset is not None and self.preset.name == "wright-fisher":
+        # ℓ ≡ ½ and a ≡ −½ on a simplex make 2M = diag(x) − x xᵀ, the
+        # genetic-drift covariance with an explicit triangular factor.
+        if (
+            isinstance(self.dom, Simplex)
+            and all(f.const == 0.5 for f in self.lead)
+            and all(f.const == -0.5 for row in self.a for f in row)
+        ):
             return "wf"
         if self._a_zero and self._c_zero:
             if self.m == 0:
@@ -1256,21 +1154,6 @@ def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
             out[:, j + 1 :] += -np.maximum(x[:, j + 1 :], 0.0) * (f * xi[:, j])[:, None]
         q_prev = qj
     return out
-
-
-def _product_index(factors, face: int) -> tuple[int, int]:
-    """(factor position, face index local to that factor) for a product face."""
-    off = 0
-    for idx, fac in enumerate(factors):
-        if face <= off + fac.n:
-            return idx, face - off
-        off += fac.n
-    raise ValueError(f"face {face} out of range for product of {len(factors)} factors")
-
-
-def _product_locate(factors, face: int):
-    idx, local = _product_index(factors, face)
-    return factors[idx], local
 
 
 # --------------------------------------------------------------------------

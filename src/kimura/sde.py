@@ -46,7 +46,7 @@ import numpy as np
 from . import _rng
 from .errors import KimuraError, MaxStepsExceeded, NonFinite, NotClean
 from .geometry import CornerBox, DomainSpec, Point, Simplex, StratumId, restrict_domain
-from .operator import FaceClassification, KimuraOperator
+from .operator import FaceClassification, KimuraOperator, PolyField
 
 __all__ = [
     "SimConfig",
@@ -61,14 +61,18 @@ __all__ = [
 
 _SLACK_TOL = 1e-12
 
+# Guard on steps per path: T and dt come from outside input, and a run far
+# past this would not finish.
+_MAX_STEPS = 2_000_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs of one simulation run.
 
     ``dt`` — Euler step; ``T`` — horizon; ``seed`` — 64-bit stream seed;
-    ``max_steps`` — guard on steps per path; ``occupation_eps`` — thresholds
-    for near-face occupation accounting (empty disables it);
+    ``occupation_eps`` — thresholds for near-face occupation accounting
+    (empty disables it);
     ``stop_at_first_tangent_hit`` — terminate paths at their first absorption
     (first-hit statistics) instead of continuing inside the face;
     ``allow_nonclean`` — simulate operators whose faces are not cleanly
@@ -78,7 +82,6 @@ class SimConfig:
     dt: float = 1e-4
     T: float = 1.0
     seed: int = 0
-    max_steps: int = 2_000_000_000
     occupation_eps: tuple[float, ...] = ()
     stop_at_first_tangent_hit: bool = False
     allow_nonclean: bool = False
@@ -234,6 +237,14 @@ def _classify_or_fallback(op: KimuraOperator, allow_nonclean: bool):
         return tangent, set(), None
 
 
+def _absorbing(op: KimuraOperator, tangent: set[int]) -> dict:
+    """The ``tangent_coords`` and ``slack_tangent`` fields of a level of ``op``."""
+    return dict(
+        tangent_coords=np.array(sorted(f - 1 for f in tangent if f <= op.n), dtype=int),
+        slack_tangent=isinstance(op.dom, Simplex) and (op.dom.N + 1) in tangent,
+    )
+
+
 def _build_root(
     L: KimuraOperator, cfg: SimConfig
 ) -> tuple[_Level, FaceClassification | None, set[int]]:
@@ -245,9 +256,8 @@ def _build_root(
         x_slots=np.arange(n, dtype=np.uint64),
         y_slots=np.arange(n, n + L.m, dtype=np.uint64),
         face_orig={f: f for f in L.dom.face_ids},
-        tangent_coords=np.array(sorted(f - 1 for f in tangent if f <= n), dtype=int),
-        slack_tangent=isinstance(L.dom, Simplex) and (L.dom.N + 1) in tangent,
         tracked=(),
+        **_absorbing(L, tangent),
     )
     return lvl, fc, transverse
 
@@ -258,7 +268,6 @@ def _child_level(level: _Level, face: int, cfg: SimConfig, tracked_rows: dict[in
     sub_op = level.op.restrict(face)
     _, fmap = restrict_domain(level.dom, face)
     face_orig = {new: level.face_orig[old] for new, old in fmap.items()}
-    n_cur = level.op.n
     if isinstance(level.dom, Simplex) and face == level.dom.N + 1:
         x_slots = level.x_slots[:-1]
     else:
@@ -276,22 +285,13 @@ def _child_level(level: _Level, face: int, cfg: SimConfig, tracked_rows: dict[in
         x_slots=x_slots,
         y_slots=level.y_slots,
         face_orig=face_orig,
-        tangent_coords=np.array(sorted(f - 1 for f in tangent if f <= n_sub), dtype=int),
-        slack_tangent=isinstance(sub_op.dom, Simplex) and (sub_op.dom.N + 1) in tangent,
         tracked=tracked,
         parent=level,
         via_face=face,
+        **_absorbing(sub_op, tangent),
     )
     level.children[face] = child
     return child
-
-
-def _level_dim0_after(level: _Level, face: int) -> bool:
-    """Would restricting at ``face`` leave a zero-dimensional corner?"""
-    dom = level.dom
-    if isinstance(dom, Simplex):
-        return dom.N == 1
-    return dom.n == 1 and dom.m == 0
 
 
 def _embed_to_root(level: _Level, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -337,10 +337,8 @@ def _simulate_cohort(
     path_ids: np.ndarray,
     collect_events: bool,
 ) -> tuple[_Collector, tuple[int, ...], FaceClassification | None]:
-    if cfg.n_steps > cfg.max_steps:
-        raise MaxStepsExceeded(
-            f"T/dt = {cfg.n_steps} steps exceeds max_steps = {cfg.max_steps}"
-        )
+    if cfg.n_steps > _MAX_STEPS:
+        raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
     k = len(path_ids)
     dim = L.dim
     root, fc, transverse = _build_root(L, cfg)
@@ -498,7 +496,7 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
             for r, (row_i, t_i) in enumerate(zip(rows[idx], t_hit)):
                 loc = Point(xh[r], yh[r])
                 res.events[row_i].append(HitEvent(float(t_i), f, loc, depth))
-        terminal_here = cfg.stop_at_first_tangent_hit or _level_dim0_after(level, f)
+        terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if terminal_here:
             emb = _embed_to_root(level, xh, yh)
             res.term_time[rows[idx]] = t_hit if cfg.stop_at_first_tangent_hit else T
@@ -638,6 +636,26 @@ def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
 # call; the long tail of a few paths draws many, so the fixed cost of a call
 # (tens of µs) no longer dominates its steps.
 _BLOCK_NORMALS = 2**14
+
+# The drift ``(x₂, x₁)`` of the cross-fed system, as a polynomial table.
+_CROSS_FED_DRIFT = (((1.0, (0, 1), ()),), ((1.0, (1, 0), ()),))
+
+
+def _is_cross_fed(L: KimuraOperator) -> bool:
+    """Is ``L`` the system :func:`counterexample_ensemble` integrates?
+
+    That is ``x₁∂₁² + x₂∂₂² + x₂∂₁ + x₁∂₂`` on a two-dimensional box: unit
+    leading coefficients, the drift table ``(x₂, x₁)`` and no ``a``, ``c``,
+    ``d`` or ``e`` terms.  The box radius does not enter the integrator.
+    """
+    return (
+        isinstance(L.dom, CornerBox)
+        and (L.n, L.m) == (2, 0)
+        and all(isinstance(f, PolyField) for f in L.b)
+        and tuple(f.terms for f in L.b) == _CROSS_FED_DRIFT
+        and all(f.const == 1.0 for f in L.lead)
+        and L._a_zero
+    )
 
 
 def counterexample_ensemble(

@@ -221,3 +221,14 @@ def test_counterexample_all_hit_interval_is_rule_of_three(tmp_path):
     assert res["frequency"] == 1.0
     assert res["ci_lo"] == 0.97
     assert res["ci_hi"] == 1.0
+
+
+def test_counterexample_rejects_other_operators(tmp_path, capsys):
+    """The task integrates the cross-fed system only; any other operator is a
+    config error (exit 3, no summary), not a silent cross-fed run."""
+    out = tmp_path / "out"
+    params = {"p0": [0.05, 0.05], "dt": 1e-3, "n_paths": 20, "T": 1.0}
+    cfg = _base("counterexample", out, operator=WF, params=params)
+    assert cli.main(["counterexample", "--config", _write(tmp_path, cfg)]) == 3
+    assert "operator.preset" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

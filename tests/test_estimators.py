@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kimura.errors import EmptyBin
+from kimura.errors import EmptyBin, NotClean
 from kimura.estimators import (
     HittingHistogram,
     aligned_hitting_edges,
@@ -15,8 +15,14 @@ from kimura.estimators import (
     stratum_key,
     transverse_occupation,
 )
-from kimura.geometry import Point
-from kimura.operator import model1d, product_operator, remark_counterexample
+from kimura.geometry import CornerBox, Point
+from kimura.operator import (
+    KimuraOperator,
+    PolyField,
+    model1d,
+    product_operator,
+    remark_counterexample,
+)
 from kimura.sde import SimConfig, simulate_ensemble
 from kimura import pde, sde
 
@@ -147,6 +153,25 @@ def test_corner_probability_crossfed_sweep_is_one_ensemble(monkeypatch):
     assert len(calls) == 1
     assert [r[0] for r in rows] == list(eps)
     assert rows[1][1] <= rows[0][1] <= rows[2][1]
+
+
+def test_corner_probability_crossfed_is_chosen_by_coefficients():
+    """A hand-built operator with the cross-fed coefficients gets the preset's
+    estimate; changing one drift coefficient leaves it to the clean path,
+    which rejects it."""
+    def box_op(c2):
+        return KimuraOperator(
+            dom=CornerBox(2, 0, 8.0),
+            b=(PolyField(((1.0, (0, 1), ()),), 2), PolyField(((c2, (1, 0), ()),), 2)),
+        )
+
+    args = (Point([0.05, 0.05]), (1, 2), 300)
+    kw = dict(cfg=SimConfig(dt=1e-3, T=2.0, seed=4), eps_corner=(1e-3, 1e-4))
+    assert corner_hit_probability(box_op(1.0), *args, **kw) == corner_hit_probability(
+        remark_counterexample(), *args, **kw
+    )
+    with pytest.raises(NotClean):
+        corner_hit_probability(box_op(2.0), *args, **kw)
 
 
 # ---------------------------------------------------------------------------

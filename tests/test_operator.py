@@ -85,6 +85,21 @@ def test_product_operator_combines_classifications():
     assert fc.transverse == frozenset({2})
 
 
+def test_product_restriction_equals_the_factor():
+    """The generic restriction of a product gives the remaining factor's
+    coefficients: classification, drift and noise agree bit for bit."""
+    R = product_operator(model1d(0.0, radius=4.0), model1d(1.0, radius=4.0)).restrict(1)
+    F = model1d(1.0, radius=4.0)
+    assert R.dom == F.dom
+    assert R.classify_faces() == F.classify_faces()
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 4.0, size=(200, 1))
+    x[:10] = 0.0
+    y, xi = np.empty((200, 0)), rng.standard_normal((200, 1))
+    assert np.array_equal(R.drift_batch(x, y), F.drift_batch(x, y))
+    assert np.array_equal(R.noise_increment(x, y, xi), F.noise_increment(x, y, xi))
+
+
 def test_counterexample_is_not_clean():
     C = remark_counterexample()
     with pytest.raises(NotClean) as err:
@@ -123,6 +138,22 @@ def test_check_assumptions_flags_negative_drift():
     rep = L.check_assumptions(samples=128)
     assert not rep.nonneg_ok
     assert rep.violations
+
+
+def test_hand_built_wright_fisher_noise_is_the_presets():
+    """ℓ ≡ ½ and a ≡ −½ on a simplex select the closed-form genetic-drift
+    factor without a preset: the increments equal the preset's bit for bit."""
+    H = KimuraOperator(
+        dom=Simplex(2),
+        lead=(0.5, 0.5),
+        a=((-0.5, -0.5), (-0.5, -0.5)),
+    )
+    W = wright_fisher(2, (0.0, 0.0, 0.0))
+    rng = np.random.default_rng(5)
+    x = rng.dirichlet(np.ones(3), size=300)[:, :2]
+    x[:20, 0] = 0.0
+    y, xi = np.empty((300, 0)), rng.standard_normal((300, 2))
+    assert np.array_equal(H.noise_increment(x, y, xi), W.noise_increment(x, y, xi))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kimura import _rng
-from kimura.errors import NonFinite
+from kimura.errors import MaxStepsExceeded, NonFinite
 from kimura.geometry import CornerBox, Point
 from kimura.operator import KimuraOperator, model1d, product_operator, wright_fisher
 from kimura.sde import (
@@ -179,6 +179,16 @@ def test_counterexample_non_finite_names_the_path(monkeypatch):
     monkeypatch.setattr(_rng, "block_normals", poisoned)
     with pytest.raises(NonFinite, match=r"paths \[3\]"):
         counterexample_ensemble(Point([0.05, 0.05]), SimConfig(dt=1e-3, T=1.0), 20)
+
+
+def test_step_guard_trips_before_any_step(monkeypatch):
+    """T/dt = 10¹⁰ steps is refused up front, before any noise is drawn."""
+    def no_steps(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(_rng, "step_normals", no_steps)
+    with pytest.raises(MaxStepsExceeded):
+        simulate_ensemble(model1d(0.0), Point([0.5]), SimConfig(dt=1e-9, T=10.0), 5)
 
 
 def test_non_finite_y_names_the_path(monkeypatch):
