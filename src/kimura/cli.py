@@ -619,12 +619,13 @@ def _task_crosscheck(L, params, seed, workers, out: Path) -> dict:
 
 
 def _task_corner(L, params, seed, workers, out: Path) -> dict:
-    from .estimators import corner_hit_probability
+    from .estimators import _corner_faces, corner_hit_probability
 
+    try:
+        faces = _corner_faces(L.dom, params["faces"])
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc), field="params.faces") from exc
     cfg = _sim_config(params, seed, params["T"])
-    faces = tuple(params["faces"])
-    if len(faces) != 2:
-        raise ConfigInvalid("need exactly two faces", field="params.faces")
     trips = corner_hit_probability(
         L,
         _point(params),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyBin, FaceNotTangent, KimuraError
-from .geometry import CornerBox, Point, Simplex, StratumId
+from .geometry import Point, Simplex, StratumId, restrict_rows
 from .operator import KimuraOperator
 from . import sde
 
@@ -253,14 +253,7 @@ def hitting_histogram(
     x_ext, y_ext = _domain_extent(L.dom)
     extent = x_ext + y_ext
     n = L.n
-    if isinstance(L.dom, Simplex) and face == L.dom.N + 1:
-        free_cols = list(range(n - 1))
-    elif face <= n:
-        free_cols = [i for i in range(n) if i != face - 1] + [
-            n + l for l in range(L.m)
-        ]
-    else:
-        raise FaceNotTangent(f"face {face} does not exist on this domain")
+    free_cols = restrict_rows(np.arange(n), face, L.dom).tolist() + [n + l for l in range(L.m)]
     if np.isscalar(loc_bins) or isinstance(loc_bins, np.ndarray):
         loc_edges = tuple(_as_edges(loc_bins, *extent[c]) for c in free_cols)
     else:
@@ -342,15 +335,22 @@ def corner_hit_probability(
     dedicated corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One
     call of :func:`sde.counterexample_ensemble` serves the whole sequence: each path
     runs until it passes below the smallest ``eps`` and records its first
-    passage below every value on the way.
+    passage below every value on the way.  Either way the paths are split
+    over ``workers`` processes without changing the result.
+
+    Raises :class:`ValueError` unless ``faces`` are two distinct faces of
+    ``L.dom``.
     """
+    i, j = _corner_faces(L.dom, faces)
     cfg = cfg or sde.SimConfig(T=1.0)
     eps_list = (
         [float(eps_corner)] if np.isscalar(eps_corner) else [float(e) for e in eps_corner]
     )
-    i, j = faces
     if sde._is_cross_fed(L):
-        hit, _ = sde.counterexample_ensemble(p0, cfg, n_paths, eps_abs=eps_list)
+        parts = sde._run_chunked(
+            sde.counterexample_ensemble, n_paths, workers, p0=p0, cfg=cfg, eps_abs=eps_list
+        )
+        hit = np.concatenate([h for h, _ in parts])
         out = [(eps, *_prob_ci(int(h.sum()), n_paths)) for eps, h in zip(eps_list, hit.T)]
         return out if not np.isscalar(eps_corner) else out[0][1:]
     fc = L.classify_faces()
@@ -366,6 +366,15 @@ def corner_hit_probability(
         near = hit_rows & (d_i < eps) & (d_j < eps)
         out.append((eps, *_prob_ci(int(near.sum()), n_paths)))
     return out if not np.isscalar(eps_corner) else out[0][1:]
+
+
+def _corner_faces(dom, faces) -> tuple[int, int]:
+    """``faces`` as a pair of ints; :class:`ValueError` unless they are two
+    distinct faces of ``dom``."""
+    faces = tuple(faces)
+    if len(faces) != 2 or faces[0] == faces[1] or not set(faces) <= set(dom.face_ids):
+        raise ValueError(f"faces {list(faces)} are not two distinct faces of {dom}")
+    return faces
 
 
 def _face_distance(dom, xy: np.ndarray, face: int) -> np.ndarray:

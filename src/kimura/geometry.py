@@ -41,6 +41,8 @@ __all__ = [
     "restrict_point",
     "restrict_domain",
     "embed_point",
+    "restrict_rows",
+    "embed_rows",
     "weighted_density",
 ]
 
@@ -214,6 +216,29 @@ def restrict_domain(dom: DomainSpec, face: int) -> tuple[DomainSpec, dict[int, i
     return sub, fmap
 
 
+def _is_slack(dom: DomainSpec, face: int) -> bool:
+    return isinstance(dom, Simplex) and face == dom.N + 1
+
+
+def restrict_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
+    """Batched :func:`restrict_point` on the last axis, without the on-face
+    check: a coordinate face deletes column ``face − 1``; the simplex slack
+    face drops the last column, which the others determine there."""
+    if _is_slack(dom, face):
+        return x[..., :-1]
+    return np.delete(x, face - 1, axis=-1)
+
+
+def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
+    """Batched :func:`embed_point` on the last axis: a coordinate face
+    inserts ``x_face = 0``; the simplex slack face appends
+    ``max(1 − Σx, 0)``."""
+    if _is_slack(parent, face):
+        last = np.maximum(1.0 - x.sum(axis=-1), 0.0)
+        return np.concatenate([x, last[..., None]], axis=-1)
+    return np.insert(x, face - 1, 0.0, axis=-1)
+
+
 def restrict_point(
     p: Point, face: int, dom: DomainSpec, tol: float = DEFAULT_TOL
 ) -> tuple[Point, DomainSpec]:
@@ -225,17 +250,15 @@ def restrict_point(
         If ``x_face > tol`` (or ``1 − Σx > tol`` for the slack face).
     """
     _check_inside(p, dom, tol)
-    if isinstance(dom, Simplex) and face == dom.N + 1:
+    if _is_slack(dom, face):
         if 1.0 - float(np.sum(p.x)) > tol:
             raise NotOnFace(f"point not on slack face {{Σx=1}}: {p}")
-        sub, _ = restrict_domain(dom, face)
-        return Point(p.x[:-1], p.y), sub
-    if face < 1 or face > p.n:
+    elif face < 1 or face > p.n:
         raise NotOnFace(f"face {face} out of range 1..{p.n}")
-    if p.x[face - 1] > tol:
+    elif p.x[face - 1] > tol:
         raise NotOnFace(f"x_{face} = {p.x[face - 1]} > tol = {tol}: not on face")
     sub, _ = restrict_domain(dom, face)
-    return Point(np.delete(p.x, face - 1), p.y), sub
+    return Point(restrict_rows(p.x, face, dom), p.y), sub
 
 
 def embed_point(p: Point, face: int, parent: DomainSpec) -> Point:
@@ -244,10 +267,7 @@ def embed_point(p: Point, face: int, parent: DomainSpec) -> Point:
     Coordinate faces insert ``x_face = 0``; the simplex slack face appends the
     determined last coordinate ``x_N = 1 − Σ x``.
     """
-    if isinstance(parent, Simplex) and face == parent.N + 1:
-        last = 1.0 - float(np.sum(p.x))
-        return Point(np.append(p.x, max(last, 0.0)), p.y)
-    return Point(np.insert(p.x, face - 1, 0.0), p.y)
+    return Point(embed_rows(p.x, face, parent), p.y)
 
 
 def weighted_density(

@@ -26,6 +26,10 @@ Structural quantities computed here:
   (``B_i ≥ β₀ > 0``; paths touch but do not stick);
 * **restriction** of the operator to a tangent face, which is again an
   operator of the same class in one fewer corner coordinate;
+* the **simplex slack face** ``{Σx = 1}``, which the chart ``s = 1 − Σx``
+  turns into an ordinary coordinate face: its weight and restriction follow
+  from the coefficients when ``ℓ_i ≡ c`` and ``a_ij ≡ −c`` (the genetic-drift
+  block up to time scale), with no per-preset rule;
 * the **zoom rescaling** ``x = λ x′, y = √λ y′`` under which the class is
   invariant and first-order corner terms are *not* lower order;
 * SDE coefficients for path simulation: the drift vector, the second-order
@@ -53,7 +57,15 @@ from .errors import (
     KimuraError,
     NotClean,
 )
-from .geometry import CornerBox, DomainSpec, Point, Simplex, restrict_domain
+from .geometry import (
+    CornerBox,
+    DomainSpec,
+    Point,
+    Simplex,
+    embed_rows,
+    restrict_domain,
+    restrict_rows,
+)
 
 __all__ = [
     "CoefficientField",
@@ -66,7 +78,6 @@ __all__ = [
     "AssumptionViolation",
     "AssumptionReport",
     "FaceClassification",
-    "PresetInfo",
     "KimuraOperator",
     "sample_domain",
     "sample_face",
@@ -78,9 +89,6 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-_PROVENANCES = ("preset", "polynomial table", "user closure")
-
-
 # --------------------------------------------------------------------------
 # coefficient fields
 # --------------------------------------------------------------------------
@@ -90,12 +98,8 @@ class CoefficientField:
     """A scalar coefficient on a corner domain.
 
     Concrete subclasses provide ``eval(x, y)`` on batches (``x`` of shape
-    ``(k, n)``, ``y`` of shape ``(k, m)``, returning shape ``(k,)``).  Every
-    field carries a ``provenance`` tag, one of ``"preset"``, ``"polynomial
-    table"`` or ``"user closure"``.
+    ``(k, n)``, ``y`` of shape ``(k, m)``, returning shape ``(k,)``).
     """
-
-    provenance: str = "user closure"
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -122,7 +126,6 @@ class ConstField(CoefficientField):
     """A constant coefficient."""
 
     value: float
-    provenance: str = "polynomial table"
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(x.shape[0] if x.ndim == 2 else y.shape[0], self.value)
@@ -144,7 +147,6 @@ class PolyField(CoefficientField):
     terms: tuple[tuple[float, tuple[int, ...], tuple[int, ...]], ...]
     n: int
     m: int = 0
-    provenance: str = "polynomial table"
 
     def __post_init__(self):
         for coeff, xp, yp in self.terms:
@@ -180,7 +182,26 @@ class PolyField(CoefficientField):
             for c, xp, yp in self.terms
             if xp[index] == 0
         ]
-        return PolyField(tuple(new), self.n - 1, self.m, self.provenance)
+        return PolyField(tuple(new), self.n - 1, self.m)
+
+    def on_slack(self) -> "PolyField":
+        """Substitute ``x_n = 1 − Σ_{j<n} x_j`` and delete ``x_n``: the field
+        on the simplex slack face, in the face's chart (exact; like terms are
+        merged and zero terms dropped)."""
+        out: dict = {}
+        for c, xp, yp in self.terms:
+            part = {xp[:-1]: c}
+            for _ in range(xp[-1]):  # times (1 − Σ_{j<n} x_j)
+                nxt = dict(part)
+                for e, v in part.items():
+                    for j in range(self.n - 1):
+                        ej = e[:j] + (e[j] + 1,) + e[j + 1 :]
+                        nxt[ej] = nxt.get(ej, 0.0) - v
+                part = nxt
+            for e, v in part.items():
+                out[e, yp] = out.get((e, yp), 0.0) + v
+        new = [(v, e, yp) for (e, yp), v in out.items() if v != 0.0]
+        return PolyField(tuple(new), self.n - 1, self.m)
 
     def rescaled(self, lam: float, outer: float) -> "PolyField":
         """Exact table for ``outer · f(λ x′, √λ y′)``."""
@@ -188,7 +209,7 @@ class PolyField(CoefficientField):
             (c * outer * lam ** (sum(xp) + 0.5 * sum(yp)), xp, yp)
             for c, xp, yp in self.terms
         ]
-        return PolyField(tuple(new), self.n, self.m, self.provenance)
+        return PolyField(tuple(new), self.n, self.m)
 
 
 @dataclass(frozen=True, repr=False)
@@ -202,7 +223,6 @@ class FuncField(CoefficientField):
 
     fn: Callable
     vectorized: bool = False
-    provenance: str = "user closure"
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.vectorized:
@@ -220,10 +240,6 @@ class _XformField(CoefficientField):
     xscale: float
     yscale: float
 
-    @property
-    def provenance(self) -> str:  # type: ignore[override]
-        return self.base.provenance
-
     def eval(self, x, y):
         return self.outer * self.base.eval(self.xscale * x, self.yscale * y)
 
@@ -235,22 +251,16 @@ class _XformField(CoefficientField):
 
 @dataclass(frozen=True, repr=False)
 class _EmbedField(CoefficientField):
-    """Restriction of a parent-domain field to the face ``{x_face = 0}``.
-
-    Evaluates the parent field with a zero column re-inserted at the face's
-    coordinate slot.
-    """
+    """Restriction of a parent-domain field to one of its faces: evaluates
+    the parent field at the face points re-embedded by
+    :func:`~kimura.geometry.embed_rows`."""
 
     base: CoefficientField
-    face: int  # 1-based parent coordinate index
-
-    @property
-    def provenance(self) -> str:  # type: ignore[override]
-        return self.base.provenance
+    face: int
+    parent: DomainSpec
 
     def eval(self, x, y):
-        full = np.insert(x, self.face - 1, 0.0, axis=1)
-        return self.base.eval(full, y)
+        return self.base.eval(embed_rows(x, self.face, self.parent), y)
 
     @property
     def const(self):
@@ -267,10 +277,6 @@ class _SliceField(CoefficientField):
     y0: int
     y1: int
 
-    @property
-    def provenance(self) -> str:  # type: ignore[override]
-        return self.base.provenance
-
     def eval(self, x, y):
         return self.base.eval(x[:, self.x0 : self.x1], y[:, self.y0 : self.y1])
 
@@ -281,32 +287,31 @@ class _SliceField(CoefficientField):
 
 @dataclass(frozen=True, repr=False)
 class _RatioField(CoefficientField):
-    """Pointwise ratio of two fields (used for weights of generic presets)."""
+    """Pointwise ratio of two fields (a face weight ``b / ℓ``)."""
 
     num: CoefficientField
     den: CoefficientField
 
-    @property
-    def provenance(self) -> str:  # type: ignore[override]
-        return self.num.provenance
-
     def eval(self, x, y):
         return self.num.eval(x, y) / self.den.eval(x, y)
 
-    @property
-    def const(self):
-        cn, cd = self.num.const, self.den.const
-        if cn is not None and cd is not None and cd != 0.0:
-            return cn / cd
-        return None
+
+@dataclass(frozen=True, repr=False)
+class _NegSumField(CoefficientField):
+    """``−Σ parts``: the drift of the simplex slack coordinate ``1 − Σx``."""
+
+    parts: tuple
+
+    def eval(self, x, y):
+        return -sum(f.eval(x, y) for f in self.parts)
 
 
-def as_field(obj, provenance: str = "polynomial table") -> CoefficientField:
+def as_field(obj) -> CoefficientField:
     """Coerce a number, callable, or field into a :class:`CoefficientField`."""
     if isinstance(obj, CoefficientField):
         return obj
     if isinstance(obj, (int, float, np.floating, np.integer)):
-        return ConstField(float(obj), provenance)
+        return ConstField(float(obj))
     if callable(obj):
         return FuncField(obj)
     raise TypeError(f"cannot interpret {obj!r} as a coefficient field")
@@ -504,14 +509,6 @@ class FaceClassification:
     beta0: float
 
 
-@dataclass(frozen=True)
-class PresetInfo:
-    """Identity of a registry-built operator (name + constructor params)."""
-
-    name: str
-    params: dict
-
-
 # --------------------------------------------------------------------------
 # quasi-random sampling
 # --------------------------------------------------------------------------
@@ -556,24 +553,12 @@ def sample_face(
     dom: DomainSpec, face: int, k: int, seed=0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``k`` points on a face, in parent-domain coordinates."""
-    n = dom.n
-    if isinstance(dom, Simplex):
-        if dom.N == 1:
-            x = np.full((k, 1), 0.0 if face == 1 else 1.0)
-            return x, np.empty((k, 0))
+    if dom.n + dom.m == 1:  # the face is a point
+        xs, ys = np.empty((k, 0)), np.empty((k, 0))
+    else:
         sub, _ = restrict_domain(dom, face)
-        xs, _ = sample_domain(sub, k, seed)
-        if face <= dom.N:
-            x = np.insert(xs, face - 1, 0.0, axis=1)
-        else:
-            last = np.clip(1.0 - np.sum(xs, axis=1), 0.0, None)
-            x = np.column_stack([xs, last])
-        return x, np.empty((k, 0))
-    if n == 1 and dom.m == 0:
-        return np.zeros((k, 1)), np.empty((k, 0))
-    sub, _ = restrict_domain(dom, face)
-    xs, ys = sample_domain(sub, k, seed)
-    return np.insert(xs, face - 1, 0.0, axis=1), ys
+        xs, ys = sample_domain(sub, k, seed)
+    return embed_rows(xs, face, dom), ys
 
 
 # --------------------------------------------------------------------------
@@ -581,22 +566,20 @@ def sample_face(
 # --------------------------------------------------------------------------
 
 
-def _coerce_vec(vals, length, default, provenance) -> tuple[CoefficientField, ...]:
+def _coerce_vec(vals, length, default) -> tuple[CoefficientField, ...]:
     if vals is None:
-        return tuple(ConstField(default, provenance) for _ in range(length))
+        return tuple(ConstField(default) for _ in range(length))
     if len(vals) != length:
         raise ValueError(f"expected {length} fields, got {len(vals)}")
-    return tuple(as_field(v, provenance) for v in vals)
+    return tuple(as_field(v) for v in vals)
 
 
-def _coerce_mat(vals, rows, cols, provenance) -> tuple[tuple[CoefficientField, ...], ...]:
+def _coerce_mat(vals, rows, cols) -> tuple[tuple[CoefficientField, ...], ...]:
     if vals is None:
-        return tuple(
-            tuple(ConstField(0.0, provenance) for _ in range(cols)) for _ in range(rows)
-        )
+        return tuple(tuple(ConstField(0.0) for _ in range(cols)) for _ in range(rows))
     if len(vals) != rows or any(len(r) != cols for r in vals):
         raise ValueError(f"expected a {rows}×{cols} field matrix")
-    return tuple(tuple(as_field(v, provenance) for v in r) for r in vals)
+    return tuple(tuple(as_field(v) for v in r) for r in vals)
 
 
 @dataclass(frozen=True)
@@ -616,17 +599,15 @@ class KimuraOperator:
     e: tuple | None = None
     lead: tuple | None = None
     name: str = ""
-    preset: PresetInfo | None = None
 
     def __post_init__(self):
-        prov = "preset" if self.preset is not None else "polynomial table"
         n, m = self.dom.n, self.dom.m
-        object.__setattr__(self, "b", _coerce_vec(self.b or None, n, 0.0, prov))
-        object.__setattr__(self, "a", _coerce_mat(self.a, n, n, prov))
-        object.__setattr__(self, "c", _coerce_mat(self.c, n, m, prov))
-        object.__setattr__(self, "d", _coerce_mat(self.d, m, m, prov))
-        object.__setattr__(self, "e", _coerce_vec(self.e, m, 0.0, prov))
-        object.__setattr__(self, "lead", _coerce_vec(self.lead, n, 1.0, prov))
+        object.__setattr__(self, "b", _coerce_vec(self.b or None, n, 0.0))
+        object.__setattr__(self, "a", _coerce_mat(self.a, n, n))
+        object.__setattr__(self, "c", _coerce_mat(self.c, n, m))
+        object.__setattr__(self, "d", _coerce_mat(self.d, m, m))
+        object.__setattr__(self, "e", _coerce_vec(self.e, m, 0.0))
+        object.__setattr__(self, "lead", _coerce_vec(self.lead, n, 1.0))
         for mat, label in ((self.a, "a"), (self.d, "d")):
             for i in range(len(mat)):
                 for j in range(i):
@@ -756,9 +737,10 @@ class KimuraOperator:
 
         face_k = min(samples, 512)
         nonneg_ok = True
-        for i in range(self.n):
-            fx, fy = sample_face(self.dom, i + 1, face_k, seed)
-            vals = self.b[i].eval(fx, fy)
+        for face in self.dom.face_ids:
+            slack = face > self.n
+            fx, fy = sample_face(self.dom, face, face_k, seed)
+            vals = (self._slack_drift if slack else self.b[face - 1]).eval(fx, fy)
             bad = np.flatnonzero(vals < -tol)
             if bad.size:
                 nonneg_ok = False
@@ -768,22 +750,9 @@ class KimuraOperator:
                         "nonneg",
                         Point(fx[r], fy[r]),
                         float(vals[r]),
-                        f"b_{i + 1} < 0 on its face",
-                    )
-                )
-        if isinstance(self.dom, Simplex):
-            fx, fy = sample_face(self.dom, self.dom.N + 1, face_k, seed)
-            vals = -sum(self.b[i].eval(fx, fy) for i in range(self.n))
-            bad = np.flatnonzero(vals < -tol)
-            if bad.size:
-                nonneg_ok = False
-                r = int(bad[np.argmin(vals[bad])])
-                violations.append(
-                    AssumptionViolation(
-                        "nonneg",
-                        Point(fx[r], fy[r]),
-                        float(vals[r]),
-                        "inward drift −Σ b_i < 0 on the slack face",
+                        "inward drift −Σ b_i < 0 on the slack face"
+                        if slack
+                        else f"b_{face} < 0 on its face",
                     )
                 )
 
@@ -832,30 +801,62 @@ class KimuraOperator:
     def weight(self, face: int) -> CoefficientField:
         """The weight ``B_face = b_face / ℓ_face`` as a function on the face.
 
-        For simplex domains the slack face's weight is obtained from the
-        chart swap; this requires a preset rule (available for the
-        genetic-drift preset, whose weights are constants).
+        The simplex slack face ``{Σx = 1}`` is the coordinate face ``{s = 0}``
+        of the chart ``s = 1 − Σx``, and its weight follows from the
+        coefficients when the second-order block is the genetic-drift form up
+        to time scale, ``ℓ_i ≡ c`` and ``a_ij ≡ −c`` (the one constant block
+        that keeps Kimura form at that face): ``B_s = −Σ_i b_i / c`` on the
+        face.  Any other simplex operator raises :class:`KimuraError` there.
         """
         self._check_face(face)
-        rule = self._preset_weight(face)
-        if rule is not None:
-            return rule
-        if isinstance(self.dom, Simplex) and face == self.dom.N + 1:
-            raise KimuraError(
-                "slack-face weight needs a chart-swap rule; "
-                "only simplex presets provide one"
-            )
-        i = face - 1
-        bf, lf = self.b[i], self.lead[i]
+        if face > self.n:  # the simplex slack face
+            c = self._slack_lead
+            if c is None:
+                raise KimuraError(
+                    f"slack face {face} keeps Kimura form only when every ℓ_i is "
+                    "one constant c > 0 and every a_ij is −c"
+                )
+            bf, lf = self._slack_drift, ConstField(c)
+        else:
+            bf, lf = self.b[face - 1], self.lead[face - 1]
         if self._face_is_point(face):
             p = self._face_point(face)
-            return ConstField(bf(p) / lf(p), bf.provenance)
-        if bf.const is not None and lf.const is not None:
-            return ConstField(bf.const / lf.const, bf.provenance)
-        num = self._restrict_field(bf, face)
-        if lf.const == 1.0:
+            return ConstField(bf(p) / lf(p))
+        num, den = self._restrict_field(bf, face), self._restrict_field(lf, face)
+        if num.const is not None and den.const is not None:
+            return ConstField(num.const / den.const)
+        if den.const == 1.0:
             return num
-        return _RatioField(num, self._restrict_field(lf, face))
+        return _RatioField(num, den)
+
+    @cached_property
+    def _slack_lead(self) -> float | None:
+        """``c`` when ``ℓ_i ≡ c > 0`` and ``a_ij ≡ −c`` on a simplex, else None.
+
+        Then ``M = c·(diag(x) − x xᵀ)``, whose slack row in the chart
+        ``s = 1 − Σx`` is ``M_ss = c·s − c·s²`` and ``M_sj = −c·s·x_j``.
+        """
+        c = self.lead[0].const if isinstance(self.dom, Simplex) else None
+        ok = (
+            c is not None
+            and c > 0
+            and all(f.const == c for f in self.lead)
+            and all(f.const == -c for row in self.a for f in row)
+        )
+        return c if ok else None
+
+    @cached_property
+    def _slack_drift(self) -> CoefficientField:
+        """The drift ``−Σ b_i`` of the slack coordinate ``s = 1 − Σx``."""
+        if all(isinstance(f, (ConstField, PolyField)) for f in self.b):
+            zero = (0,) * self.n
+            tables = [
+                ((f.value, zero, ()),) if isinstance(f, ConstField) else f.terms
+                for f in self.b
+            ]
+            terms = tuple((-c, xp, yp) for t in tables for c, xp, yp in t)
+            return PolyField(terms, self.n)
+        return _NegSumField(self.b)
 
     def classify_faces(
         self,
@@ -908,23 +909,24 @@ class KimuraOperator:
         return pts, vals
 
     def _face_is_point(self, face: int) -> bool:
-        if isinstance(self.dom, Simplex):
-            return self.dom.N == 1
-        return self.dom.n == 1 and self.dom.m == 0
+        return self.dom.n + self.dom.m == 1
 
     def _face_point(self, face: int) -> Point:
-        if isinstance(self.dom, Simplex) and face == self.dom.N + 1:
-            return Point(np.ones(1))
-        return Point(np.zeros(1))
+        """The point a face is when the domain is one-dimensional."""
+        return Point(embed_rows(np.empty(0), face, self.dom))
 
     def restrict(self, face: int, tol: float = 1e-10, samples: int = 256) -> "KimuraOperator":
         """The induced operator on a tangent face (one fewer corner variable).
 
-        Coefficients are evaluated with ``x_face = 0`` and the face's row and
-        column deleted, so that ``L_face u = (L U)|_face`` for extensions ``U``
-        constant across the face.  The genetic-drift preset restricts exactly
-        (the result is again that preset).  Raises :class:`FaceNotTangent`
-        when the face weight is not identically zero.
+        Coefficients are evaluated on the face and the coordinate that
+        :func:`~kimura.geometry.restrict_rows` deletes is dropped, so that
+        ``L_face u = (L U)|_face`` for extensions ``U`` constant across the
+        face.  On the simplex slack face the remaining coefficients are
+        evaluated at ``x_N = 1 − Σ_{j<N} x_j``; this needs the slack-face rule
+        of :meth:`weight`.  The genetic-drift operator restricts to the
+        genetic-drift operator with the face's rate folded into a neighbour's.
+        Raises :class:`FaceNotTangent` when the face weight is not identically
+        zero.
         """
         self._check_face(face)
         W = self.weight(face)
@@ -934,16 +936,8 @@ class KimuraOperator:
             raise FaceNotTangent(
                 f"face {face} has weight up to {sup:.3g} > tol={tol}: not tangent"
             )
-        rule = self._preset_restrict(face)
-        if rule is not None:
-            return rule
-        if isinstance(self.dom, Simplex) and face == self.dom.N + 1:
-            raise KimuraError(
-                "slack-face restriction needs a chart-swap rule; "
-                "only simplex presets provide one"
-            )
         sub, _ = restrict_domain(self.dom, face)
-        keep = [i for i in range(self.n) if i != face - 1]
+        keep = restrict_rows(np.arange(self.n), face, self.dom)
         R = lambda f: self._restrict_field(f, face)  # noqa: E731
         return KimuraOperator(
             dom=sub,
@@ -956,41 +950,16 @@ class KimuraOperator:
             name=f"{self.name}|face{face}" if self.name else "",
         )
 
-    @staticmethod
-    def _restrict_field(f: CoefficientField, face: int) -> CoefficientField:
+    def _restrict_field(self, f: CoefficientField, face: int) -> CoefficientField:
         if isinstance(f, ConstField):
             return f
         if isinstance(f, PolyField):
-            return f.drop_x(face - 1)
-        return _EmbedField(f, face)
+            return f.on_slack() if face > self.n else f.drop_x(face - 1)
+        return _EmbedField(f, face, self.dom)
 
     def _check_face(self, face: int) -> None:
         if face not in self.dom.face_ids:
             raise ValueError(f"face {face} not a face of {self.dom}")
-
-    # -- preset rules ---------------------------------------------------------
-    # The genetic-drift preset carries the slack-face chart swap in its
-    # parameters; no generic rule replaces it.  Every other operator goes
-    # through the generic weight and restriction.
-
-    def _preset_weight(self, face: int) -> CoefficientField | None:
-        if self.preset is None or self.preset.name != "wright-fisher":
-            return None
-        return ConstField(2.0 * self.preset.params["b"][face - 1], "preset")
-
-    def _preset_restrict(self, face: int) -> "KimuraOperator | None":
-        if self.preset is None or self.preset.name != "wright-fisher":
-            return None
-        N, bpar = self.preset.params["N"], list(self.preset.params["b"])
-        if N == 1:
-            raise KimuraError(
-                "faces of the 1-simplex are absorbing points, not sub-domains"
-            )
-        if face <= N:  # coordinate face: fold its rate into the slack rate
-            rest = bpar[:face - 1] + bpar[face:N] + [bpar[N] + bpar[face - 1]]
-        else:  # slack face: last coordinate becomes the new slack
-            rest = bpar[: N - 1] + [bpar[N - 1] + bpar[N]]
-        return wright_fisher(N - 1, tuple(rest))
 
     # -- rescaling -------------------------------------------------------------
 
@@ -1024,7 +993,7 @@ class KimuraOperator:
 
         def xf(f: CoefficientField, outer: float) -> CoefficientField:
             if isinstance(f, ConstField):
-                return ConstField(outer * f.value, f.provenance)
+                return ConstField(outer * f.value)
             if isinstance(f, PolyField):
                 return f.rescaled(lam, outer)
             return _XformField(f, outer, lam, root)
@@ -1086,11 +1055,7 @@ class KimuraOperator:
     def _noise_strategy(self) -> str:
         # ℓ ≡ ½ and a ≡ −½ on a simplex make 2M = diag(x) − x xᵀ, the
         # genetic-drift covariance with an explicit triangular factor.
-        if (
-            isinstance(self.dom, Simplex)
-            and all(f.const == 0.5 for f in self.lead)
-            and all(f.const == -0.5 for row in self.a for f in row)
-        ):
+        if self._slack_lead == 0.5:
             return "wf"
         if self._a_zero and self._c_zero:
             if self.m == 0:
@@ -1167,7 +1132,6 @@ def model1d(b: float, radius: float = 1.0) -> KimuraOperator:
         dom=CornerBox(1, 0, radius),
         b=(float(b),),
         name=f"model1d(b={b:g})",
-        preset=PresetInfo("model1d", {"b": float(b), "radius": float(radius)}),
     )
 
 
@@ -1191,20 +1155,17 @@ def wright_fisher(N: int, b: Sequence[float]) -> KimuraOperator:
                 (-S, tuple(1 if j == i else 0 for j in range(N)), ()),
             ),
             N,
-            0,
-            "preset",
         )
         for i in range(N)
     )
-    half = ConstField(0.5, "preset")
-    mhalf = ConstField(-0.5, "preset")
+    half = ConstField(0.5)
+    mhalf = ConstField(-0.5)
     return KimuraOperator(
         dom=Simplex(N),
         b=drift,
         a=tuple(tuple(mhalf for _ in range(N)) for _ in range(N)),
         lead=tuple(half for _ in range(N)),
         name=f"wright-fisher(N={N})",
-        preset=PresetInfo("wright-fisher", {"N": int(N), "b": b}),
     )
 
 
@@ -1223,10 +1184,10 @@ def product_operator(*factors: KimuraOperator) -> KimuraOperator:
     m = sum(f.m for f in factors)
     radius, y_radius = next(iter(radii))
     dom = CornerBox(n, m, radius, y_radius)
-    zero = ConstField(0.0, "preset")
+    zero = ConstField(0.0)
     b: list = [zero] * n
     e: list = [zero] * m
-    lead: list = [ConstField(1.0, "preset")] * n
+    lead: list = [ConstField(1.0)] * n
     a = [[zero] * n for _ in range(n)]
     c = [[zero] * m for _ in range(n)]
     d = [[zero] * m for _ in range(m)]
@@ -1259,7 +1220,6 @@ def product_operator(*factors: KimuraOperator) -> KimuraOperator:
         e=tuple(e),
         lead=tuple(lead),
         name="product(" + ", ".join(f.name or "?" for f in factors) + ")",
-        preset=PresetInfo("product", {"factors": tuple(factors)}),
     )
 
 
@@ -1271,13 +1231,12 @@ def remark_counterexample(radius: float = 32.0) -> KimuraOperator:
     it), and the sum ``X₁ + X₂`` reaches the corner with positive
     probability.
     """
-    b1 = PolyField(((1.0, (0, 1), ()),), 2, 0, "preset")
-    b2 = PolyField(((1.0, (1, 0), ()),), 2, 0, "preset")
+    b1 = PolyField(((1.0, (0, 1), ()),), 2)
+    b2 = PolyField(((1.0, (1, 0), ()),), 2)
     return KimuraOperator(
         dom=CornerBox(2, 0, radius),
         b=(b1, b2),
         name="remark-counterexample",
-        preset=PresetInfo("remark-counterexample", {"radius": float(radius)}),
     )
 
 

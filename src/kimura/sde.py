@@ -45,7 +45,16 @@ import numpy as np
 
 from . import _rng
 from .errors import KimuraError, MaxStepsExceeded, NonFinite, NotClean
-from .geometry import CornerBox, DomainSpec, Point, Simplex, StratumId, restrict_domain
+from .geometry import (
+    CornerBox,
+    DomainSpec,
+    Point,
+    Simplex,
+    StratumId,
+    embed_rows,
+    restrict_domain,
+    restrict_rows,
+)
 from .operator import FaceClassification, KimuraOperator, PolyField
 
 __all__ = [
@@ -268,10 +277,6 @@ def _child_level(level: _Level, face: int, cfg: SimConfig, tracked_rows: dict[in
     sub_op = level.op.restrict(face)
     _, fmap = restrict_domain(level.dom, face)
     face_orig = {new: level.face_orig[old] for new, old in fmap.items()}
-    if isinstance(level.dom, Simplex) and face == level.dom.N + 1:
-        x_slots = level.x_slots[:-1]
-    else:
-        x_slots = np.delete(level.x_slots, face - 1)
     tangent, transverse, _ = _classify_or_fallback(sub_op, cfg.allow_nonclean)
     n_sub = sub_op.n
     tracked = tuple(
@@ -282,7 +287,7 @@ def _child_level(level: _Level, face: int, cfg: SimConfig, tracked_rows: dict[in
     child = _Level(
         op=sub_op,
         stratum_bits=level.stratum_bits | (1 << (level.face_orig[face] - 1)),
-        x_slots=x_slots,
+        x_slots=restrict_rows(level.x_slots, face, level.dom),
         y_slots=level.y_slots,
         face_orig=face_orig,
         tracked=tracked,
@@ -298,12 +303,8 @@ def _embed_to_root(level: _Level, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows of current-level coordinates → original-domain (x, y) rows."""
     lvl = level
     while lvl.parent is not None:
-        parent = lvl.parent
-        if isinstance(parent.dom, Simplex) and lvl.via_face == parent.dom.N + 1:
-            x = np.column_stack([x, np.clip(1.0 - x.sum(axis=1), 0.0, None)])
-        else:
-            x = np.insert(x, lvl.via_face - 1, 0.0, axis=1)
-        lvl = parent
+        x = embed_rows(x, lvl.via_face, lvl.parent.dom)
+        lvl = lvl.parent
     return np.concatenate([x, y], axis=1)
 
 
@@ -476,13 +477,8 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
     for f in np.unique(hit_face[hits]):
         idx = hits[hit_face[hits] == f]
         f = int(f)
-        is_slack = isinstance(level.dom, Simplex) and f == level.dom.N + 1
-        xh = x[idx].copy()
-        if is_slack:
-            rest = xh[:, :-1].sum(axis=1)
-            xh[:, -1] = np.maximum(1.0 - rest, 0.0)
-        else:
-            xh[:, f - 1] = 0.0
+        xc = restrict_rows(x[idx], f, level.dom)
+        xh = embed_rows(xc, f, level.dom)  # the hit point, exactly on the face
         yh = y[idx]
         t_hit = np.minimum(steps[idx] * dt, T)
         orig = level.face_orig[f]
@@ -503,10 +499,6 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
             res.term_xy[rows[idx]] = emb
             res.term_bits[rows[idx]] = bits
             continue
-        if is_slack:
-            xc = xh[:, :-1]
-        else:
-            xc = np.delete(xh, f - 1, axis=1)
         child = _child_level(level, f, cfg, res.tracked_rows)
         child_buf.setdefault(f, []).append((child, xc, yh, steps[idx].copy(), rows[idx].copy()))
 
@@ -560,23 +552,34 @@ def simulate_ensemble(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be ≥ 1")
+    parts = _run_chunked(
+        _ensemble_chunk, n_paths, workers, path_offset,
+        L=L, p0=p0, cfg=cfg, collect_events=collect_events,
+    )
+    return parts[0] if len(parts) == 1 else _merge_ensembles(parts)
+
+
+def _run_chunked(fn, n_paths: int, workers: int, path_offset: int = 0, **kwargs) -> list:
+    """``fn(n_paths=…, path_offset=…, **kwargs)`` over contiguous path-index
+    chunks, one per worker process when ``workers > 1`` and every worker gets
+    at least four paths, else one chunk in this process.  The noise is
+    counter-based, so the results, taken in order, do not depend on the split.
+    """
     if workers > 1 and n_paths >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
-        args = [
-            (L, p0, cfg, path_offset + int(a), int(b - a), collect_events)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ensemble_chunk, args))
-        return _merge_ensembles(parts)
-    return _ensemble_chunk((L, p0, cfg, path_offset, n_paths, collect_events))
+            futures = [
+                pool.submit(fn, n_paths=int(b - a), path_offset=path_offset + int(a), **kwargs)
+                for a, b in zip(bounds[:-1], bounds[1:])
+                if b > a
+            ]
+            return [f.result() for f in futures]
+    return [fn(n_paths=n_paths, path_offset=path_offset, **kwargs)]
 
 
-def _ensemble_chunk(args) -> EnsembleResult:
-    L, p0, cfg, path_offset, n_paths, collect_events = args
+def _ensemble_chunk(L, p0, cfg, n_paths, path_offset, collect_events) -> EnsembleResult:
     path_ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     res, tracked_ids, fc = _simulate_cohort(L, p0, cfg, path_ids, collect_events)
     return EnsembleResult(

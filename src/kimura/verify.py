@@ -161,26 +161,6 @@ class AppendixOperator:
     def b_at(self, i: int, *coords) -> np.ndarray:
         return self._b[i - 1](*coords)
 
-    def apply(self, u: SmoothFunction, p: Point) -> float:
-        """Evaluate A u at a point (exact derivatives required of ``u``)."""
-        x, y = p.x, p.y
-        grad = u.gradient(p, allow_fd=False)
-        hess = u.hessian(p, allow_fd=False)
-        n, m = self.n, self.m
-        coords = tuple(x)
-        val = 0.0
-        for i in range(n):
-            for j in range(n):
-                val += math.sqrt(x[i] * x[j]) * float(self.a_at(i + 1, j + 1, *coords)) * hess[i, j]
-            val += float(self.b_at(i + 1, *coords)) * grad[i]
-            for l in range(m):
-                val += math.sqrt(x[i]) * self.c[i, l] * hess[i, n + l]
-        for l in range(m):
-            for k in range(m):
-                val += self.d[l, k] * hess[n + l, n + k]
-            val += self.e[l] * grad[n + l]
-        return float(val)
-
     def check_assumptions(self, samples: int = 512, seed: int = 0) -> AppendixAssumptions:
         """Sample ellipticity, boundedness, and the face-drift sign pattern."""
         rng = np.random.default_rng(seed)

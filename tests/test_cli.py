@@ -232,3 +232,17 @@ def test_counterexample_rejects_other_operators(tmp_path, capsys):
     assert cli.main(["counterexample", "--config", _write(tmp_path, cfg)]) == 3
     assert "operator.preset" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("faces", [[1, 3], [1, 1], [1, 2, 3]])
+def test_corner_rejects_faces_the_domain_lacks(tmp_path, capsys, faces):
+    """Faces that are not two distinct faces of the operator's domain are a
+    config error (exit 3, no summary)."""
+    out = tmp_path / "out"
+    box = {"preset": "model1d", "params": {"b": 0.0, "radius": 8.0}}
+    operator = {"preset": "product", "params": {"factors": [box, box]}}
+    params = {"p0": [0.05, 5.0], "dt": 1e-3, "n_paths": 20, "T": 0.1, "faces": faces, "eps": [0.01]}
+    cfg = _base("corner", out, operator=operator, params=params)
+    assert cli.main(["corner", "--config", _write(tmp_path, cfg)]) == 3
+    assert "params.faces" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()

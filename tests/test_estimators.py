@@ -1,5 +1,7 @@
 """Path statistics: decomposition, hitting histograms, occupation, doubling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,14 @@ from kimura.estimators import (
     stratum_key,
     transverse_occupation,
 )
-from kimura.geometry import CornerBox, Point
+from kimura.geometry import CornerBox, Point, Simplex
 from kimura.operator import (
     KimuraOperator,
     PolyField,
     model1d,
     product_operator,
     remark_counterexample,
+    wright_fisher,
 )
 from kimura.sde import SimConfig, simulate_ensemble
 from kimura import pde, sde
@@ -82,6 +85,46 @@ def test_decompose_matches_pde_survival(wf, p03):
     interior, se = dec.mass(frozenset())
     ks = pde.dirichlet_kernel(wf, 0.3, 0.5, 5e-4, M=400)
     assert abs(interior - ks.survival_at(0.5)) <= 3 * se + 5e-3
+
+
+def _ensemble_digest(ens):
+    h = hashlib.sha256()
+    for arr in (
+        ens.terminal_time, ens.terminal_xy, ens.strata_bits,
+        ens.first_hit_time, ens.first_hit_face, ens.first_hit_xy,
+    ):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_hand_built_wright_fisher_decomposes_like_the_preset(monkeypatch):
+    """ℓ ≡ ½, a ≡ −½ and the genetic-drift drift table on ``Simplex(2)``,
+    built without a preset, absorb through the slack face as
+    ``wright_fisher(2, (0, 0, 0))`` does: every ensemble array is
+    bit-identical."""
+    drift = tuple(
+        PolyField(((0.0, (0, 0), ()), (-0.0, tuple(int(j == i) for j in range(2)), ())), 2)
+        for i in range(2)
+    )
+    H = KimuraOperator(
+        dom=Simplex(2), b=drift, lead=(0.5, 0.5), a=((-0.5, -0.5), (-0.5, -0.5))
+    )
+    seen = []
+    real = sde.simulate_ensemble
+
+    def capture(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sde, "simulate_ensemble", capture)
+    cfg = SimConfig(dt=1e-2, seed=21)
+    hand, preset = (
+        decompose(L, Point([0.3, 0.3]), 2.0, 400, cfg=cfg)
+        for L in (H, wright_fisher(2, (0.0, 0.0, 0.0)))
+    )
+    assert _ensemble_digest(seen[0]) == _ensemble_digest(seen[1])
+    assert hand.counts == preset.counts
+    assert any(3 in s for s in hand.counts), "no path was absorbed on the slack face"
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +215,26 @@ def test_corner_probability_crossfed_is_chosen_by_coefficients():
     )
     with pytest.raises(NotClean):
         corner_hit_probability(box_op(2.0), *args, **kw)
+
+
+_TANGENT_BOX = product_operator(model1d(0.0, radius=8.0), model1d(0.0, radius=8.0))
+
+
+@pytest.mark.parametrize(
+    "L, faces",
+    [(_TANGENT_BOX, (1, 3)), (_TANGENT_BOX, (1, 1)), (remark_counterexample(), (7, 9))],
+)
+def test_corner_probability_needs_two_faces_of_the_domain(L, faces):
+    with pytest.raises(ValueError, match="two distinct faces"):
+        corner_hit_probability(L, Point([0.05, 0.05]), faces, 50, cfg=CFG)
+
+
+def test_corner_probability_crossfed_splits_over_workers():
+    args = (remark_counterexample(), Point([0.05, 0.05]), (1, 2), 300)
+    kw = dict(cfg=SimConfig(dt=1e-3, T=2.0, seed=4), eps_corner=(1e-3, 1e-4))
+    assert corner_hit_probability(*args, workers=2, **kw) == corner_hit_probability(
+        *args, workers=1, **kw
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from kimura.geometry import (
     Simplex,
     classify_point,
     embed_point,
+    embed_rows,
     restrict_domain,
     restrict_point,
+    restrict_rows,
     weighted_density,
 )
 
@@ -111,6 +113,25 @@ def test_restrict_point_slack_face():
     q, sub = restrict_point(p, 3, Simplex(2))
     assert q.n == 1
     assert embed_point(q, 3, Simplex(2)).x.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("dom, face", [(Simplex(3), 2), (Simplex(3), 4), (CornerBox(3, 0), 3)])
+def test_row_restriction_matches_the_point_maps(dom, face):
+    """``restrict_rows``/``embed_rows`` are the batched point maps: on face
+    points they agree with ``restrict_point``/``embed_point`` row by row and
+    ``embed_rows`` inverts ``restrict_rows``."""
+    rng = np.random.default_rng(face)
+    x = rng.dirichlet(np.ones(4), size=50)[:, :3]
+    if face <= 3:
+        x[:, face - 1] = 0.0
+    else:
+        x[:, -1] = 1.0 - x[:, :-1].sum(axis=1)
+    xr = restrict_rows(x, face, dom)
+    assert np.array_equal(embed_rows(xr, face, dom), x)
+    for row, rrow in zip(x, xr):
+        q, _ = restrict_point(Point(row), face, dom)
+        assert np.array_equal(q.x, rrow)
+        assert np.array_equal(embed_point(q, face, dom).x, row)
 
 
 # ---------------------------------------------------------------------------

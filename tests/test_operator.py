@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kimura.errors import DerivativeUnavailable, NotClean
+from kimura.errors import DerivativeUnavailable, KimuraError, NotClean
 from kimura.geometry import CornerBox, Point, Simplex
 from kimura.operator import (
+    FuncField,
     KimuraOperator,
     PolyField,
     PolynomialFunction,
@@ -157,19 +158,105 @@ def test_hand_built_wright_fisher_noise_is_the_presets():
 
 
 # ---------------------------------------------------------------------------
+# the simplex slack face
+# ---------------------------------------------------------------------------
+
+
+def _fold(rates, face):
+    """The rates of ``wright_fisher(N−1, ·)`` on a face of
+    ``wright_fisher(N, rates)``: the face's rate joins the slack rate, or on
+    the slack face the last coordinate's."""
+    N, r = len(rates) - 1, list(rates)
+    if face <= N:
+        return tuple(r[: face - 1] + r[face:N] + [r[N] + r[face - 1]])
+    return tuple(r[: N - 1] + [r[N - 1] + r[N]])
+
+
+@pytest.mark.parametrize("face", [1, 2, 3, 4])
+def test_wright_fisher_restriction_is_wright_fisher(face):
+    """Every face of ``wright_fisher(3, r)``, the slack face included,
+    restricts by its coefficients alone to ``wright_fisher(2, folded r)``:
+    classification, drift and noise agree bit for bit.  Dyadic rates keep
+    the rate sums exact."""
+    rates = [0.25, 0.5, 0.125, 0.375]
+    rates[face - 1] = 0.0
+    R = wright_fisher(3, rates).restrict(face)
+    W = wright_fisher(2, _fold(rates, face))
+    assert R.dom == W.dom
+    assert R.classify_faces() == W.classify_faces()
+    rng = np.random.default_rng(face)
+    x = rng.dirichlet(np.ones(3), size=300)[:, :2]
+    x[:20, 0] = 0.0
+    x[20:40, 1] = 1.0 - x[20:40, 0]
+    y, xi = np.empty((300, 0)), rng.standard_normal((300, 2))
+    assert np.array_equal(R.drift_batch(x, y), W.drift_batch(x, y))
+    assert np.array_equal(R.noise_increment(x, y, xi), W.noise_increment(x, y, xi))
+
+
+def test_slack_weight_follows_the_time_scale():
+    """With ``ℓ ≡ c`` and ``a ≡ −c`` the slack weight is ``−Σ b_i / c``: for
+    the genetic-drift drift table at ``c = 1`` that is the slack rate."""
+    rates, S = (0.25, 0.5, 0.125), 0.875
+    b = tuple(
+        PolyField(((rates[i], (0, 0), ()), (-S, tuple(int(j == i) for j in range(2)), ())), 2)
+        for i in range(2)
+    )
+    H = KimuraOperator(dom=Simplex(2), b=b, lead=(1.0, 1.0), a=((-1.0, -1.0), (-1.0, -1.0)))
+    assert [H.weight(f).const for f in (1, 2, 3)] == list(rates)
+
+
+def test_slack_rule_reads_non_polynomial_drift():
+    """A drift given by closures still gets the slack weight ``−Σ b_i / c``,
+    evaluated on the face, and restricts through a coordinate face."""
+    rates, S = (0.0, 0.25, 0.5), 0.75
+    b = tuple(
+        FuncField(lambda x, y, i=i: rates[i] - S * x[:, i], vectorized=True) for i in range(2)
+    )
+    H = KimuraOperator(dom=Simplex(2), b=b, lead=(0.5, 0.5), a=((-0.5, -0.5), (-0.5, -0.5)))
+    x, y = sample_domain(Simplex(1), 64)
+    assert np.allclose(H.weight(3).eval(x, y), 2 * rates[2], rtol=0, atol=1e-12)
+    fc = H.classify_faces()
+    assert (fc.tangent, fc.transverse) == ({1}, {2, 3})
+    R = H.restrict(1)
+    assert isinstance(R.dom, Simplex) and R.dom.N == 1
+    assert R.classify_faces().transverse == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "lead, a",
+    [
+        # ℓ₁ is not constant
+        ((PolyField(((0.5, (0, 0), ()), (0.25, (1, 0), ())), 2), 0.5), ((-0.5, -0.5), (-0.5, -0.5))),
+        # a ≠ −ℓ
+        ((0.5, 0.5), ((-0.25, -0.25), (-0.25, -0.25))),
+    ],
+)
+def test_slack_face_outside_the_rule_raises(lead, a):
+    H = KimuraOperator(dom=Simplex(2), lead=lead, a=a)
+    assert H.weight(1).const == 0.0  # coordinate faces need no rule
+    with pytest.raises(KimuraError):
+        H.weight(3)
+    with pytest.raises(KimuraError):
+        H.restrict(3)
+    with pytest.raises(KimuraError):
+        H.classify_faces()
+
+
+# ---------------------------------------------------------------------------
 # presets registry
 # ---------------------------------------------------------------------------
 
 
-def test_preset_registry_round_trip():
+def test_registry_round_trip():
     for name in PRESET_NAMES:
         assert isinstance(name, str)
     L = make_preset("model1d", b=0.3, radius=2.0)
-    assert L.preset.name == "model1d"
+    assert L.name == "model1d(b=0.3)"
+    assert L.b[0].const == 0.3
     assert L.dom.radius == 2.0
 
 
-def test_make_preset_unknown_name():
+def test_registry_rejects_unknown_names():
     with pytest.raises(ValueError):
         make_preset("not-a-preset")
 
@@ -196,6 +283,33 @@ def _poly_operator():
         PolyField(((1.5, (0, 0), (0,)),), n, m),
     )
     return KimuraOperator(dom=CornerBox(n, m, 1.0), b=b, a=a, c=c, d=d, e=e, lead=lead)
+
+
+def _noise_factor(L, x, y):
+    """The factor ``G`` of ``noise_increment = G·ξ``, read off column by
+    column with unit vectors ξ."""
+    k = x.shape[0]
+    return np.stack(
+        [L.noise_increment(x, y, np.tile(e, (k, 1))) for e in np.eye(L.dim)], axis=2
+    )
+
+
+@pytest.mark.parametrize(
+    "L, strategy",
+    [
+        (KimuraOperator(dom=CornerBox(1, 2, 2.0), b=(0.5,), d=((1.0, 0.3), (0.3, 0.5))), "diag+chol"),
+        (_poly_operator(), "generic"),
+    ],
+)
+def test_noise_factor_squares_to_the_covariance(L, strategy):
+    """``G Gᵀ = 2M`` on sampled states for the constant non-diagonal ``d``
+    (Cholesky) and the varying-coefficient (per-state eigendecomposition)
+    branches of ``noise_increment``."""
+    assert L._noise_strategy == strategy
+    x, y = sample_domain(L.dom, 256, seed=4)
+    G = _noise_factor(L, x, y)
+    cov = G @ np.swapaxes(G, 1, 2)
+    assert np.max(np.abs(cov - 2.0 * L.diffusion_matrix_batch(x, y))) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5, 0.25])
