@@ -652,7 +652,7 @@ def _task_corner(L, params, seed, workers, out: Path) -> dict:
 
 
 def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
-    from .sde import _is_cross_fed, counterexample_ensemble
+    from .sde import _is_cross_fed, _run_chunked, counterexample_ensemble
 
     if not _is_cross_fed(L):
         raise ConfigInvalid(
@@ -660,13 +660,16 @@ def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
             field="operator.preset",
         )
     cfg = _sim_config(params, seed, params["T"])
-    hit, hit_time = counterexample_ensemble(
-        _point(params),
-        cfg,
+    parts = _run_chunked(
+        counterexample_ensemble,
         params["n_paths"],
+        workers,
+        p0=_point(params),
+        cfg=cfg,
         eps_abs=params.get("eps_abs", 1e-6),
         s_freeze=params.get("s_freeze", 16.0),
     )
+    hit, hit_time = (np.concatenate(a) for a in zip(*parts))
     _write_csv(
         out / "hits.csv",
         ["path", "hit", "hit_time"],

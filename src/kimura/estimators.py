@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyBin, FaceNotTangent, KimuraError
-from .geometry import Point, Simplex, StratumId, restrict_rows
+from .geometry import Point, Simplex, StratumId, face_distance_rows, restrict_rows
 from .operator import KimuraOperator
 from . import sde
 
@@ -243,9 +243,7 @@ def hitting_histogram(
     if face not in fc.tangent:
         raise FaceNotTangent(f"face {face} is not tangent; no hitting law on it")
     if ens is None:
-        run_cfg = replace(
-            cfg, occupation_eps=(), stop_at_first_tangent_hit=True, allow_nonclean=False
-        )
+        run_cfg = replace(cfg, occupation_eps=(), stop_at_first_tangent_hit=True)
         ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     else:
         n_paths = ens.n_paths
@@ -359,8 +357,8 @@ def corner_hit_probability(
     run_cfg = replace(cfg, occupation_eps=(), stop_at_first_tangent_hit=True)
     ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     hit_rows = ens.first_hit_face > 0
-    d_i = _face_distance(L.dom, ens.first_hit_xy, i)
-    d_j = _face_distance(L.dom, ens.first_hit_xy, j)
+    d_i = face_distance_rows(ens.first_hit_xy[:, : L.n], i, L.dom)
+    d_j = face_distance_rows(ens.first_hit_xy[:, : L.n], j, L.dom)
     out = []
     for eps in eps_list:
         near = hit_rows & (d_i < eps) & (d_j < eps)
@@ -375,13 +373,6 @@ def _corner_faces(dom, faces) -> tuple[int, int]:
     if len(faces) != 2 or faces[0] == faces[1] or not set(faces) <= set(dom.face_ids):
         raise ValueError(f"faces {list(faces)} are not two distinct faces of {dom}")
     return faces
-
-
-def _face_distance(dom, xy: np.ndarray, face: int) -> np.ndarray:
-    """Chart-coordinate distance of points to a face (nan rows give nan)."""
-    if isinstance(dom, Simplex) and face == dom.N + 1:
-        return 1.0 - xy.sum(axis=1)
-    return xy[:, face - 1]
 
 
 def _prob_ci(count: int, n: int) -> tuple[float, tuple[float, float]]:

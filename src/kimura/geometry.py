@@ -43,6 +43,7 @@ __all__ = [
     "embed_point",
     "restrict_rows",
     "embed_rows",
+    "face_distance_rows",
     "weighted_density",
 ]
 
@@ -179,10 +180,7 @@ def classify_point(p: Point, dom: DomainSpec, tol: float = DEFAULT_TOL) -> Strat
     if tol < 0:
         raise ValueError("tol must be non-negative")
     _check_inside(p, dom, tol)
-    faces = {i + 1 for i in range(p.n) if p.x[i] <= tol}
-    if isinstance(dom, Simplex) and 1.0 - float(np.sum(p.x)) <= tol:
-        faces.add(dom.N + 1)
-    return frozenset(faces)
+    return frozenset(f for f in dom.face_ids if face_distance_rows(p.x, f, dom) <= tol)
 
 
 def restrict_domain(dom: DomainSpec, face: int) -> tuple[DomainSpec, dict[int, int]]:
@@ -239,6 +237,15 @@ def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
     return np.insert(x, face - 1, 0.0, axis=-1)
 
 
+def face_distance_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
+    """Chart distance of rows of corner coordinates to a face, on the last
+    axis: ``x_face`` for a coordinate face, ``1 − Σx`` for the simplex slack
+    face (the coordinate the chart swap gives it)."""
+    if _is_slack(dom, face):
+        return 1.0 - x.sum(axis=-1)
+    return x[..., face - 1]
+
+
 def restrict_point(
     p: Point, face: int, dom: DomainSpec, tol: float = DEFAULT_TOL
 ) -> tuple[Point, DomainSpec]:
@@ -247,16 +254,15 @@ def restrict_point(
     Raises
     ------
     NotOnFace
-        If ``x_face > tol`` (or ``1 − Σx > tol`` for the slack face).
+        If ``face`` is not a face of ``dom`` or the point's
+        :func:`face_distance_rows` to it exceeds ``tol``.
     """
     _check_inside(p, dom, tol)
-    if _is_slack(dom, face):
-        if 1.0 - float(np.sum(p.x)) > tol:
-            raise NotOnFace(f"point not on slack face {{Σx=1}}: {p}")
-    elif face < 1 or face > p.n:
-        raise NotOnFace(f"face {face} out of range 1..{p.n}")
-    elif p.x[face - 1] > tol:
-        raise NotOnFace(f"x_{face} = {p.x[face - 1]} > tol = {tol}: not on face")
+    if face not in dom.face_ids:
+        raise NotOnFace(f"face {face} not a face of {dom}")
+    dist = float(face_distance_rows(p.x, face, dom))
+    if dist > tol:
+        raise NotOnFace(f"{p} is at distance {dist} > tol = {tol} from face {face}")
     sub, _ = restrict_domain(dom, face)
     return Point(restrict_rows(p.x, face, dom), p.y), sub
 

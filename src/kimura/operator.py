@@ -45,7 +45,7 @@ over batches of points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 

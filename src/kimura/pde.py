@@ -201,26 +201,32 @@ class SpeedScale:
     # -- generic fallback ----------------------------------------------------
 
     def _log_scale(self, x: np.ndarray) -> np.ndarray:
-        """−∫_{edge/2}^{x} b/A, elementwise (geometric split toward 0)."""
-        ref = 0.5 * self.edge
+        """−∫_{edge/2}^{x} b/A, elementwise (geometric split toward the
+        nearer end, where ``b/A`` may blow up)."""
+        e = self.edge
+        ref = 0.5 * e
         out = np.empty_like(x, dtype=float)
         ratio = lambda t: np.asarray(self.b_fn(t)) / np.asarray(self.a_fn(t))
         for i, xi in enumerate(np.atleast_1d(x)):
             if xi >= ref:
-                out[i] = -_gauss(ratio, ref, float(xi))
+                out[i] = -_gauss_graded(lambda s: ratio(e - s), e - float(xi), e - ref)
             else:
                 out[i] = _gauss_graded(ratio, float(xi), ref)
         return out
 
     def _numeric_integral(self, lo: float, hi: float, speed: bool) -> float:
+        e = self.edge
         if speed:
             f = lambda t: np.exp(-self._log_scale(t)) / np.asarray(self.a_fn(t))
         else:
             f = lambda t: np.exp(self._log_scale(t))
-        if lo <= 0.0 or hi >= self.edge:
-            val = _gauss_graded(f, max(lo, 0.0), hi)
+        lo, hi = max(lo, 0.0), min(hi, e)
+        if lo <= 0.0 and hi >= e:  # one graded half toward each end
+            return sum(self._numeric_integral(a, b, speed) for a, b in ((lo, e / 2), (e / 2, hi)))
+        if hi >= e:  # graded toward the right end, in s = e − t
+            val = _gauss_graded(lambda s: f(e - s), 0.0, e - lo)
         else:
-            val = _gauss(f, lo, hi)
+            val = _gauss_graded(f, lo, hi) if lo <= 0.0 else _gauss(f, lo, hi)
         return val if math.isfinite(val) else math.inf
 
 

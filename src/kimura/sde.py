@@ -26,25 +26,30 @@ The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
 
+Operators whose faces do not classify cleanly raise ``NotClean``; there is
+no opt-in.  Hits and occupation read face distances through
+:func:`~kimura.geometry.face_distance_rows`, the slack face included.
+
 The cross-fed-drift system (:func:`counterexample_ensemble`) is stepped by
 full truncation instead (Lord, Koekkoek & van Dijk 2010): the raw state is
 kept unclamped and its positive part ``x⁺`` enters only the drift and the
 diffusion coefficient.  Neither of that system's faces absorbs, so a
 per-coordinate clamp would add mass to ``S = X₁ + X₂`` at every touch and
 push paths away from the corner.  The corner hit is tested on
-``X₁⁺ + X₂⁺``.
+``X₁⁺ + X₂⁺``.  The one-dimensional oracle :func:`sum_process_ensemble`
+runs the same loop with ``d = 1``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import _rng
-from .errors import KimuraError, MaxStepsExceeded, NonFinite, NotClean
+from .errors import KimuraError, MaxStepsExceeded, NonFinite
 from .geometry import (
     CornerBox,
     DomainSpec,
@@ -52,6 +57,7 @@ from .geometry import (
     Simplex,
     StratumId,
     embed_rows,
+    face_distance_rows,
     restrict_domain,
     restrict_rows,
 )
@@ -68,6 +74,8 @@ __all__ = [
     "sum_process_ensemble",
 ]
 
+# The slack clamp lands ``Σx`` on 1 only up to rounding, so a point counts as
+# on the slack face within this distance; a coordinate clamp lands exactly on 0.
 _SLACK_TOL = 1e-12
 
 # Guard on steps per path: T and dt come from outside input, and a run far
@@ -83,9 +91,7 @@ class SimConfig:
     ``occupation_eps`` — thresholds for near-face occupation accounting
     (empty disables it);
     ``stop_at_first_tangent_hit`` — terminate paths at their first absorption
-    (first-hit statistics) instead of continuing inside the face;
-    ``allow_nonclean`` — simulate operators whose faces are not cleanly
-    tangent/transverse (non-tangent faces then clamp without absorbing).
+    (first-hit statistics) instead of continuing inside the face.
     """
 
     dt: float = 1e-4
@@ -93,7 +99,6 @@ class SimConfig:
     seed: int = 0
     occupation_eps: tuple[float, ...] = ()
     stop_at_first_tangent_hit: bool = False
-    allow_nonclean: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0 and self.T > 0 and self.dt <= self.T):
@@ -163,7 +168,7 @@ class EnsembleResult:
     occupation: np.ndarray | None
     tracked_faces: tuple[int, ...]
     occupation_eps: tuple[float, ...]
-    classification: FaceClassification | None
+    classification: FaceClassification
     events: list | None = None
 
     def strata(self) -> list[StratumId]:
@@ -213,9 +218,8 @@ class _Level:
     x_slots: np.ndarray          # original noise slot per current x coord
     y_slots: np.ndarray
     face_orig: dict[int, int]    # current face id -> original face id
-    tangent_coords: np.ndarray   # 0-based current coord columns that absorb
-    slack_tangent: bool
-    tracked: tuple[tuple[int, int], ...]  # (coord column | -1 for slack, occ row)
+    tangent: tuple[tuple[int, float], ...]  # (face id, largest distance on it) per absorbing face
+    tracked: tuple[tuple[int, int], ...]    # (face id, occupation row) per tracked face
     parent: "_Level | None" = None
     via_face: int | None = None
     children: dict[int, "_Level"] = dc_field(default_factory=dict)
@@ -229,71 +233,43 @@ class _Level:
         return np.concatenate([self.x_slots, self.y_slots])
 
 
-def _classify_or_fallback(op: KimuraOperator, allow_nonclean: bool):
-    """(tangent set, transverse set, classification?) for a level's operator."""
-    try:
-        fc = op.classify_faces()
-        return set(fc.tangent), set(fc.transverse), fc
-    except NotClean:
-        if not allow_nonclean:
-            raise
-        tangent = set()
-        for f in op.dom.face_ids:
-            W = op.weight(f)
-            _, vals = op._weight_samples(W, f, 256, 0)
-            if float(np.max(np.abs(vals))) <= 1e-10:
-                tangent.add(f)
-        return tangent, set(), None
-
-
-def _absorbing(op: KimuraOperator, tangent: set[int]) -> dict:
-    """The ``tangent_coords`` and ``slack_tangent`` fields of a level of ``op``."""
-    return dict(
-        tangent_coords=np.array(sorted(f - 1 for f in tangent if f <= op.n), dtype=int),
-        slack_tangent=isinstance(op.dom, Simplex) and (op.dom.N + 1) in tangent,
+def _make_level(
+    op: KimuraOperator,
+    fc: FaceClassification,
+    face_orig: dict[int, int],
+    tracked_rows: dict[int, int],
+    **fields,
+) -> _Level:
+    """A level of ``op``: its tangent faces absorb, and its transverse faces
+    whose original face has an occupation row are tracked."""
+    return _Level(
+        op=op,
+        face_orig=face_orig,
+        tangent=tuple((f, _SLACK_TOL if f > op.n else 0.0) for f in sorted(fc.tangent)),
+        tracked=tuple(
+            (f, tracked_rows[face_orig[f]])
+            for f in sorted(fc.transverse)
+            if face_orig[f] in tracked_rows
+        ),
+        **fields,
     )
 
 
-def _build_root(
-    L: KimuraOperator, cfg: SimConfig
-) -> tuple[_Level, FaceClassification | None, set[int]]:
-    tangent, transverse, fc = _classify_or_fallback(L, cfg.allow_nonclean)
-    n = L.n
-    lvl = _Level(
-        op=L,
-        stratum_bits=0,
-        x_slots=np.arange(n, dtype=np.uint64),
-        y_slots=np.arange(n, n + L.m, dtype=np.uint64),
-        face_orig={f: f for f in L.dom.face_ids},
-        tracked=(),
-        **_absorbing(L, tangent),
-    )
-    return lvl, fc, transverse
-
-
-def _child_level(level: _Level, face: int, cfg: SimConfig, tracked_rows: dict[int, int]) -> _Level:
+def _child_level(level: _Level, face: int, tracked_rows: dict[int, int]) -> _Level:
     if face in level.children:
         return level.children[face]
     sub_op = level.op.restrict(face)
     _, fmap = restrict_domain(level.dom, face)
-    face_orig = {new: level.face_orig[old] for new, old in fmap.items()}
-    tangent, transverse, _ = _classify_or_fallback(sub_op, cfg.allow_nonclean)
-    n_sub = sub_op.n
-    tracked = tuple(
-        ((f - 1 if f <= n_sub else -1), tracked_rows[face_orig[f]])
-        for f in sorted(face_orig)
-        if face_orig[f] in tracked_rows and f in transverse
-    )
-    child = _Level(
-        op=sub_op,
+    child = _make_level(
+        sub_op,
+        sub_op.classify_faces(),
+        {new: level.face_orig[old] for new, old in fmap.items()},
+        tracked_rows,
         stratum_bits=level.stratum_bits | (1 << (level.face_orig[face] - 1)),
         x_slots=restrict_rows(level.x_slots, face, level.dom),
         y_slots=level.y_slots,
-        face_orig=face_orig,
-        tracked=tracked,
         parent=level,
         via_face=face,
-        **_absorbing(sub_op, tangent),
     )
     level.children[face] = child
     return child
@@ -337,16 +313,22 @@ def _simulate_cohort(
     cfg: SimConfig,
     path_ids: np.ndarray,
     collect_events: bool,
-) -> tuple[_Collector, tuple[int, ...], FaceClassification | None]:
+) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
     if cfg.n_steps > _MAX_STEPS:
         raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
     k = len(path_ids)
     dim = L.dim
-    root, fc, transverse = _build_root(L, cfg)
-    tracked_ids = tuple(sorted(transverse)) if cfg.occupation_eps else ()
+    fc = L.classify_faces()
+    tracked_ids = tuple(sorted(fc.transverse)) if cfg.occupation_eps else ()
     res = _Collector(k, dim, cfg, tracked_ids, collect_events=collect_events)
-    root.tracked = tuple(
-        ((f - 1 if f <= L.n else -1), res.tracked_rows[f]) for f in tracked_ids
+    root = _make_level(
+        L,
+        fc,
+        {f: f for f in L.dom.face_ids},
+        res.tracked_rows,
+        stratum_bits=0,
+        x_slots=np.arange(L.n, dtype=np.uint64),
+        y_slots=np.arange(L.n, dim, dtype=np.uint64),
     )
     x0 = np.tile(np.asarray(p0.x, dtype=float), (k, 1))
     y0 = np.tile(np.asarray(p0.y, dtype=float), (k, 1))
@@ -370,22 +352,20 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
     dombox = level.dom if isinstance(level.dom, CornerBox) else None
     slots = level.slots
     eps = np.asarray(cfg.occupation_eps)
-    ov = np.zeros_like(x)
-    sov = np.zeros(x.shape[0])
+    n_faces = len(level.dom.face_ids)
+    ov = np.zeros((n_faces, x.shape[0]))  # row f − 1: each path's overshoot past face f
     check_ctr = 0
     child_buf: dict[int, list] = {}
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
-        hit_face = _detect_hits(level, x, ov, sov)
+        hit_face = _detect_hits(level, x, ov)
         hits = np.flatnonzero(hit_face)
         if hits.size:
             _route_hits(
                 level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf
             )
             keep = hit_face == 0
-            x, y, steps, rows, ov, sov = (
-                x[keep], y[keep], steps[keep], rows[keep], ov[keep], sov[keep]
-            )
+            x, y, steps, rows, ov = x[keep], y[keep], steps[keep], rows[keep], ov[:, keep]
             if not x.shape[0]:
                 break
         # --- horizon ------------------------------------------------------
@@ -396,9 +376,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
             res.term_bits[rows[idx]] = level.stratum_bits
             keep = ~done
-            x, y, steps, rows, ov, sov = (
-                x[keep], y[keep], steps[keep], rows[keep], ov[keep], sov[keep]
-            )
+            x, y, steps, rows, ov = x[keep], y[keep], steps[keep], rows[keep], ov[:, keep]
             if not x.shape[0]:
                 break
         # --- one Euler step for everyone -----------------------------------
@@ -408,10 +386,11 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         xn = x + drift[:, :nx] * dt + inc[:, :nx] * sqdt
         if y.shape[1]:
             y = y + drift[:, nx:] * dt + inc[:, nx:] * sqdt
-        ov = np.maximum(-xn, 0.0)
+        ov = np.empty((n_faces, xn.shape[0]))
+        np.maximum(-xn.T, 0.0, out=ov[:nx])
         np.maximum(xn, 0.0, out=xn)
-        if is_simplex:
-            sov = _simplex_clamp(xn)
+        if is_simplex:  # the slack face N+1 takes the last row
+            ov[nx] = _simplex_clamp(xn)
         elif dombox is not None:
             if nx:
                 np.minimum(xn, np.maximum(2.0 * dombox.radius - xn, 0.0), out=xn)
@@ -421,13 +400,12 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         x = xn
         steps = steps + 1
         # --- occupation accounting -----------------------------------------
-        if res.occ is not None and level.tracked:
-            for col, row in level.tracked:
-                v = (1.0 - x.sum(axis=1)) if col == -1 else x[:, col]
-                for j, e in enumerate(eps):
-                    close = v < e
-                    if close.any():
-                        res.occ[rows[close], row, j] += dt
+        for face, row in level.tracked:
+            v = face_distance_rows(x, face, level.dom)
+            for j, e in enumerate(eps):
+                close = v < e
+                if close.any():
+                    res.occ[rows[close], row, j] += dt
         check_ctr += 1
         if check_ctr % 64 == 0 and not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
@@ -444,29 +422,19 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         queue.append((child, xs, ys, st, rs))
 
 
-def _detect_hits(level, x, ov, sov) -> np.ndarray:
-    """Per-path hit face id (0 = none): deepest-overshoot tangent face at 0."""
-    k = x.shape[0]
-    face = np.zeros(k, dtype=np.int64)
-    if not level.tangent_coords.size and not level.slack_tangent:
-        return face
-    best = np.full(k, -np.inf)
-    for ci in level.tangent_coords:
-        on = x[:, ci] == 0.0
+def _detect_hits(level, x, ov) -> np.ndarray:
+    """Per-path hit face id (0 = none): of the tangent faces a path lies on,
+    the one it overshot deepest, the first in face order on a tie."""
+    face = np.zeros(x.shape[0], dtype=np.int64)
+    best = np.full(x.shape[0], -np.inf)
+    for f, tol in level.tangent:
+        on = face_distance_rows(x, f, level.dom) <= tol
         if not on.any():
             continue
-        sc = np.where(on, ov[:, ci], -np.inf)
+        sc = np.where(on, ov[f - 1], -np.inf)
         upd = sc > best
-        face[upd] = ci + 1
+        face[upd] = f
         best[upd] = sc[upd]
-    if level.slack_tangent:
-        s = 1.0 - x.sum(axis=1)
-        on = s <= _SLACK_TOL
-        if on.any():
-            sc = np.where(on, sov, -np.inf)
-            upd = sc > best
-            face[upd] = level.dom.N + 1
-            best[upd] = sc[upd]
     return face
 
 
@@ -499,7 +467,7 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
             res.term_xy[rows[idx]] = emb
             res.term_bits[rows[idx]] = bits
             continue
-        child = _child_level(level, f, cfg, res.tracked_rows)
+        child = _child_level(level, f, res.tracked_rows)
         child_buf.setdefault(f, []).append((child, xc, yh, steps[idx].copy(), rows[idx].copy()))
 
 
@@ -602,30 +570,19 @@ def _ensemble_chunk(L, p0, cfg, n_paths, path_offset, collect_events) -> Ensembl
 
 
 def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
+    """Chunk results joined in path order; the run's settings are the first
+    chunk's."""
     first = parts[0]
-    cat = np.concatenate
-    events = None
-    if first.events is not None:
-        events = [ev for p in parts for ev in p.events]
-    occ = None
+    per_path = (
+        "terminal_time", "terminal_xy", "strata_bits", "first_hit_time", "first_hit_face", "first_hit_xy"
+    )
     if first.occupation is not None:
-        occ = cat([p.occupation for p in parts])
-    return EnsembleResult(
+        per_path += ("occupation",)
+    return replace(
+        first,
         n_paths=sum(p.n_paths for p in parts),
-        dt=first.dt,
-        T=first.T,
-        seed=first.seed,
-        terminal_time=cat([p.terminal_time for p in parts]),
-        terminal_xy=cat([p.terminal_xy for p in parts]),
-        strata_bits=cat([p.strata_bits for p in parts]),
-        first_hit_time=cat([p.first_hit_time for p in parts]),
-        first_hit_face=cat([p.first_hit_face for p in parts]),
-        first_hit_xy=cat([p.first_hit_xy for p in parts]),
-        occupation=occ,
-        tracked_faces=first.tracked_faces,
-        occupation_eps=first.occupation_eps,
-        classification=first.classification,
-        events=events,
+        events=None if first.events is None else [ev for p in parts for ev in p.events],
+        **{f: np.concatenate([getattr(p, f) for p in parts]) for f in per_path},
     )
 
 
@@ -683,12 +640,9 @@ def counterexample_ensemble(
     bit-for-bit.  A column with ``ε ≥ S₀`` is hit at time 0.
 
     The step is full truncation: ``z ← z + z⁺[::-1]·dt + √(2z⁺)·√dt·ξ`` with
-    ``z`` left unclamped.  Neither face of this system absorbs, so clamping
-    each coordinate to 0 would inflate ``S`` at every touch and bias the hit
-    frequency down (by ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``, against
-    the exact ``e^{−0.1}``); with the positive part used only inside the
-    coefficients a negative coordinate is pulled back by the other's drift
-    and carries no noise.
+    ``z`` left unclamped, so a negative coordinate is pulled back by the
+    other's drift and carries no noise.  A per-coordinate clamp would bias the
+    hit frequency down (by ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``).
 
     Once ``S ≥ s_freeze`` the path is frozen as escaped: for the sum process
     the probability of returning to 0 from level ``s`` is ``e^{−s}``
@@ -701,50 +655,7 @@ def counterexample_ensemble(
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
-    eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
-    if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
-        raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
-    dt, sqdt, n_total = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
-    ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    hit = np.zeros((n_paths, eps.size), dtype=bool)
-    hit_time = np.full((n_paths, eps.size), np.nan)
-    at_start = eps >= float(np.sum(p0.x))
-    hit[:, at_start] = True
-    hit_time[:, at_start] = 0.0
-    cols = np.flatnonzero(~at_start)
-    if cols.size:
-        e_min, e_max = eps[cols].min(), eps[cols].max()
-        z = np.tile(np.asarray(p0.x, dtype=float), (n_paths, 1))
-        alive = np.arange(n_paths)
-        step_ctr = 0
-        while alive.size and step_ctr < n_total:
-            n_blk = max(1, min(n_total - step_ctr, _BLOCK_NORMALS // (2 * alive.size)))
-            xi_blk = _rng.block_normals(cfg.seed, ids[alive], step_ctr, n_blk, 2, 2)
-            pos = np.arange(alive.size)  # row in xi_blk of each live path
-            for xi in xi_blk:
-                if pos.size < len(xi):
-                    xi = xi[pos]
-                zp = np.maximum(z, 0.0)
-                z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
-                step_ctr += 1
-                if step_ctr % 64 == 0 and not np.all(np.isfinite(z)):
-                    bad = ids[alive[~np.isfinite(z).all(axis=1)]]
-                    raise NonFinite(f"non-finite cross-fed state in paths {bad[:5].tolist()}...")
-                S = np.maximum(z, 0.0).sum(axis=1)
-                low = np.flatnonzero(S <= e_max)
-                if low.size:
-                    t = min(step_ctr * dt, cfg.T)
-                    for j in cols:
-                        new = alive[low[S[low] <= eps[j]]]
-                        new = new[~hit[new, j]]
-                        hit[new, j] = True
-                        hit_time[new, j] = t
-                gone = (S <= e_min) | (S >= s_freeze)
-                if gone.any():
-                    keep = ~gone
-                    z, alive, pos = z[keep], alive[keep], pos[keep]
-                    if not alive.size:
-                        break
+    hit, hit_time, _ = _corner_sum(p0.x, cfg.seed, cfg, n_paths, eps_abs, s_freeze, path_offset)
     if np.ndim(eps_abs) == 0:
         return hit[:, 0], hit_time[:, 0]
     return hit, hit_time
@@ -762,34 +673,74 @@ def sum_process_ensemble(
     """Direct simulation of the sum process ``dS = S dt + √(2S) dW``.
 
     Returns ``(hit, hit_time, S_T)`` with the same absorption/freeze rules as
-    :func:`counterexample_ensemble` (frozen paths report their frozen value in
-    ``S_T``).  Used as a one-dimensional oracle for the two-dimensional
-    system.
+    :func:`counterexample_ensemble`, whose loop it runs in one dimension
+    (there ``z⁺[::-1]`` is ``z⁺``), on the seed ``cfg.seed ^ seed_tag``:
+    ``S_T`` is ``S⁺`` where the path stopped (frozen paths report their frozen
+    value) or at the horizon, and 0 on hit paths.  Used as a one-dimensional
+    oracle for the two-dimensional system.
     """
+    hit, hit_time, s_end = _corner_sum(
+        [s0], cfg.seed ^ seed_tag, cfg, n_paths, eps_abs, s_freeze, path_offset
+    )
+    hit, hit_time = hit[:, 0], hit_time[:, 0]
+    s_end[hit] = 0.0
+    return hit, hit_time, s_end
+
+
+def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
+    """The full-truncation loop of :func:`counterexample_ensemble` in the
+    dimension ``d`` of ``z0``, on the slots ``0..d−1`` of stride ``d``.
+
+    Returns ``(hit, hit_time, s_end)``: the first two of shape
+    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped or at the horizon.
+    """
+    eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
+    if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
+        raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
     dt, sqdt, n_total = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
+    z = np.tile(np.asarray(z0, dtype=float), (n_paths, 1))
+    d = z.shape[1]
     ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    S = np.full(n_paths, float(s0))
-    hit = np.zeros(n_paths, dtype=bool)
-    hit_time = np.full(n_paths, np.nan)
-    final = np.full(n_paths, np.nan)
+    hit = np.zeros((n_paths, eps.size), dtype=bool)
+    hit_time = np.full((n_paths, eps.size), np.nan)
+    s_end = np.zeros(n_paths)
+    at_start = eps >= float(np.sum(z0))
+    hit[:, at_start] = True
+    hit_time[:, at_start] = 0.0
+    cols = np.flatnonzero(~at_start)
+    if not cols.size:
+        return hit, hit_time, s_end
+    e_min, e_max = eps[cols].min(), eps[cols].max()
     alive = np.arange(n_paths)
     step_ctr = 0
-    seed = cfg.seed ^ seed_tag
     while alive.size and step_ctr < n_total:
-        xi = _rng.step_normals(seed, ids[alive], step_ctr, 1, 1)[:, 0]
-        S = np.maximum(S + S * dt + np.sqrt(2.0 * S) * (sqdt * xi), 0.0)
-        step_ctr += 1
-        hits = S <= eps_abs
-        if hits.any():
-            hit[alive[hits]] = True
-            hit_time[alive[hits]] = min(step_ctr * dt, cfg.T)
-            final[alive[hits]] = 0.0
-        frozen = S >= s_freeze
-        if frozen.any():
-            final[alive[frozen]] = S[frozen]
-        gone = hits | frozen
-        if gone.any():
-            keep = ~gone
-            S, alive = S[keep], alive[keep]
-    final[alive] = S
-    return hit, hit_time, final
+        n_blk = max(1, min(n_total - step_ctr, _BLOCK_NORMALS // (d * alive.size)))
+        xi_blk = _rng.block_normals(seed, ids[alive], step_ctr, n_blk, d, d)
+        pos = np.arange(alive.size)  # row in xi_blk of each live path
+        for xi in xi_blk:
+            if pos.size < len(xi):
+                xi = xi[pos]
+            zp = np.maximum(z, 0.0)
+            z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
+            step_ctr += 1
+            if step_ctr % 64 == 0 and not np.all(np.isfinite(z)):
+                bad = ids[alive[~np.isfinite(z).all(axis=1)]]
+                raise NonFinite(f"non-finite corner-sum state in paths {bad[:5].tolist()}...")
+            S = np.maximum(z, 0.0).sum(axis=1)
+            low = np.flatnonzero(S <= e_max)
+            if low.size:
+                t = min(step_ctr * dt, cfg.T)
+                for j in cols:
+                    new = alive[low[S[low] <= eps[j]]]
+                    new = new[~hit[new, j]]
+                    hit[new, j] = True
+                    hit_time[new, j] = t
+            gone = (S <= e_min) | (S >= s_freeze)
+            if gone.any():
+                s_end[alive[gone]] = S[gone]
+                keep = ~gone
+                z, alive, pos = z[keep], alive[keep], pos[keep]
+                if not alive.size:
+                    break
+    s_end[alive] = np.maximum(z, 0.0).sum(axis=1)
+    return hit, hit_time, s_end

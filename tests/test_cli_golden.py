@@ -17,7 +17,9 @@ from kimura import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-MONTE_CARLO = ("simulate", "hitting", "occupation", "duhamel", "crosscheck", "corner", "doubling")
+MONTE_CARLO = (
+    "simulate", "hitting", "occupation", "duhamel", "crosscheck", "corner", "counterexample", "doubling",
+)
 TASKS = MONTE_CARLO + ("growth",)
 
 

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves and every import is used, so a deletion
+cannot leave a stale export or a dangling import."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,37 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _annotation_names(node: ast.AST):
+    """Names read by an annotation, including one written as a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used_or_exported(name):
+    """A module-level import is read somewhere in its module or re-exported
+    through ``__all__``; anything else is left over from a deletion."""
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    exported = set(getattr(module, "__all__", ()))
+    unused = sorted(f"{n} (line {ln})" for n, ln in imported.items() if n not in used | exported)
+    assert not unused, f"{name} imports names it never uses: {unused}"

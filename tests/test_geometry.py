@@ -12,6 +12,7 @@ from kimura.geometry import (
     classify_point,
     embed_point,
     embed_rows,
+    face_distance_rows,
     restrict_domain,
     restrict_point,
     restrict_rows,
@@ -132,6 +133,24 @@ def test_row_restriction_matches_the_point_maps(dom, face):
         q, _ = restrict_point(Point(row), face, dom)
         assert np.array_equal(q.x, rrow)
         assert np.array_equal(embed_point(q, face, dom).x, row)
+
+
+@pytest.mark.parametrize("dom", [Simplex(2), Simplex(3), CornerBox(2, 1)])
+def test_face_distance_rows_agrees_with_classify_point(dom):
+    """A point lies on a face, by ``classify_point``, exactly when its
+    ``face_distance_rows`` entry is within the tolerance."""
+    rng = np.random.default_rng(dom.n)
+    x = rng.dirichlet(np.ones(dom.n + 1), size=40)[:, : dom.n]
+    x[:10, 0] = 0.0                                       # on face 1
+    x[10:20, -1] = 0.0                                    # on face n
+    x[20:30, -1] = 1.0 - x[20:30, :-1].sum(axis=1)        # on the slack face
+    tol = 1e-10
+    for face in dom.face_ids:
+        d = face_distance_rows(x, face, dom)
+        assert d.shape == (len(x),)
+        for row, dist in zip(x, d):
+            p = Point(row, np.zeros(dom.m))
+            assert (face in classify_point(p, dom, tol)) == (dist <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from kimura.operator import (
     sample_domain,
     wright_fisher,
     PRESET_NAMES,
+    _XformField,
 )
 
 
@@ -334,6 +335,29 @@ def test_rescale_rejects_simplex_and_bad_lambda(wf):
         wf.rescale(0.5)
     with pytest.raises(ValueError):
         model1d(0.0).rescale(1.5)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3])
+def test_rescale_of_a_point_callable_drift_matches_the_polynomial_route(lam):
+    """A drift given as point callables rescales through ``_XformField`` and
+    the point form of ``FuncField.eval``; its ``drift_batch`` agrees with the
+    exact ``PolyField`` rescaling of the same polynomials."""
+    n, m = 2, 1
+    poly = (
+        PolyField(((0.5, (0, 0), (0,)), (0.25, (1, 0), (0,)), (0.125, (0, 1), (1,))), n, m),
+        PolyField(((0.75, (0, 0), (0,)), (-0.5, (1, 1), (0,))), n, m),
+    )
+    point = (
+        lambda p: 0.5 + 0.25 * p.x[0] + 0.125 * p.x[1] * p.y[0],
+        lambda p: 0.75 - 0.5 * p.x[0] * p.x[1],
+    )
+    dom = CornerBox(n, m, 2.0)
+    L_poly = KimuraOperator(dom=dom, b=poly).rescale(lam)
+    L_point = KimuraOperator(dom=dom, b=point).rescale(lam)
+    assert all(isinstance(f, _XformField) and isinstance(f.base, FuncField) for f in L_point.b)
+    assert L_point.dom == L_poly.dom
+    x, y = sample_domain(L_poly.dom, 64, seed=7)
+    assert np.max(np.abs(L_point.drift_batch(x, y) - L_poly.drift_batch(x, y))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
