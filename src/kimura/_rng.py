@@ -34,30 +34,54 @@ _U_SCALE = 2.0**-53
 _U_SHIFT = 2.0**-54
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The mix13 finalizer, in place on ``z``; ``t`` is scratch of its shape."""
+    np.right_shift(z, _SH30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _SH27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _SH31, out=t)
+    z ^= t
+    return z
 
 
 def counter_uniforms(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
     """Uniform(0,1) variates indexed by (seed, path, counter).
 
     ``path`` and ``ctr`` broadcast against each other; uint64 arithmetic wraps
-    (mod 2^64) by design.
+    (mod 2^64) by design.  The hash runs in place on one buffer of the result's
+    shape, and the uniforms are written into a second one.
     """
     path = np.asarray(path, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = _mix((path + _GOLD) * _GOLD + np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        z = _mix(z + ctr * _GOLD)
-        z = _mix(z + _GOLD)
-    return (z >> _SH11).astype(np.float64) * _U_SCALE + _U_SHIFT
+        key = (path + _GOLD) * _GOLD + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        key = _mix(key, np.empty_like(key))
+        z = key + ctr * _GOLD
+        t = np.empty_like(z)
+        _mix(z, t)
+        z += _GOLD
+        _mix(z, t)
+    z >>= _SH11
+    u = t.view(np.float64)
+    np.multiply(z, _U_SCALE, out=u)
+    u += _U_SHIFT
+    return u
 
 
 def counter_normals(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
     """Standard normal variates indexed by (seed, path, counter)."""
-    return ndtri(counter_uniforms(seed, path, ctr))
+    u = counter_uniforms(seed, path, ctr)
+    return ndtri(u, out=u)
+
+
+def _slot_index(slots: "int | np.ndarray") -> np.ndarray:
+    """An int ``d`` means slots ``0..d-1``; an array names the slots."""
+    if np.ndim(slots) == 0:
+        return np.arange(int(slots), dtype=np.uint64)
+    return np.asarray(slots, dtype=np.uint64)
 
 
 def step_normals(
@@ -75,12 +99,12 @@ def step_normals(
     slots of the surviving original coordinates, so a path restricted to a
     face keeps consuming exactly its own stream.  ``step`` may be a per-path
     array (paths at different absolute step counts draw independently).
+
+    This is the one-step definition of the stream; the engines draw it a
+    block of steps at a time through :func:`block_normals`.
     """
     path = np.asarray(path, dtype=np.uint64)
-    if np.isscalar(slots) or np.ndim(slots) == 0:
-        slots = np.arange(int(slots), dtype=np.uint64)
-    else:
-        slots = np.asarray(slots, dtype=np.uint64)
+    slots = _slot_index(slots)
     step = np.asarray(step, dtype=np.uint64)
     with np.errstate(over="ignore"):
         base = step * np.uint64(slot_stride)
@@ -89,19 +113,32 @@ def step_normals(
 
 
 def block_normals(
-    seed: int, path: np.ndarray, step: int, n_steps: int, n_slots: int, slot_stride: int
+    seed: int,
+    path: np.ndarray,
+    step: "int | np.ndarray",
+    n_steps: int,
+    slots: "int | np.ndarray",
+    slot_stride: int,
 ) -> np.ndarray:
-    """Noise for steps ``step … step+n_steps−1`` in one call:
+    """Noise for ``n_steps`` consecutive steps of every path in one call:
     shape ``(n_steps, len(path), n_slots)``.
 
-    Entry ``[k]`` is bit-identical to ``step_normals(seed, path, step + k,
-    n_slots, slot_stride)``: the counters are the same ``step·stride + slot``,
-    so a loop may draw a block of steps ahead and drop the rows of paths that
-    stop inside it without changing any other path's stream.
+    ``step`` is the first step, one for all paths or a per-path array, and
+    ``slots`` is an int ``d`` (slots ``0..d-1``) or an index array, as in
+    :func:`step_normals`.  Row ``[k, i]`` is bit-identical to
+    ``step_normals(seed, path[i], step_i + k, slots, slot_stride)``: the
+    counters are the same ``(step_i + k)·stride + slot``.  So a loop may draw
+    a block of steps ahead, with its paths at different step counts, and
+    drop the rows of paths that stop inside it without changing any other
+    path's stream.
     """
     path = np.asarray(path, dtype=np.uint64)
-    steps = np.arange(step, step + n_steps, dtype=np.uint64)
-    slots = np.arange(n_slots, dtype=np.uint64)
+    slots = _slot_index(slots)
+    n, s = path.size, slots.size
+    stride = np.uint64(slot_stride)
     with np.errstate(over="ignore"):
-        ctr = steps[:, None, None] * np.uint64(slot_stride) + slots[None, None, :]
-    return counter_normals(seed, path[None, :, None], ctr)
+        # the counters laid out flat per step, path-major; step k adds k·stride
+        first = np.broadcast_to(np.asarray(step, dtype=np.uint64) * stride, (n,))
+        ctr0 = (first[:, None] + slots[None, :]).reshape(1, n * s)
+        ctr = ctr0 + (np.arange(n_steps, dtype=np.uint64) * stride)[:, None]
+    return counter_normals(seed, np.repeat(path, s)[None, :], ctr).reshape(n_steps, n, s)

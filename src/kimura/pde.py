@@ -192,10 +192,10 @@ class SpeedScale:
         """∫_lo^hi m dx (the cell's dμ mass)."""
         if self.kind == "power":
             return _int_power(self.weight_left, lo, hi) / self.lead
-        if self.kind == "beta":
+        if self.kind == "beta":  # m = 1/(A s′) = u^{p−1}(1−u)^{q−1}/(lead·edge)
             e = self.edge
             p, q = self.weight_left, self.weight_right
-            return e * _int_beta(p, q, lo / e, hi / e) / self.lead
+            return _int_beta(p, q, lo / e, hi / e) / self.lead
         return self._numeric_integral(lo, hi, speed=True)
 
     # -- generic fallback ----------------------------------------------------
@@ -257,8 +257,9 @@ def _probe_speed_scale(
             ge = float(np.mean(g))
             if ge <= 0:
                 raise KimuraError(f"axis lead coefficient must be positive, got {ge}")
-            p = alpha / ge * edge
-            q = -(alpha + beta * edge) / ge * edge
+            # b/A = (α/x + (α + β·edge)/(edge − x))/g, so s′ ∝ u^{−p}(1−u)^{−q}
+            p = alpha / ge
+            q = -(alpha + beta * edge) / ge
             return SpeedScale("beta", edge, ge, float(p), float(q))
 
     return SpeedScale("numeric", edge, a_fn=a_fn, b_fn=b_fn)

@@ -22,6 +22,15 @@ coordinates.  A restricted path keeps drawing from the slots of its surviving
 coordinates at its own step counter, so each path's trajectory is identical
 no matter how the ensemble is chunked across workers.
 
+The engine and the corner-sum loop below draw the noise a block of steps
+per call (:func:`~kimura._rng.block_normals`, at most ``_BLOCK_NORMALS``
+variates): ``K = max(1, min(steps left, _BLOCK_NORMALS // (n_slots·live
+paths)))`` steps, each path from its own step count.  A path that stops
+inside a block (hit, horizon, freeze) leaves its remaining rows unused; the
+live paths' rows are found through an index compacted with the state.
+Paths restricted to a face start a fresh block in their child level's loop,
+so no path joins a block midway.
+
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
@@ -81,6 +90,12 @@ _SLACK_TOL = 1e-12
 # Guard on steps per path: T and dt come from outside input, and a run far
 # past this would not finish.
 _MAX_STEPS = 2_000_000_000
+
+# Normals drawn per call by both loops: a fixed cap on the noise buffer (2¹⁴
+# doubles, 128 KB).  A full ensemble still draws one step per call; the long
+# tail of a few paths draws many, so the fixed cost of a call (tens of µs) no
+# longer dominates its steps.
+_BLOCK_NORMALS = 2**14
 
 
 @dataclass(frozen=True)
@@ -354,6 +369,8 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
     eps = np.asarray(cfg.occupation_eps)
     n_faces = len(level.dom.face_ids)
     ov = np.zeros((n_faces, x.shape[0]))  # row f − 1: each path's overshoot past face f
+    xi_blk, k_blk = (), 0  # the noise block and the next step's row in it
+    pos = np.arange(x.shape[0])  # row in xi_blk of each live path
     check_ctr = 0
     child_buf: dict[int, list] = {}
     while x.shape[0]:
@@ -364,8 +381,9 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             _route_hits(
                 level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf
             )
-            keep = hit_face == 0
-            x, y, steps, rows, ov = x[keep], y[keep], steps[keep], rows[keep], ov[:, keep]
+            keep = np.flatnonzero(hit_face == 0)
+            x, y, steps, rows, pos = _take(keep, x, y, steps, rows, pos)
+            ov = ov.take(keep, 1)
             if not x.shape[0]:
                 break
         # --- horizon ------------------------------------------------------
@@ -375,12 +393,22 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             res.term_time[rows[idx]] = T
             res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
             res.term_bits[rows[idx]] = level.stratum_bits
-            keep = ~done
-            x, y, steps, rows, ov = x[keep], y[keep], steps[keep], rows[keep], ov[:, keep]
+            keep = np.flatnonzero(~done)
+            x, y, steps, rows, pos = _take(keep, x, y, steps, rows, pos)
+            ov = ov.take(keep, 1)
             if not x.shape[0]:
                 break
         # --- one Euler step for everyone -----------------------------------
-        xi = _rng.step_normals(cfg.seed, path_ids[rows], steps, slots, stride)
+        if k_blk == len(xi_blk):
+            n_blk = max(
+                1, min(n_total - int(steps.min()), _BLOCK_NORMALS // (slots.size * x.shape[0]))
+            )
+            xi_blk = _rng.block_normals(cfg.seed, path_ids[rows], steps, n_blk, slots, stride)
+            k_blk, pos = 0, np.arange(x.shape[0])
+        xi = xi_blk[k_blk]
+        k_blk += 1
+        if pos.size < xi.shape[0]:
+            xi = xi.take(pos, 0)
         drift = level.op.drift_batch(x, y)
         inc = level.op.noise_increment(x, y, xi)
         xn = x + drift[:, :nx] * dt + inc[:, :nx] * sqdt
@@ -420,6 +448,12 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         st = np.concatenate([b[3] for b in buf])
         rs = np.concatenate([b[4] for b in buf])
         queue.append((child, xs, ys, st, rs))
+
+
+def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The rows ``idx`` of each array: an integer ``take`` is several times
+    faster than a boolean mask along the first axis of a 2-D array."""
+    return [a.take(idx, 0) for a in arrays]
 
 
 def _detect_hits(level, x, ov) -> np.ndarray:
@@ -468,7 +502,7 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
             res.term_bits[rows[idx]] = bits
             continue
         child = _child_level(level, f, res.tracked_rows)
-        child_buf.setdefault(f, []).append((child, xc, yh, steps[idx].copy(), rows[idx].copy()))
+        child_buf.setdefault(f, []).append((child, xc, yh, steps[idx], rows[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +625,6 @@ def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
 # ---------------------------------------------------------------------------
 
 
-# Normals drawn per call by the cross-fed loop: a fixed cap on the noise
-# buffer (2¹⁴ doubles, 128 KB).  A full ensemble still draws one step per
-# call; the long tail of a few paths draws many, so the fixed cost of a call
-# (tens of µs) no longer dominates its steps.
-_BLOCK_NORMALS = 2**14
-
 # The drift ``(x₂, x₁)`` of the cross-fed system, as a polynomial table.
 _CROSS_FED_DRIFT = (((1.0, (0, 1), ()),), ((1.0, (1, 0), ()),))
 
@@ -650,8 +678,7 @@ def counterexample_ensemble(
     exponential outward drift makes further simulation pure cost.
 
     The noise is ``_rng.step_normals(seed, path, step, 2, 2)``, drawn a block
-    of steps per call (:func:`_rng.block_normals`, at most ``2¹⁴`` normals);
-    a path that stops inside a block leaves the rest of its rows unused.
+    of steps per call as in the engine (see the module docstring).
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
@@ -719,7 +746,7 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
         pos = np.arange(alive.size)  # row in xi_blk of each live path
         for xi in xi_blk:
             if pos.size < len(xi):
-                xi = xi[pos]
+                xi = xi.take(pos, 0)
             zp = np.maximum(z, 0.0)
             z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
             step_ctr += 1
@@ -738,8 +765,7 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
             gone = (S <= e_min) | (S >= s_freeze)
             if gone.any():
                 s_end[alive[gone]] = S[gone]
-                keep = ~gone
-                z, alive, pos = z[keep], alive[keep], pos[keep]
+                z, alive, pos = _take(np.flatnonzero(~gone), z, alive, pos)
                 if not alive.size:
                     break
     s_end[alive] = np.maximum(z, 0.0).sum(axis=1)

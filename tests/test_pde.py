@@ -64,6 +64,25 @@ def test_beta_family_cell_mass_matches_quadrature():
         )
 
 
+def test_beta_family_on_edge_two_matches_the_numeric_fallback():
+    """``A = ½x(2−x)/2`` and ``b = 0.2 − 0.275x`` on edge 2: in ``u = x/2``
+    the face weights are ``p = 0.4`` and ``q = 0.7``.  The fallback normalises
+    ``s′`` at ``edge/2``, so the closed form's cell masses are its own times
+    one constant, and, since ``m·s′ = 1/A`` in both, its scale increments are
+    the fallback's over that same constant."""
+    a_fn = lambda t: 0.5 * t * (2.0 - t) / 2.0
+    b_fn = lambda t: 0.2 - 0.275 * t
+    closed = Grid1D.from_coefficients(a_fn, b_fn, 2.0, 16, False, False).ss
+    assert closed.kind == "beta"
+    assert (closed.weight_left, closed.weight_right) == pytest.approx((0.4, 0.7), rel=1e-12)
+    numeric = SpeedScale("numeric", 2.0, a_fn=a_fn, b_fn=b_fn)
+    cells = ((0.2, 0.6), (0.6, 1.0), (1.0, 1.8))
+    mass = [closed.cell_mass(lo, hi) / numeric.cell_mass(lo, hi) for lo, hi in cells]
+    scale = [numeric.scale_increment(lo, hi) / closed.scale_increment(lo, hi) for lo, hi in cells]
+    assert mass == pytest.approx([mass[0]] * 3, rel=1e-9)
+    assert scale == pytest.approx([mass[0]] * 3, rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "a_fn, b_fn, edge, closed",
     [

@@ -55,6 +55,22 @@ def test_block_normals_match_step_normals_step_by_step():
         assert np.array_equal(blk[k][pos], step_normals(11, paths[pos], 4 + k, 2, 3))
 
 
+def test_block_normals_per_path_steps_and_slot_index():
+    """Paths at different step counts on a restricted level's slots: each row
+    is that path's one-step stream, also after rows drop mid-block."""
+    paths = np.array([5, 9, 2, 700_001, 41], dtype=np.uint64)
+    steps = np.array([0, 17, 3, 2**31, 17])
+    slots = np.array([0, 2], dtype=np.uint64)
+    blk = block_normals(11, paths, steps, 7, slots, slot_stride=3)
+    assert blk.shape == (7, 5, 2)
+    for k in range(7):
+        assert np.array_equal(blk[k], step_normals(11, paths, steps + k, slots, 3))
+    pos = np.array([1, 3])  # paths 5, 2 and 41 stop after the block's third step
+    for k in range(3, 7):
+        ref = step_normals(11, paths[pos], steps[pos] + k, slots, 3)
+        assert np.array_equal(blk[k].take(pos, 0), ref)
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     pa=st.integers(0, 2**20),

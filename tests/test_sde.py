@@ -50,6 +50,53 @@ def test_single_path_matches_its_ensemble_slot(wf, p03):
     assert stratum == ens.strata()[3]
 
 
+def _ensemble_sha(ens) -> str:
+    """SHA-256 over every array of an ``EnsembleResult`` and its events."""
+    h = hashlib.sha256()
+    for name in (
+        "terminal_time", "terminal_xy", "strata_bits",
+        "first_hit_time", "first_hit_face", "first_hit_xy", "occupation",
+    ):
+        a = getattr(ens, name)
+        if a is not None:
+            h.update(np.ascontiguousarray(a).tobytes())
+    for events in ens.events or ():
+        for ev in events:
+            h.update(np.array([ev.time, ev.face, ev.depth, *ev.location.x, *ev.location.y]).tobytes())
+    return h.hexdigest()
+
+
+def test_cascade_with_events_is_pinned():
+    """Interior → edge → vertex: children join their edge at many different
+    steps, and each keeps its own stream."""
+    W = wright_fisher(2, (0.0, 0.0, 0.0))
+    ens = simulate_ensemble(
+        W, Point([0.3, 0.3]), SimConfig(dt=1e-3, T=3.0, seed=11), 300, collect_events=True
+    )
+    assert len(np.unique(ens.first_hit_time[ens.first_hit_face > 0])) > 100
+    assert sum(len(ev) == 2 for ev in ens.events) > 100
+    assert _ensemble_sha(ens) == "b565be0b373faa2ed86bbe8f5de9a70c7a48d37f4abef437939613ef7249bed9"
+
+
+def test_slack_face_occupation_is_pinned():
+    """A transverse slack face is tracked for occupation beside two tangent
+    coordinate faces."""
+    W = wright_fisher(2, (0.0, 0.0, 0.4))
+    cfg = SimConfig(dt=1e-3, T=2.0, seed=12, occupation_eps=(0.02, 0.1))
+    ens = simulate_ensemble(W, Point([0.3, 0.3]), cfg, 300)
+    assert ens.tracked_faces == (3,) and ens.occupation.sum() > 0
+    assert _ensemble_sha(ens) == "f81639d69a262c847ccb86b639d0e36e8f773afb69a6b78f071d30376864cf98"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_product_occupation_is_pinned(workers):
+    P = product_operator(model1d(0.0, radius=4.0), model1d(1.0, radius=4.0))
+    cfg = SimConfig(dt=1e-3, T=0.5, seed=13, occupation_eps=(0.05, 0.2))
+    ens = simulate_ensemble(P, Point([0.15, 0.3]), cfg, 400, workers=workers)
+    assert ens.occupation.sum() > 0
+    assert _ensemble_sha(ens) == "540e3615e2ad7197b5520ad771b4d4845875988bd8dfa224ca1e3810b06a63bc"
+
+
 def test_seed_changes_paths(wf, p03):
     a = simulate_ensemble(wf, p03, CFG, 200)
     b = simulate_ensemble(wf, p03, SimConfig(dt=1e-3, T=1.0, seed=43), 200)
@@ -196,7 +243,7 @@ def test_step_guard_trips_before_any_step(monkeypatch):
     def no_steps(*args):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(_rng, "step_normals", no_steps)
+    monkeypatch.setattr(_rng, "block_normals", no_steps)
     with pytest.raises(MaxStepsExceeded):
         simulate_ensemble(model1d(0.0), Point([0.5]), SimConfig(dt=1e-9, T=10.0), 5)
 
@@ -204,13 +251,13 @@ def test_step_guard_trips_before_any_step(monkeypatch):
 def test_non_finite_y_names_the_path(monkeypatch):
     """A state whose y alone turns NaN is reported by its path id."""
     L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(1.0,), d=((1.0,),))
-    real = _rng.step_normals
+    real = _rng.block_normals
 
     def poisoned(seed, path, *args):
         out = real(seed, path, *args)
-        out[np.asarray(path) == 12, 1] = np.nan
+        out[:, np.asarray(path) == 12, 1] = np.nan
         return out
 
-    monkeypatch.setattr(_rng, "step_normals", poisoned)
+    monkeypatch.setattr(_rng, "block_normals", poisoned)
     with pytest.raises(NonFinite, match=r"paths \[12\]"):
         simulate_ensemble(L, Point([1.0], [0.0]), CFG, 5, path_offset=10)
