@@ -6,13 +6,27 @@ contract available: the trajectory of path ``i`` under seed ``s`` is identical
 no matter how many paths run alongside it, how they are chunked across
 workers, or in which order chunks execute.
 
-The generator is a splitmix-style 64-bit finalizer chain (three rounds of the
-Stafford mix13 finalizer over the combined key), mapped to uniforms in (0,1)
-and then to normals through the inverse normal CDF.  The mix13 finalizer has
-full avalanche, which is what a counter-based Monte Carlo stream needs; this
-is the same construction philosophy as Philox/Threefry-style generators.
+The generator is counter-based in the sense of Salmon et al. 2011 (*Parallel
+random numbers: as easy as 1, 2, 3*): a per-stream key plus a counter, put
+through a bijective hash.  Here the key of a path is one round of the
+Stafford mix13 finalizer over ``(seed, path)``; the counter of a variate is
+``step·stride + slot``, where ``stride`` is the slot count of the original
+domain.  The hash adds ``counter·GOLD`` (the 64-bit golden ratio) to the key,
+runs two more mix13 rounds, maps the top 53 bits to a uniform in (0,1) and
+then to a normal through the inverse normal CDF.  The mix13 finalizer has
+full avalanche, which is what a counter-based Monte Carlo stream needs.
 Statistical sanity (moments, tail, cross-stream correlation) is enforced by
 tests rather than assumed.
+
+The key and the counter split cleanly because uint64 arithmetic wraps mod
+2⁶⁴: ``key + (c + k·stride)·GOLD = (key + c·GOLD) + k·stride·GOLD``.  So the
+engine keys each path's stream once (:func:`stream_keys`, an array of
+``key + (step·stride + slot)·GOLD`` per path and slot), compacts that array
+with its state, and draws the next steps from it (:func:`next_normals`),
+which adds ``k·stride·GOLD`` per step ahead and advances the array past the
+steps it drew.  :func:`counter_uniforms` and :func:`step_normals` are the
+same stream addressed by explicit counters; all of them share :func:`_key`
+and :func:`_uniforms`, the one copy of the mix chain.
 """
 
 from __future__ import annotations
@@ -47,28 +61,38 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def counter_uniforms(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
-    """Uniform(0,1) variates indexed by (seed, path, counter).
-
-    ``path`` and ``ctr`` broadcast against each other; uint64 arithmetic wraps
-    (mod 2^64) by design.  The hash runs in place on one buffer of the result's
-    shape, and the uniforms are written into a second one.
-    """
+def _key(seed: int, path: np.ndarray) -> np.ndarray:
+    """The stream key of each path: the first mix round over (seed, path)."""
     path = np.asarray(path, dtype=np.uint64)
-    ctr = np.asarray(ctr, dtype=np.uint64)
     with np.errstate(over="ignore"):
         key = (path + _GOLD) * _GOLD + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        key = _mix(key, np.empty_like(key))
-        z = key + ctr * _GOLD
-        t = np.empty_like(z)
-        _mix(z, t)
-        z += _GOLD
-        _mix(z, t)
+    return _mix(key, np.empty_like(key))
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """Uniform(0,1) variates of keyed counters ``key + counter·GOLD``: the
+    last two mix rounds, in place on ``z``, and the uniform map into a second
+    buffer of its shape."""
+    t = np.empty_like(z)
+    _mix(z, t)
+    z += _GOLD
+    _mix(z, t)
     z >>= _SH11
     u = t.view(np.float64)
     np.multiply(z, _U_SCALE, out=u)
     u += _U_SHIFT
     return u
+
+
+def counter_uniforms(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
+    """Uniform(0,1) variates indexed by (seed, path, counter).
+
+    ``path`` and ``ctr`` broadcast against each other; uint64 arithmetic wraps
+    (mod 2^64) by design.
+    """
+    ctr = np.asarray(ctr, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _uniforms(_key(seed, path) + ctr * _GOLD)
 
 
 def counter_normals(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
@@ -84,6 +108,51 @@ def _slot_index(slots: "int | np.ndarray") -> np.ndarray:
     return np.asarray(slots, dtype=np.uint64)
 
 
+def stream_keys(
+    seed: int,
+    path: np.ndarray,
+    step: "int | np.ndarray",
+    slots: "int | np.ndarray",
+    slot_stride: int,
+) -> np.ndarray:
+    """Each path's keyed counters at ``step``: shape ``(len(path), n_slots)``,
+    entry ``[i, j]`` is ``key(path_i) + (step_i·slot_stride + slot_j)·GOLD``.
+
+    ``slot_stride`` is the noise-slot stride per step (the dimension of the
+    *original* domain), fixed for the whole run.  ``slots`` names the slots to
+    draw — an int ``d`` means slots ``0..d-1``; an index array selects the
+    slots of the surviving original coordinates, so a path restricted to a
+    face keeps consuming exactly its own stream.  ``step`` is one step for all
+    paths or a per-path array.  The rows may be taken, in any order, with the
+    state they belong to; :func:`next_normals` draws from them.
+    """
+    slots = _slot_index(slots)
+    key = _key(seed, path)
+    with np.errstate(over="ignore"):
+        ctr = np.asarray(step, dtype=np.uint64) * np.uint64(slot_stride)
+        ctr = ctr.reshape(-1, 1) + slots if ctr.ndim else ctr + slots[None, :]
+        return key[:, None] + ctr * _GOLD
+
+
+def next_normals(keys: np.ndarray, n_steps: int, slot_stride: int) -> np.ndarray:
+    """Noise for the next ``n_steps`` steps of the streams in ``keys`` (from
+    :func:`stream_keys`): shape ``(n_steps, *keys.shape)``.  Advances
+    ``keys`` in place past those steps.
+
+    Row ``[k, i]`` is the normals of row ``i`` at its ``step + k``, so a loop
+    may draw a block of steps ahead, with its paths at different step counts,
+    and drop the rows of paths that stop inside it without changing any other
+    path's stream.  The counters are laid out flat per step: adding the step
+    offset over a short inner slot axis would cost several times more.
+    """
+    with np.errstate(over="ignore"):
+        per_step = np.uint64(slot_stride) * _GOLD
+        z = keys.reshape(1, -1) + (np.arange(n_steps, dtype=np.uint64) * per_step)[:, None]
+        keys += np.uint64(n_steps) * per_step
+    u = _uniforms(z)
+    return ndtri(u, out=u).reshape((n_steps,) + keys.shape)
+
+
 def step_normals(
     seed: int,
     path: np.ndarray,
@@ -91,54 +160,11 @@ def step_normals(
     slots: "int | np.ndarray",
     slot_stride: int,
 ) -> np.ndarray:
-    """Noise block for one Euler step: shape ``(len(path), n_slots)``.
+    """Noise block for one Euler step: shape ``(len(path), n_slots)``, the
+    normals of counters ``step·slot_stride + slot`` (arguments as in
+    :func:`stream_keys`).
 
-    ``slot_stride`` is the noise-slot stride per step (the dimension of the
-    *original* domain), fixed for the whole run.  ``slots`` names the slots to
-    draw — an int ``d`` means slots ``0..d-1``; an index array selects the
-    slots of the surviving original coordinates, so a path restricted to a
-    face keeps consuming exactly its own stream.  ``step`` may be a per-path
-    array (paths at different absolute step counts draw independently).
-
-    This is the one-step definition of the stream; the engines draw it a
-    block of steps at a time through :func:`block_normals`.
+    This is the one-step definition of the stream that the tests compare the
+    engines' block draws against.
     """
-    path = np.asarray(path, dtype=np.uint64)
-    slots = _slot_index(slots)
-    step = np.asarray(step, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = step * np.uint64(slot_stride)
-        ctr = base.reshape(-1, 1) + slots[None, :] if base.ndim else base + slots[None, :]
-    return counter_normals(seed, path[:, None], ctr)
-
-
-def block_normals(
-    seed: int,
-    path: np.ndarray,
-    step: "int | np.ndarray",
-    n_steps: int,
-    slots: "int | np.ndarray",
-    slot_stride: int,
-) -> np.ndarray:
-    """Noise for ``n_steps`` consecutive steps of every path in one call:
-    shape ``(n_steps, len(path), n_slots)``.
-
-    ``step`` is the first step, one for all paths or a per-path array, and
-    ``slots`` is an int ``d`` (slots ``0..d-1``) or an index array, as in
-    :func:`step_normals`.  Row ``[k, i]`` is bit-identical to
-    ``step_normals(seed, path[i], step_i + k, slots, slot_stride)``: the
-    counters are the same ``(step_i + k)·stride + slot``.  So a loop may draw
-    a block of steps ahead, with its paths at different step counts, and
-    drop the rows of paths that stop inside it without changing any other
-    path's stream.
-    """
-    path = np.asarray(path, dtype=np.uint64)
-    slots = _slot_index(slots)
-    n, s = path.size, slots.size
-    stride = np.uint64(slot_stride)
-    with np.errstate(over="ignore"):
-        # the counters laid out flat per step, path-major; step k adds k·stride
-        first = np.broadcast_to(np.asarray(step, dtype=np.uint64) * stride, (n,))
-        ctr0 = (first[:, None] + slots[None, :]).reshape(1, n * s)
-        ctr = ctr0 + (np.arange(n_steps, dtype=np.uint64) * stride)[:, None]
-    return counter_normals(seed, np.repeat(path, s)[None, :], ctr).reshape(n_steps, n, s)
+    return next_normals(stream_keys(seed, path, step, slots, slot_stride), 1, slot_stride)[0]

@@ -224,7 +224,11 @@ def restrict_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
     face drops the last column, which the others determine there."""
     if _is_slack(dom, face):
         return x[..., :-1]
-    return np.delete(x, face - 1, axis=-1)
+    i = face - 1
+    out = np.empty(x.shape[:-1] + (x.shape[-1] - 1,), dtype=x.dtype)
+    out[..., :i] = x[..., :i]
+    out[..., i:] = x[..., i + 1:]
+    return out
 
 
 def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
@@ -234,7 +238,12 @@ def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
     if _is_slack(parent, face):
         last = np.maximum(1.0 - x.sum(axis=-1), 0.0)
         return np.concatenate([x, last[..., None]], axis=-1)
-    return np.insert(x, face - 1, 0.0, axis=-1)
+    i = face - 1
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
+    out[..., :i] = x[..., :i]
+    out[..., i] = 0.0
+    out[..., i + 1:] = x[..., i:]
+    return out
 
 
 def face_distance_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:

@@ -22,14 +22,17 @@ coordinates.  A restricted path keeps drawing from the slots of its surviving
 coordinates at its own step counter, so each path's trajectory is identical
 no matter how the ensemble is chunked across workers.
 
-The engine and the corner-sum loop below draw the noise a block of steps
-per call (:func:`~kimura._rng.block_normals`, at most ``_BLOCK_NORMALS``
-variates): ``K = max(1, min(steps left, _BLOCK_NORMALS // (n_slots·live
-paths)))`` steps, each path from its own step count.  A path that stops
+Each call of the engine, and the corner-sum loop below, keys its paths'
+streams once (:func:`~kimura._rng.stream_keys`: one ``(live paths, n_slots)``
+array at each path's step count) and compacts that array with the state.
+It draws the noise a block of steps per call from it
+(:func:`~kimura._rng.next_normals`, at most ``_BLOCK_NORMALS`` variates):
+``K = max(1, min(steps left, _BLOCK_NORMALS // (n_slots·live paths)))``
+steps, after which the keys stand ``K`` steps further on.  A path that stops
 inside a block (hit, horizon, freeze) leaves its remaining rows unused; the
 live paths' rows are found through an index compacted with the state.
-Paths restricted to a face start a fresh block in their child level's loop,
-so no path joins a block midway.
+Paths restricted to a face are keyed afresh in their child level's call, so
+no path joins a block midway.
 
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
@@ -366,6 +369,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
     is_simplex = isinstance(level.dom, Simplex)
     dombox = level.dom if isinstance(level.dom, CornerBox) else None
     slots = level.slots
+    keys = _rng.stream_keys(cfg.seed, path_ids[rows], steps, slots, stride)
     eps = np.asarray(cfg.occupation_eps)
     n_faces = len(level.dom.face_ids)
     ov = np.zeros((n_faces, x.shape[0]))  # row f − 1: each path's overshoot past face f
@@ -382,8 +386,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
                 level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf
             )
             keep = np.flatnonzero(hit_face == 0)
-            x, y, steps, rows, pos = _take(keep, x, y, steps, rows, pos)
-            ov = ov.take(keep, 1)
+            x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
             if not x.shape[0]:
                 break
         # --- horizon ------------------------------------------------------
@@ -394,8 +397,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
             res.term_bits[rows[idx]] = level.stratum_bits
             keep = np.flatnonzero(~done)
-            x, y, steps, rows, pos = _take(keep, x, y, steps, rows, pos)
-            ov = ov.take(keep, 1)
+            x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
             if not x.shape[0]:
                 break
         # --- one Euler step for everyone -----------------------------------
@@ -403,7 +405,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             n_blk = max(
                 1, min(n_total - int(steps.min()), _BLOCK_NORMALS // (slots.size * x.shape[0]))
             )
-            xi_blk = _rng.block_normals(cfg.seed, path_ids[rows], steps, n_blk, slots, stride)
+            xi_blk = _rng.next_normals(keys, n_blk, stride)
             k_blk, pos = 0, np.arange(x.shape[0])
         xi = xi_blk[k_blk]
         k_blk += 1
@@ -485,18 +487,19 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
         t_hit = np.minimum(steps[idx] * dt, T)
         orig = level.face_orig[f]
         bits = level.stratum_bits | (1 << (orig - 1))
+        terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
+        if first or terminal_here:
+            emb = _embed_to_root(level, xh, yh)
         if first:
             res.first_time[rows[idx]] = t_hit
             res.first_face[rows[idx]] = orig
-            res.first_xy[rows[idx]] = _embed_to_root(level, xh, yh)
+            res.first_xy[rows[idx]] = emb
         if collect:
             depth = bin(level.stratum_bits).count("1") + 1
             for r, (row_i, t_i) in enumerate(zip(rows[idx], t_hit)):
                 loc = Point(xh[r], yh[r])
                 res.events[row_i].append(HitEvent(float(t_i), f, loc, depth))
-        terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if terminal_here:
-            emb = _embed_to_root(level, xh, yh)
             res.term_time[rows[idx]] = t_hit if cfg.stop_at_first_tangent_hit else T
             res.term_xy[rows[idx]] = emb
             res.term_bits[rows[idx]] = bits
@@ -677,8 +680,9 @@ def counterexample_ensemble(
     (≈ 1.1e−7 at the default 16), far below the estimator tolerances, and the
     exponential outward drift makes further simulation pure cost.
 
-    The noise is ``_rng.step_normals(seed, path, step, 2, 2)``, drawn a block
-    of steps per call as in the engine (see the module docstring).
+    The noise is ``_rng.step_normals(seed, path, step, 2, 2)``, keyed once
+    and drawn a block of steps per call as in the engine (see the module
+    docstring).
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
@@ -739,10 +743,11 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
         return hit, hit_time, s_end
     e_min, e_max = eps[cols].min(), eps[cols].max()
     alive = np.arange(n_paths)
+    keys = _rng.stream_keys(seed, ids, 0, d, d)
     step_ctr = 0
     while alive.size and step_ctr < n_total:
         n_blk = max(1, min(n_total - step_ctr, _BLOCK_NORMALS // (d * alive.size)))
-        xi_blk = _rng.block_normals(seed, ids[alive], step_ctr, n_blk, d, d)
+        xi_blk = _rng.next_normals(keys, n_blk, d)
         pos = np.arange(alive.size)  # row in xi_blk of each live path
         for xi in xi_blk:
             if pos.size < len(xi):
@@ -765,7 +770,7 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
             gone = (S <= e_min) | (S >= s_freeze)
             if gone.any():
                 s_end[alive[gone]] = S[gone]
-                z, alive, pos = _take(np.flatnonzero(~gone), z, alive, pos)
+                z, alive, pos, keys = _take(np.flatnonzero(~gone), z, alive, pos, keys)
                 if not alive.size:
                     break
     s_end[alive] = np.maximum(z, 0.0).sum(axis=1)

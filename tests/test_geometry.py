@@ -120,7 +120,9 @@ def test_restrict_point_slack_face():
 def test_row_restriction_matches_the_point_maps(dom, face):
     """``restrict_rows``/``embed_rows`` are the batched point maps: on face
     points they agree with ``restrict_point``/``embed_point`` row by row and
-    ``embed_rows`` inverts ``restrict_rows``."""
+    ``embed_rows`` inverts ``restrict_rows``.  On a uint64 noise-slot array
+    (as a restricted level's slots) it keeps the dtype and names the columns
+    that survive."""
     rng = np.random.default_rng(face)
     x = rng.dirichlet(np.ones(4), size=50)[:, :3]
     if face <= 3:
@@ -133,6 +135,9 @@ def test_row_restriction_matches_the_point_maps(dom, face):
         q, _ = restrict_point(Point(row), face, dom)
         assert np.array_equal(q.x, rrow)
         assert np.array_equal(embed_point(q, face, dom).x, row)
+    slots = restrict_rows(np.arange(3, dtype=np.uint64), face, dom)
+    assert slots.dtype == np.uint64 and slots.shape == (2,)
+    assert np.array_equal(x[:, slots.astype(np.intp)], xr)
 
 
 @pytest.mark.parametrize("dom", [Simplex(2), Simplex(3), CornerBox(2, 1)])

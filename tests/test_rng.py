@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kimura._rng import block_normals, counter_normals, counter_uniforms, step_normals
+from kimura._rng import counter_normals, counter_uniforms, next_normals, step_normals, stream_keys
 
 
 def test_uniforms_deterministic_and_in_range():
@@ -46,22 +46,28 @@ def test_block_normals_match_step_normals_step_by_step():
     """A block of steps is the per-step stream, also for the rows that are
     left after some paths drop out in the middle of the block."""
     paths = np.array([5, 9, 2, 700_001], dtype=np.uint64)
-    blk = block_normals(11, paths, 4, 6, 2, slot_stride=3)
+    keys = stream_keys(11, paths, 4, 2, slot_stride=3)
+    blk = next_normals(keys, 6, slot_stride=3)
     assert blk.shape == (6, 4, 2)
     for k in range(6):
         assert np.array_equal(blk[k], step_normals(11, paths, 4 + k, 2, 3))
     pos = np.array([0, 2, 3])  # path 9 stops after the block's second step
     for k in range(2, 6):
         assert np.array_equal(blk[k][pos], step_normals(11, paths[pos], 4 + k, 2, 3))
+    # the draw left the keys at the block's end
+    assert np.array_equal(keys, stream_keys(11, paths, 10, 2, 3))
 
 
 def test_block_normals_per_path_steps_and_slot_index():
     """Paths at different step counts on a restricted level's slots: each row
-    is that path's one-step stream, also after rows drop mid-block."""
+    is that path's one-step stream, also after rows drop mid-block, and the
+    keys taken with the live rows go on drawing each path's own stream."""
     paths = np.array([5, 9, 2, 700_001, 41], dtype=np.uint64)
     steps = np.array([0, 17, 3, 2**31, 17])
     slots = np.array([0, 2], dtype=np.uint64)
-    blk = block_normals(11, paths, steps, 7, slots, slot_stride=3)
+    keys = stream_keys(11, paths, steps, slots, slot_stride=3)
+    assert keys.shape == (5, 2) and keys.dtype == np.uint64
+    blk = next_normals(keys, 7, slot_stride=3)
     assert blk.shape == (7, 5, 2)
     for k in range(7):
         assert np.array_equal(blk[k], step_normals(11, paths, steps + k, slots, 3))
@@ -69,6 +75,13 @@ def test_block_normals_per_path_steps_and_slot_index():
     for k in range(3, 7):
         ref = step_normals(11, paths[pos], steps[pos] + k, slots, 3)
         assert np.array_equal(blk[k].take(pos, 0), ref)
+    keys = keys.take(pos, 0)  # compacted with the state, the next block follows on
+    blk = next_normals(keys, 4, slot_stride=3)
+    for k in range(4):
+        ref = step_normals(11, paths[pos], steps[pos] + 7 + k, slots, 3)
+        assert np.array_equal(blk[k], ref)
+    one = next_normals(keys, 1, slot_stride=3)
+    assert np.array_equal(one[0], step_normals(11, paths[pos], steps[pos] + 11, slots, 3))
 
 
 @given(

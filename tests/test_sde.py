@@ -225,25 +225,47 @@ def test_counterexample_eps_sequence_equals_scalar_runs():
     assert both.any() and np.all(hit[both]) and np.all(t[both, 0] <= t[both, 2])
 
 
-def test_counterexample_non_finite_names_the_path(monkeypatch):
-    real = _rng.block_normals
+def _poison_path(monkeypatch, path_id, slots):
+    """Make every normal that path ``path_id`` draws on ``slots`` NaN.
 
-    def poisoned(seed, path, *args):
-        out = real(seed, path, *args)
-        out[:, np.asarray(path) == 3, :] = np.nan
+    The key builder names the path's rows.  The draw advances the keys it is
+    given in place, so the wrapper below follows those rows by value through
+    every draw and every compaction of the key array."""
+    real_keys, real_draw = _rng.stream_keys, _rng.next_normals
+    marked = None  # the path's current key rows
+
+    def keys(seed, path, *args):
+        nonlocal marked
+        out = real_keys(seed, path, *args)
+        marked = out[np.asarray(path) == path_id]
         return out
 
-    monkeypatch.setattr(_rng, "block_normals", poisoned)
+    def draw(keys, *args):
+        nonlocal marked
+        rows = (keys[:, None, :] == marked[None]).all(axis=2).any(axis=1)
+        out = real_draw(keys, *args)
+        marked = keys[rows]
+        out[:, rows, slots] = np.nan
+        return out
+
+    monkeypatch.setattr(_rng, "stream_keys", keys)
+    monkeypatch.setattr(_rng, "next_normals", draw)
+
+
+def test_counterexample_non_finite_names_the_path(monkeypatch):
+    _poison_path(monkeypatch, 3, slice(None))
     with pytest.raises(NonFinite, match=r"paths \[3\]"):
         counterexample_ensemble(Point([0.05, 0.05]), SimConfig(dt=1e-3, T=1.0), 20)
 
 
 def test_step_guard_trips_before_any_step(monkeypatch):
-    """T/dt = 10¹⁰ steps is refused up front, before any noise is drawn."""
+    """T/dt = 10¹⁰ steps is refused up front, before any noise is keyed or
+    drawn."""
     def no_steps(*args):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(_rng, "block_normals", no_steps)
+    monkeypatch.setattr(_rng, "stream_keys", no_steps)
+    monkeypatch.setattr(_rng, "next_normals", no_steps)
     with pytest.raises(MaxStepsExceeded):
         simulate_ensemble(model1d(0.0), Point([0.5]), SimConfig(dt=1e-9, T=10.0), 5)
 
@@ -251,13 +273,6 @@ def test_step_guard_trips_before_any_step(monkeypatch):
 def test_non_finite_y_names_the_path(monkeypatch):
     """A state whose y alone turns NaN is reported by its path id."""
     L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(1.0,), d=((1.0,),))
-    real = _rng.block_normals
-
-    def poisoned(seed, path, *args):
-        out = real(seed, path, *args)
-        out[:, np.asarray(path) == 12, 1] = np.nan
-        return out
-
-    monkeypatch.setattr(_rng, "block_normals", poisoned)
+    _poison_path(monkeypatch, 12, 1)
     with pytest.raises(NonFinite, match=r"paths \[12\]"):
         simulate_ensemble(L, Point([1.0], [0.0]), CFG, 5, path_offset=10)
