@@ -49,7 +49,8 @@ _U_SHIFT = 2.0**-54
 
 
 def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The mix13 finalizer, in place on ``z``; ``t`` is scratch of its shape."""
+    """The mix13 finalizer, in place on ``z``; ``t`` is scratch of its shape.
+    Use the result: a numpy scalar ``z`` cannot change in place."""
     np.right_shift(z, _SH30, out=t)
     z ^= t
     z *= _MIX1
@@ -66,7 +67,7 @@ def _key(seed: int, path: np.ndarray) -> np.ndarray:
     path = np.asarray(path, dtype=np.uint64)
     with np.errstate(over="ignore"):
         key = (path + _GOLD) * _GOLD + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    return _mix(key, np.empty_like(key))
+        return _mix(key, np.empty_like(key))
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
@@ -74,9 +75,9 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     last two mix rounds, in place on ``z``, and the uniform map into a second
     buffer of its shape."""
     t = np.empty_like(z)
-    _mix(z, t)
+    z = _mix(z, t)
     z += _GOLD
-    _mix(z, t)
+    z = _mix(z, t)
     z >>= _SH11
     u = t.view(np.float64)
     np.multiply(z, _U_SCALE, out=u)
@@ -126,12 +127,10 @@ def stream_keys(
     paths or a per-path array.  The rows may be taken, in any order, with the
     state they belong to; :func:`next_normals` draws from them.
     """
-    slots = _slot_index(slots)
     key = _key(seed, path)
     with np.errstate(over="ignore"):
-        ctr = np.asarray(step, dtype=np.uint64) * np.uint64(slot_stride)
-        ctr = ctr.reshape(-1, 1) + slots if ctr.ndim else ctr + slots[None, :]
-        return key[:, None] + ctr * _GOLD
+        ctr = np.asarray(step, dtype=np.uint64).reshape(-1, 1) * np.uint64(slot_stride)
+        return key[:, None] + (ctr + _slot_index(slots)) * _GOLD
 
 
 def next_normals(keys: np.ndarray, n_steps: int, slot_stride: int) -> np.ndarray:

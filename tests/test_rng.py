@@ -15,6 +15,13 @@ def test_uniforms_deterministic_and_in_range():
     assert np.all((u1 > 0.0) & (u1 < 1.0))
 
 
+def test_scalar_arguments_address_the_same_variate():
+    """A scalar path and counter give the variate of the one-element arrays."""
+    one = counter_uniforms(7, np.array([5], dtype=np.uint64), np.array([3], dtype=np.uint64))
+    assert counter_uniforms(7, 5, 3) == one[0]
+    assert counter_normals(7, np.uint64(5), 3) == counter_normals(7, [5], [3])[0]
+
+
 def test_different_seed_changes_stream():
     paths = np.arange(100, dtype=np.uint64)
     ctr = np.zeros(100, dtype=np.uint64)
