@@ -236,8 +236,11 @@ def hitting_histogram(
     ``time_bins`` / ``loc_bins`` are bin counts or explicit edge arrays
     (``loc_bins`` may be a tuple with one entry per free coordinate).  Passing
     a precomputed ``ens`` reuses its sample — estimates made from the same
-    ensemble satisfy exact counting identities against each other.
+    ensemble satisfy exact counting identities against each other — and bins
+    time over its horizon ``[0, ens.T]``; a ``cfg`` given with it must agree.
     """
+    if ens is not None and cfg is not None and cfg.T != ens.T:
+        raise ValueError(f"cfg.T={cfg.T} disagrees with the ensemble's horizon T={ens.T}")
     cfg = cfg or sde.SimConfig(T=1.0)
     fc = L.classify_faces()
     if face not in fc.tangent:
@@ -247,7 +250,7 @@ def hitting_histogram(
         ens = sde.simulate_ensemble(L, p0, run_cfg, n_paths, workers=workers)
     else:
         n_paths = ens.n_paths
-    time_edges = _as_edges(time_bins, 0.0, cfg.T)
+    time_edges = _as_edges(time_bins, 0.0, ens.T)
     x_ext, y_ext = _domain_extent(L.dom)
     extent = x_ext + y_ext
     n = L.n

@@ -89,6 +89,9 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
+# Smallest sampled weight that classifies a face as uniformly transverse.
+_BETA0_MIN = 1e-8
+
 # --------------------------------------------------------------------------
 # coefficient fields
 # --------------------------------------------------------------------------
@@ -861,7 +864,6 @@ class KimuraOperator:
     def classify_faces(
         self,
         tol: float = 1e-10,
-        beta0_min: float = 1e-8,
         samples: int = 512,
         seed=0,
     ) -> FaceClassification:
@@ -879,7 +881,7 @@ class KimuraOperator:
             sup, inf = float(np.max(np.abs(vals))), float(np.min(vals))
             if sup <= tol:
                 tangent.add(face)
-            elif inf >= beta0_min:
+            elif inf >= _BETA0_MIN:
                 transverse.add(face)
                 beta0 = min(beta0, inf)
             else:

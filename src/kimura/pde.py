@@ -1038,7 +1038,6 @@ def solve_elliptic_2d(
     dt: float = 0.25,
     tol: float = 1e-8,
     max_steps: int = 20000,
-    u0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Steady state of the tensor-grid march with pinned Dirichlet data.
 
@@ -1055,10 +1054,7 @@ def solve_elliptic_2d(
     dir_idx = np.flatnonzero(mask.ravel())
     bvals = boundary.ravel()[dir_idx]
 
-    if u0 is None:
-        u = np.zeros(nx * ny)
-    else:
-        u = np.asarray(u0, float).ravel().copy()
+    u = np.zeros(nx * ny)
     u[dir_idx] = bvals
     for _ in range(max_steps):
         nxt = stepper.step(u, boundary=(dir_idx, bvals))

@@ -94,6 +94,10 @@ _SLACK_TOL = 1e-12
 # past this would not finish.
 _MAX_STEPS = 2_000_000_000
 
+# Seed offset of the one-dimensional oracle ``sum_process_ensemble``: its
+# stream is ``cfg.seed ^ _SUM_SEED_TAG``, apart from the two-dimensional run's.
+_SUM_SEED_TAG = 0x5DE1
+
 # Normals drawn per call by both loops: a fixed cap on the noise buffer (2¹⁴
 # doubles, 128 KB).  A full ensemble still draws one step per call; the long
 # tail of a few paths draws many, so the fixed cost of a call (tens of µs) no
@@ -699,19 +703,18 @@ def sum_process_ensemble(
     eps_abs: float = 1e-6,
     s_freeze: float = 16.0,
     path_offset: int = 0,
-    seed_tag: int = 0x5DE1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direct simulation of the sum process ``dS = S dt + √(2S) dW``.
 
     Returns ``(hit, hit_time, S_T)`` with the same absorption/freeze rules as
     :func:`counterexample_ensemble`, whose loop it runs in one dimension
-    (there ``z⁺[::-1]`` is ``z⁺``), on the seed ``cfg.seed ^ seed_tag``:
+    (there ``z⁺[::-1]`` is ``z⁺``), on the seed ``cfg.seed ^ 0x5DE1``:
     ``S_T`` is ``S⁺`` where the path stopped (frozen paths report their frozen
     value) or at the horizon, and 0 on hit paths.  Used as a one-dimensional
     oracle for the two-dimensional system.
     """
     hit, hit_time, s_end = _corner_sum(
-        [s0], cfg.seed ^ seed_tag, cfg, n_paths, eps_abs, s_freeze, path_offset
+        [s0], cfg.seed ^ _SUM_SEED_TAG, cfg, n_paths, eps_abs, s_freeze, path_offset
     )
     hit, hit_time = hit[:, 0], hit_time[:, 0]
     s_end[hit] = 0.0

@@ -1,11 +1,11 @@
 """Comparison-operator checks: barrier supersolutions and window growth.
 
-This module houses the square-root-form elliptic operator
+This module houses the two-variable comparison operator
 
-    A u = Σ √(x_i x_j) a_ij u_{x_i x_j} + Σ b_i u_{x_i}
-        + Σ √x_i c_il u_{x_i y_l} + Σ d_lk u_{y_l y_k} + Σ e_l u_{y_l}
+    A u = x₁ a₁₁ u_{x₁x₁} + x₂ a₂₂ u_{x₂x₂} + b₁ u_{x₁} + b₂ u_{x₂}
 
-on the unit box chart, together with the three explicit barrier functions
+on the unit corner box, with face 1 ({x₁ = 0}) tangent and face 2
+({x₂ = 0}) transverse, together with the three explicit barrier functions
 used to compare against it, and the two-window growth ratio of its bounded
 solutions.  Each barrier check evaluates A(barrier) from *closed-form*
 derivatives of the barrier (they are explicit elementary functions), so the
@@ -34,7 +34,7 @@ from .errors import (
     NoValidRho,
 )
 from .geometry import CornerBox, Point
-from .operator import KimuraOperator, SmoothFunction
+from .operator import FuncField, KimuraOperator, SmoothFunction
 
 __all__ = [
     "AppendixOperator",
@@ -65,9 +65,9 @@ def _as_xy_field(v) -> Callable[..., np.ndarray]:
 class AppendixAssumptions:
     """Sampled structural constants of an :class:`AppendixOperator`.
 
-    ``delta`` is the smallest eigenvalue of the (a, d) block-diagonal form
-    over the sample, ``bound`` the largest coefficient magnitude, ``b0`` the
-    smallest drift value seen on the transverse faces.
+    ``delta`` is the smallest diagonal coefficient a_ii over the sample,
+    ``bound`` the largest coefficient magnitude, ``b0`` the smallest drift
+    value seen on the transverse face.
     """
 
     delta: float
@@ -75,8 +75,8 @@ class AppendixAssumptions:
     b0: float
     tangent_ok: bool
     transverse_ok: bool
-    tangent: frozenset
-    transverse: frozenset
+    tangent = frozenset({1})
+    transverse = frozenset({2})
 
     @property
     def ok(self) -> bool:
@@ -85,125 +85,57 @@ class AppendixAssumptions:
             and math.isfinite(self.bound)
             and self.tangent_ok
             and self.transverse_ok
-            and len(self.tangent) > 0
-            and len(self.transverse) > 0
         )
 
 
 class AppendixOperator:
-    """Square-root-form comparison operator on the unit box chart.
+    """The comparison operator x₁a₁₁∂₁² + x₂a₂₂∂₂² + b₁∂₁ + b₂∂₂ on the unit box.
 
-    Corner coefficients ``a`` (second order) and ``b`` (drift) may be floats
-    or callables of the corner coordinates; the tangential blocks ``c``,
-    ``d``, ``e`` are constant arrays (the barrier checks only use their
-    values, never their variation).  ``tangent`` / ``transverse`` list the
-    face indices (1-based) on which the drift vanishes / stays positive.
-
-    The two-variable constructor shorthand ``a11, a22, b1, b2, nu`` covers
-    every preset: diagonal second order, constant-or-callable drift, and a
-    stored default boundary level ``nu`` for the growth solve.
+    Each coefficient ``a11, a22, b1, b2`` is a float or a vectorized callable
+    of the corner coordinates ``(x1, x2)``.  Face 1 is the tangent face (b₁
+    should vanish there), face 2 the transverse face (b₂ should stay
+    positive there); ``nu`` is the default boundary level on the tangent face
+    for the growth solve.
     """
 
-    def __init__(
-        self,
-        *,
-        n: int = 2,
-        m: int = 0,
-        a11=1.0,
-        a22=1.0,
-        b1=0.0,
-        b2=0.5,
-        nu: float = 0.5,
-        a=None,
-        b=None,
-        c=None,
-        d=None,
-        e=None,
-        tangent: Sequence[int] | None = None,
-        transverse: Sequence[int] | None = None,
-        radius: float = 1.0,
-    ):
-        if n not in (1, 2):
-            raise KimuraError(f"the comparison operator is implemented for n ∈ {{1,2}}, got {n}")
+    def __init__(self, *, a11=1.0, a22=1.0, b1=0.0, b2=0.5, nu: float = 0.5):
         if not 0.0 <= nu < 1.0:
             raise ValueError(f"nu must lie in [0,1), got {nu}")
-        self.n, self.m = n, m
         self.nu = float(nu)
-        self.radius = float(radius)
-        if a is None:
-            diag = (a11, a22)[:n]
-            a = [[diag[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-        if b is None:
-            b = (b1, b2)[:n]
-        self._a = [[_as_xy_field(a[i][j]) for j in range(n)] for i in range(n)]
-        self._b = [_as_xy_field(b[i]) for i in range(n)]
-        self.c = np.zeros((n, m)) if c is None else np.asarray(c, dtype=float)
-        self.d = np.eye(m) if d is None else np.asarray(d, dtype=float)
-        self.e = np.zeros(m) if e is None else np.asarray(e, dtype=float)
-        if self.c.shape != (n, m) or self.d.shape != (m, m) or self.e.shape != (m,):
-            raise ValueError("tangential coefficient blocks have inconsistent shapes")
-        if tangent is None:
-            tangent = (1,) if n >= 1 else ()
-        if transverse is None:
-            transverse = tuple(range(2, n + 1))
-        self.tangent = frozenset(int(i) for i in tangent)
-        self.transverse = frozenset(int(i) for i in transverse)
-        overlap = self.tangent & self.transverse
-        if overlap or (self.tangent | self.transverse) != set(range(1, n + 1)):
-            raise ValueError("tangent/transverse must partition the face indices 1..n")
+        self._a = (_as_xy_field(a11), _as_xy_field(a22))
+        self._b = (_as_xy_field(b1), _as_xy_field(b2))
 
     # -- coefficient evaluation (vectorized over corner coordinates) --------
 
-    def a_at(self, i: int, j: int, *coords) -> np.ndarray:
-        return self._a[i - 1][j - 1](*coords)
+    def a_at(self, i: int, x1, x2) -> np.ndarray:
+        return self._a[i - 1](x1, x2)
 
-    def b_at(self, i: int, *coords) -> np.ndarray:
-        return self._b[i - 1](*coords)
+    def b_at(self, i: int, x1, x2) -> np.ndarray:
+        return self._b[i - 1](x1, x2)
 
     def check_assumptions(self, samples: int = 512, seed: int = 0) -> AppendixAssumptions:
         """Sample ellipticity, boundedness, and the face-drift sign pattern."""
         rng = np.random.default_rng(seed)
-        pts = rng.random((samples, self.n)) * self.radius
-        delta = math.inf
-        bound = 0.0
-        for row in pts:
-            coords = tuple(row)
-            amat = np.array(
-                [[float(self.a_at(i, j, *coords)) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
-            )
-            block = np.zeros((self.n + self.m, self.n + self.m))
-            block[: self.n, : self.n] = 0.5 * (amat + amat.T)
-            block[self.n :, self.n :] = 0.5 * (self.d + self.d.T)
-            delta = min(delta, float(np.min(np.linalg.eigvalsh(block))))
-            bvec = [float(self.b_at(i, *coords)) for i in range(1, self.n + 1)]
-            bound = max(
-                bound,
-                float(np.max(np.abs(amat))),
-                max(abs(v) for v in bvec),
-                float(np.max(np.abs(self.c), initial=0.0)),
-                float(np.max(np.abs(self.d), initial=0.0)),
-                float(np.max(np.abs(self.e), initial=0.0)),
-            )
-        tangent_ok, transverse_ok, b0 = True, True, math.inf
-        face_pts = rng.random((64, self.n)) * self.radius
+        x1, x2 = rng.random((samples, 2)).T
+        a = np.stack([self.a_at(i, x1, x2) for i in (1, 2)])
+        b = np.stack([self.b_at(i, x1, x2) for i in (1, 2)])
+        delta = float(np.min(a))
+        bound = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+        face_pts = rng.random((64, 2))
         corners = []
-        for other in range(self.n):
-            zeroed = face_pts[: 8].copy()
+        for other in range(2):
+            zeroed = face_pts[:8].copy()
             zeroed[:, other] = 0.0
             corners.append(zeroed)
-        corners.append(np.zeros((1, self.n)))
-        face_pts = np.vstack([face_pts, *corners])
-        for idx in range(1, self.n + 1):
+        face_pts = np.vstack([face_pts, *corners, np.zeros((1, 2))])
+        on_face = []
+        for i in (1, 2):
             probe = face_pts.copy()
-            probe[:, idx - 1] = 0.0
-            vals = np.array([float(self.b_at(idx, *tuple(r))) for r in probe])
-            if idx in self.tangent:
-                tangent_ok = tangent_ok and bool(np.max(np.abs(vals)) <= 1e-12)
-            else:
-                transverse_ok = transverse_ok and bool(np.min(vals) > 0.0)
-                b0 = min(b0, float(np.min(vals)))
+            probe[:, i - 1] = 0.0
+            on_face.append(self.b_at(i, probe[:, 0], probe[:, 1]))
+        b0 = float(np.min(on_face[1]))
         return AppendixAssumptions(
-            delta, bound, b0, tangent_ok, transverse_ok, self.tangent, self.transverse
+            delta, bound, b0, bool(np.max(np.abs(on_face[0])) <= 1e-12), b0 > 0.0
         )
 
 
@@ -276,42 +208,23 @@ def _report(name, params, arrays, margin_grid, flags) -> BarrierReport:
     )
 
 
-def _y_mesh(m: int, M: int, radius: float) -> list[np.ndarray]:
-    return [np.linspace(-radius, radius, max(3, M // 4)) for _ in range(m)]
-
-
-def _y_quadratic_terms(A: AppendixOperator, y_axes: list[np.ndarray]):
-    """Σ_l (d_ll + e_l y_l), broadcast over the y mesh (2× enters per use)."""
-    if A.m == 0:
-        return 0.0
-    grids = np.meshgrid(*y_axes, indexing="ij")
-    out = np.zeros_like(grids[0])
-    for l in range(A.m):
-        out += A.d[l, l] + A.e[l] * grids[l]
-    return out
-
-
 # --------------------------------------------------------------------------
 # barrier: sqrt profile across the tangent face strip
 # --------------------------------------------------------------------------
 
 
 def _w2_margin(A: AppendixOperator, H: float, M: int):
-    """−A(w₂) on the strip (0,H]×[¼,¾]×[−1,1]^m, from exact derivatives.
+    """−A(w₂) on the strip (0,H]×[¼,¾], from exact derivatives.
 
-    w₂ = ν + 16(x₂−½)² + √(x₁/H) + Σ y_l², so
-    A w₂ = (2b₁ − a₁₁)/(4√(H x₁)) + 32(x₂ a₂₂ + b₂(x₂−½)) + 2Σ(d_ll + e_l y_l).
+    w₂ = ν + 16(x₂−½)² + √(x₁/H), so
+    A w₂ = (2b₁ − a₁₁)/(4√(H x₁)) + 32(x₂ a₂₂ + b₂(x₂−½)).
     """
     x1 = _graded_open(H, M)
     x2 = np.linspace(0.25, 0.75, M + 1)
-    y_axes = _y_mesh(A.m, M, 1.0)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    val = (2.0 * A.b_at(1, X1, X2) - A.a_at(1, 1, X1, X2)) / (4.0 * np.sqrt(H * X1))
-    val += 32.0 * (X2 * A.a_at(2, 2, X1, X2) + A.b_at(2, X1, X2) * (X2 - 0.5))
-    ywork = _y_quadratic_terms(A, y_axes)
-    if A.m:
-        val = val.reshape(val.shape + (1,) * A.m) + 2.0 * ywork.reshape((1, 1) + ywork.shape)
-    return [x1, x2, *y_axes], -val
+    val = (2.0 * A.b_at(1, X1, X2) - A.a_at(1, X1, X2)) / (4.0 * np.sqrt(H * X1))
+    val += 32.0 * (X2 * A.a_at(2, X1, X2) + A.b_at(2, X1, X2) * (X2 - 0.5))
+    return [x1, x2], -val
 
 
 def check_barrier_w2(
@@ -333,7 +246,7 @@ def check_barrier_w2(
         raise ValueError(f"nu must lie in (0,1), got {nu}")
     flags = []
     face = A.check_assumptions(samples=64)
-    if 1 not in A.tangent or not face.tangent_ok:
+    if not face.tangent_ok:
         flags.append("drift does not vanish on the x1 face: sqrt-term sign logic off")
 
     def run(h: float) -> BarrierReport:
@@ -362,21 +275,17 @@ def check_barrier_w2(
 
 
 def _w1_margin(A: AppendixOperator, theta2: float, k: float, beta: float, M: int):
-    """−A(w₁) on [¼,¾]×(0,k]×[−1,1]^m, from exact derivatives.
+    """−A(w₁) on [¼,¾]×(0,k], from exact derivatives.
 
-    w₁ = θ₂ + (1−θ₂)[16(x₁−½)² + β(k−x₂) + ½ + ½Σ y_l²], so
-    A w₁ = (1−θ₂)[32(x₁a₁₁ + b₁(x₁−½)) − βb₂ + Σ(d_ll + e_l y_l)].
+    w₁ = θ₂ + (1−θ₂)[16(x₁−½)² + β(k−x₂) + ½], so
+    A w₁ = (1−θ₂)[32(x₁a₁₁ + b₁(x₁−½)) − βb₂].
     """
     x1 = np.linspace(0.25, 0.75, M + 1)
     x2 = _graded_open(k, M)
-    y_axes = _y_mesh(A.m, M, 1.0)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    val = 32.0 * (X1 * A.a_at(1, 1, X1, X2) + A.b_at(1, X1, X2) * (X1 - 0.5))
+    val = 32.0 * (X1 * A.a_at(1, X1, X2) + A.b_at(1, X1, X2) * (X1 - 0.5))
     val -= beta * A.b_at(2, X1, X2)
-    ywork = _y_quadratic_terms(A, y_axes)
-    if A.m:
-        val = val.reshape(val.shape + (1,) * A.m) + ywork.reshape((1, 1) + ywork.shape)
-    return [x1, x2, *y_axes], -(1.0 - theta2) * val
+    return [x1, x2], -(1.0 - theta2) * val
 
 
 def check_barrier_w1(
@@ -572,6 +481,11 @@ class GrowthReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _kimura_field(f) -> FuncField:
+    """A corner-coordinate coefficient as a batch field of the Kimura operator."""
+    return FuncField(lambda x, y: f(x[:, 0], x[:, 1]), vectorized=True)
+
+
 def growth_ratio(
     A: AppendixOperator,
     r_values: Sequence[float] = (0.5, 0.25, 0.125, 0.0625, 0.03125),
@@ -590,52 +504,29 @@ def growth_ratio(
     r, the sup of u over the corner windows (0, r/2)² and (0, r)².
 
     The solve runs on per-axis graded grids through the damped steady-state
-    iteration; separable diagonal coefficients only.
+    iteration; the coefficients must be separable per coordinate (the probe
+    of :func:`~kimura.pde.solve_backward_2d` rejects the rest).
     """
-    from .pde import Grid1D, solve_elliptic_2d
+    from .pde import Grid1D, _axis_callables_2d, solve_elliptic_2d
 
-    if A.n != 2 or A.m != 0:
-        raise KimuraError("the growth check needs the 2D tangent/transverse setup")
-    if A.tangent != frozenset({1}) or A.transverse != frozenset({2}):
-        raise KimuraError("the growth check needs face 1 tangent and face 2 transverse")
     nu = A.nu if nu is None else float(nu)
-    probe = np.linspace(0.0, A.radius, 7)
-    fixed = np.full_like(probe, 0.37 * A.radius)
-    for i in (1, 2):
-        vary_other = (fixed, probe) if i == 1 else (probe, fixed)
-        if (
-            float(np.ptp(A.a_at(i, i, *vary_other))) > 1e-12
-            or float(np.ptp(A.b_at(i, *vary_other))) > 1e-12
-        ):
-            raise KimuraError("the growth solve needs per-axis (separable) coefficients")
-    if (
-        float(np.max(np.abs(A.a_at(1, 2, probe, probe)))) > 1e-12
-        or float(np.max(np.abs(A.a_at(2, 1, probe, probe)))) > 1e-12
-    ):
-        raise KimuraError("the growth solve needs a vanishing mixed term")
-
+    L = KimuraOperator(
+        dom=CornerBox(2, 0, 1.0),
+        b=tuple(_kimura_field(f) for f in A._b),
+        lead=tuple(_kimura_field(f) for f in A._a),
+    )
     grids = []
-    mid = 0.5 * A.radius
-    for axis in (1, 2):
-        def a_fn(t, _axis=axis):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            coords = (t, np.full_like(t, mid)) if _axis == 1 else (np.full_like(t, mid), t)
-            return t * A.a_at(_axis, _axis, *coords)
-
-        def b_fn(t, _axis=axis):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            coords = (t, np.full_like(t, mid)) if _axis == 1 else (np.full_like(t, mid), t)
-            return A.b_at(_axis, *coords)
-
+    for axis in (0, 1):
+        a_fn, b_fn, edge = _axis_callables_2d(L, axis)
         grids.append(
             Grid1D.from_coefficients(
                 a_fn,
                 b_fn,
-                A.radius,
+                edge,
                 M,
-                dirichlet_left=(axis == 1),
+                dirichlet_left=(axis == 0),
                 dirichlet_right=True,
-                face_left=axis,
+                face_left=axis + 1,
                 face_right=None,
                 logistic_possible=False,
             )
@@ -651,8 +542,8 @@ def growth_ratio(
     for r in sorted(r_values, reverse=True):
         vals = []
         for mu in (0.5, 1.0):
-            sel_x = gx.nodes <= mu * r * A.radius + 1e-15
-            sel_y = gy.nodes <= mu * r * A.radius + 1e-15
+            sel_x = gx.nodes <= mu * r + 1e-15
+            sel_y = gy.nodes <= mu * r + 1e-15
             sel_x[0] = False  # interior sup: the face itself carries the data
             if not np.any(sel_x) or not np.any(sel_y):
                 raise KimuraError(

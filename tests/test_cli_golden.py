@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MONTE_CARLO = (
     "simulate", "hitting", "occupation", "duhamel", "crosscheck", "corner", "counterexample", "doubling",
 )
-TASKS = MONTE_CARLO + ("growth",)
+TASKS = MONTE_CARLO + ("growth", "barriers")
 
 
 def _run(tmp_path, task, workers=None):

@@ -62,6 +62,22 @@ def test_decompose_same_sample_identity(wf, p03):
     assert interior == pytest.approx(1.0 - cum, abs=1e-12)
 
 
+def test_hitting_histogram_bins_over_the_ensemble_horizon(wf):
+    """Without ``cfg``, a reused ensemble's hits are binned over ``[0, ens.T]``."""
+    p0 = Point([0.5])
+    cfg = SimConfig(dt=1e-2, T=3.0, seed=4, stop_at_first_tangent_hit=True)
+    ens = simulate_ensemble(wf, p0, cfg, 400)
+    hits = int(np.sum(ens.first_hit_face == 1))
+    assert np.any(ens.first_hit_time[ens.first_hit_face == 1] > 1.0)
+    hist = hitting_histogram(wf, p0, 1, 400, ens=ens)
+    assert hist.time_edges[-1] == 3.0
+    assert int(hist.counts.sum()) == hits
+    assert hist.cumulative_mass(3.0) == hits / 400
+    assert hitting_histogram(wf, p0, 1, 400, cfg=cfg, ens=ens).time_edges[-1] == 3.0
+    with pytest.raises(ValueError):
+        hitting_histogram(wf, p0, 1, 400, cfg=CFG, ens=ens)
+
+
 def test_product_masses_factorize():
     """Joint face masses of a product equal products of 1D masses (3·se)."""
     L1, L2 = model1d(0.0, radius=4.0), model1d(0.0, radius=4.0)

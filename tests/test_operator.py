@@ -19,6 +19,7 @@ from kimura.operator import (
     sample_domain,
     wright_fisher,
     PRESET_NAMES,
+    _SliceField,
     _XformField,
 )
 
@@ -85,6 +86,56 @@ def test_product_operator_combines_classifications():
     fc = P.classify_faces()
     assert fc.tangent == frozenset({1})
     assert fc.transverse == frozenset({2})
+
+
+def _assert_product_blocks(P, factors):
+    """Drift, second-order matrix and noise of the product equal each
+    factor's on its own block, bit for bit, and vanish across blocks."""
+    x, y = sample_domain(P.dom, 200, seed=5)
+    xi = np.random.default_rng(6).standard_normal((200, P.dim))
+    drift, M = P.drift_batch(x, y), P.diffusion_matrix_batch(x, y)
+    noise = P.noise_increment(x, y, xi)
+    cross = np.ones((P.dim, P.dim), dtype=bool)
+    x0 = y0 = 0
+    for F in factors:
+        idx = np.r_[x0 : x0 + F.n, P.n + y0 : P.n + y0 + F.m]
+        fx, fy = x[:, x0 : x0 + F.n], y[:, y0 : y0 + F.m]
+        assert np.array_equal(drift[:, idx], F.drift_batch(fx, fy))
+        assert np.array_equal(M[:, idx[:, None], idx], F.diffusion_matrix_batch(fx, fy))
+        assert np.array_equal(noise[:, idx], F.noise_increment(fx, fy, xi[:, idx]))
+        cross[np.ix_(idx, idx)] = False
+        x0, y0 = x0 + F.n, y0 + F.m
+    assert not np.any(M[:, cross])
+
+
+def test_product_lifts_a_non_constant_factor():
+    """A factor with drift 0.5 + x is read through its block of the product."""
+    F = KimuraOperator(dom=CornerBox(1, 0, 2.0), b=(PolyField(((0.5, (0,), ()), (1.0, (1,), ())), 1),))
+    P = product_operator(model1d(0.0, radius=2.0), F)
+    assert isinstance(P.b[1], _SliceField)
+    _assert_product_blocks(P, (model1d(0.0, radius=2.0), F))
+
+
+def test_product_lifts_factors_with_y_blocks():
+    """Two factors with one tangential coordinate each: the y-dependent
+    drifts, leading term and y drifts are read at the factor's offsets."""
+    A = KimuraOperator(
+        dom=CornerBox(1, 1, 2.0),
+        b=(PolyField(((0.5, (0,), (0,)), (0.25, (0,), (2,))), 1, 1),),
+        lead=(PolyField(((1.0, (0,), (0,)), (0.5, (1,), (0,))), 1, 1),),
+        d=((0.75,),),
+        e=(PolyField(((-1.0, (0,), (1,)), (0.5, (1,), (0,))), 1, 1),),
+    )
+    B = KimuraOperator(
+        dom=CornerBox(1, 1, 2.0),
+        b=(PolyField(((1.0, (0,), (0,)), (1.0, (1,), (0,))), 1, 1),),
+        d=((0.5,),),
+        e=(PolyField(((0.25, (0,), (1,)),), 1, 1),),
+    )
+    P = product_operator(A, B)
+    assert (P.n, P.m) == (2, 2)
+    assert isinstance(P.e[1], _SliceField) and isinstance(P.lead[0], _SliceField)
+    _assert_product_blocks(P, (A, B))
 
 
 def test_product_restriction_equals_the_factor():

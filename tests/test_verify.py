@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kimura.errors import NoValidH, NoValidParams, NoValidRho
+from kimura.errors import KimuraError, NoValidH, NoValidParams, NoValidRho
 from kimura.operator import make_preset, model1d
 from kimura.verify import (
     AppendixOperator,
@@ -187,3 +187,9 @@ def test_growth_golden_value_reproduced():
     A = make_preset("appendix-A", a11=1.0, a22=1.0, b1=0.0, b2=0.5, nu=0.0)
     rep = growth_ratio(A, M=golden["grid"], nu=golden["nu"], outer=golden["outer"])
     assert rep.theta_obs == pytest.approx(golden["theta_obs"], abs=1e-9)
+
+
+def test_growth_rejects_non_separable_coefficients():
+    # b₂ = x₁ varies along the other axis: no per-axis grid can carry it
+    with pytest.raises(KimuraError, match="separable"):
+        growth_ratio(_mixed_op(), M=16)
