@@ -43,6 +43,7 @@ __all__ = [
     "embed_point",
     "restrict_rows",
     "embed_rows",
+    "face_column",
     "face_distance_rows",
     "weighted_density",
 ]
@@ -246,13 +247,21 @@ def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
     return out
 
 
+def face_column(face: int, dom: DomainSpec) -> int | None:
+    """The column of corner coordinates that is the distance to a coordinate
+    face, or None for the simplex slack face, whose distance ``1 − Σx`` is
+    no one column."""
+    return None if _is_slack(dom, face) else face - 1
+
+
 def face_distance_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
     """Chart distance of rows of corner coordinates to a face, on the last
     axis: ``x_face`` for a coordinate face, ``1 − Σx`` for the simplex slack
-    face (the coordinate the chart swap gives it)."""
-    if _is_slack(dom, face):
-        return 1.0 - x.sum(axis=-1)
-    return x[..., face - 1]
+    face (the coordinate the chart swap gives it; one column needs no sum)."""
+    col = face_column(face, dom)
+    if col is None:
+        return 1.0 - (x[..., 0] if x.shape[-1] == 1 else x.sum(axis=-1))
+    return x[..., col]
 
 
 def restrict_point(

@@ -92,6 +92,12 @@ __all__ = [
 # Smallest sampled weight that classifies a face as uniformly transverse.
 _BETA0_MIN = 1e-8
 
+# Largest sampled |weight| of a tangent face, and the face samples behind
+# ``classify_faces`` and the tangency check of ``restrict`` (seed 0).
+_TANGENT_TOL = 1e-10
+_CLASSIFY_SAMPLES = 512
+_RESTRICT_SAMPLES = 256
+
 # --------------------------------------------------------------------------
 # coefficient fields
 # --------------------------------------------------------------------------
@@ -861,12 +867,7 @@ class KimuraOperator:
             return PolyField(terms, self.n)
         return _NegSumField(self.b)
 
-    def classify_faces(
-        self,
-        tol: float = 1e-10,
-        samples: int = 512,
-        seed=0,
-    ) -> FaceClassification:
+    def classify_faces(self) -> FaceClassification:
         """Split faces into tangent (weight ≡ 0) and transverse (weight ≥ β₀).
 
         Raises :class:`NotClean` when some face's weight is neither uniformly
@@ -877,9 +878,9 @@ class KimuraOperator:
         beta0 = math.inf
         for face in self.dom.face_ids:
             W = weights[face] = self.weight(face)
-            pts, vals = self._weight_samples(W, face, samples, seed)
+            pts, vals = self._weight_samples(W, face, _CLASSIFY_SAMPLES)
             sup, inf = float(np.max(np.abs(vals))), float(np.min(vals))
-            if sup <= tol:
+            if sup <= _TANGENT_TOL:
                 tangent.add(face)
             elif inf >= _BETA0_MIN:
                 transverse.add(face)
@@ -897,12 +898,12 @@ class KimuraOperator:
             frozenset(tangent), frozenset(transverse), weights, beta0
         )
 
-    def _weight_samples(self, W, face, samples, seed):
+    def _weight_samples(self, W, face, samples):
         if self._face_is_point(face):
             p = self._face_point(face)
             return [p], np.array([W(p) if not isinstance(W, ConstField) else W.value])
         sub, _ = restrict_domain(self.dom, face)
-        xs, ys = sample_domain(sub, samples, seed)
+        xs, ys = sample_domain(sub, samples, 0)
         ex, ey = _extreme_points(sub)  # closed-face corners: cleanness is a
         xs = np.vstack([xs, ex])       # condition on the *closed* face
         ys = np.vstack([ys, ey])
@@ -917,7 +918,7 @@ class KimuraOperator:
         """The point a face is when the domain is one-dimensional."""
         return Point(embed_rows(np.empty(0), face, self.dom))
 
-    def restrict(self, face: int, tol: float = 1e-10, samples: int = 256) -> "KimuraOperator":
+    def restrict(self, face: int) -> "KimuraOperator":
         """The induced operator on a tangent face (one fewer corner variable).
 
         Coefficients are evaluated on the face and the coordinate that
@@ -932,11 +933,11 @@ class KimuraOperator:
         """
         self._check_face(face)
         W = self.weight(face)
-        _, vals = self._weight_samples(W, face, samples, 0)
+        _, vals = self._weight_samples(W, face, _RESTRICT_SAMPLES)
         sup = float(np.max(np.abs(vals)))
-        if sup > tol:
+        if sup > _TANGENT_TOL:
             raise FaceNotTangent(
-                f"face {face} has weight up to {sup:.3g} > tol={tol}: not tangent"
+                f"face {face} has weight up to {sup:.3g} > tol={_TANGENT_TOL}: not tangent"
             )
         sub, _ = restrict_domain(self.dom, face)
         keep = restrict_rows(np.arange(self.n), face, self.dom)
@@ -1121,6 +1122,105 @@ def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
             out[:, j + 1 :] += -np.maximum(x[:, j + 1 :], 0.0) * (f * xi[:, j])[:, None]
         q_prev = qj
     return out
+
+
+def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
+    """``f`` without its zero polynomial terms, which add ±0 to every value
+    at a finite state (so neutral Wright–Fisher's drift becomes constant 0)."""
+    if isinstance(f, PolyField):
+        return PolyField(tuple(t for t in f.terms if t[0] != 0.0), f.n, f.m)
+    return f
+
+
+class _EulerUpdate:
+    """One operator's Euler–Maruyama update ``z′ = z + drift·dt + G·√dt·ξ``
+    at one ``dt``, with what does not depend on the state worked out once.
+
+    It equals ``z + drift_batch·dt + noise_increment·√dt`` bit for bit at
+    every finite state with no ``−0.0`` coordinate (the clamp leaves none);
+    those two stay as the reference.  ``drift`` is
+    chosen from the coefficients after their zero polynomial terms are
+    dropped: ``zero`` (skipped), ``constant`` (``b·dt`` precomputed),
+    ``polynomial`` or ``callable`` (evaluated each step).  ``noise`` is the
+    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
+    ``y`` factor precomputed where they are constant; ``wf`` in one
+    coordinate is ``√(x(1−x))·ξ``.
+    """
+
+    def __init__(self, op: KimuraOperator, dt: float):
+        self.n = op.n
+        self.dt, self.sqdt = dt, math.sqrt(dt)
+        self._fields = [_drop_zero_terms(f) for f in (*op.b, *op.e)]
+        consts = [f.const for f in self._fields]
+        if all(c is not None for c in consts):
+            self.drift = "constant" if any(consts) else "zero"
+            self._bdt = np.array(consts) * dt
+        elif all(isinstance(f, (ConstField, PolyField)) for f in self._fields):
+            self.drift = "polynomial"
+        else:
+            self.drift = "callable"
+        self.noise = op._noise_strategy
+        self._op = op
+        if self.noise in ("diag", "diag+chol"):
+            lead = op._lead_const
+            self._two_lead = None if lead is None else 2.0 * lead
+            if op.m:
+                self._y_factor = (
+                    np.sqrt(2.0 * op._d_diag_const) if self.noise == "diag" else op._yy_chol_const.T
+                )
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x′, y′)`` for rows ``(x, y)`` and normals ``ξ``; the inputs are
+        left as they are."""
+        n = self.n
+        gx, gy = self._noise(x, y, xi)
+        gx *= self.sqdt
+        if self.drift == "zero":
+            xn = np.add(x, gx, out=gx)
+            yn = y + gy * self.sqdt if gy is not None else y
+            return xn, yn
+        dd = self._bdt if self.drift == "constant" else self._drift_dt(x, y)
+        xn = x + dd[..., :n]
+        xn += gx
+        if gy is None:
+            return xn, y
+        yn = y + dd[..., n:]
+        yn += gy * self.sqdt
+        return xn, yn
+
+    def _drift_dt(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.empty((x.shape[0], len(self._fields)))
+        for i, f in enumerate(self._fields):
+            out[:, i] = f.eval(x, y)
+        out *= self.dt
+        return out
+
+    def _noise(self, x, y, xi) -> tuple[np.ndarray, np.ndarray | None]:
+        """``G·ξ`` as a fresh x block and a y block (None without y)."""
+        n, op = self.n, self._op
+        if self.noise == "wf":
+            if n > 1:
+                return _wf_noise(x, xi), None
+            g = x * (1.0 - x)  # the factor's one pivot, with q₀ = 1
+            np.maximum(g, 0.0, out=g)
+            np.sqrt(g, out=g)
+            g *= xi
+            return g, None
+        if self.noise == "generic":
+            g = op.noise_increment(x, y, xi)
+            return g[:, :n], (g[:, n:] if op.m else None)
+        gx = np.maximum(x, 0.0)
+        if self._two_lead is not None:
+            gx *= self._two_lead
+        else:
+            gx *= 2.0 * np.column_stack([f.eval(x, y) for f in op.lead])
+        np.sqrt(gx, out=gx)
+        gx *= xi[:, :n]
+        if not op.m:
+            return gx, None
+        if self.noise == "diag":
+            return gx, self._y_factor * xi[:, n:]
+        return gx, xi[:, n:] @ self._y_factor
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,8 @@ __all__ = [
 
 _SOLVE_TOL = 1e-12  # linear-solve sanity residual
 _CLIP_TOL = 1e-10  # kernel negativity clip
+# pseudo-time step, stopping residual and step budget of solve_elliptic_2d
+_ELLIPTIC_DT, _ELLIPTIC_TOL, _ELLIPTIC_MAX_STEPS = 0.25, 1e-8, 40_000
 
 
 # --------------------------------------------------------------------------
@@ -1030,22 +1032,15 @@ def solve_backward_2d(
     return SolveResult2D(gx, gy, dt, times, vals, lowest)
 
 
-def solve_elliptic_2d(
-    grid_x: Grid1D,
-    grid_y: Grid1D,
-    boundary: np.ndarray,
-    *,
-    dt: float = 0.25,
-    tol: float = 1e-8,
-    max_steps: int = 20000,
-) -> np.ndarray:
+def solve_elliptic_2d(grid_x: Grid1D, grid_y: Grid1D, boundary: np.ndarray) -> np.ndarray:
     """Steady state of the tensor-grid march with pinned Dirichlet data.
 
-    Damped (implicit) pseudo-time iteration until ‖u_t‖_∞ < tol; raises
-    :class:`NoConvergence` if the budget runs out.  ``boundary`` supplies
-    node values on the Dirichlet set (shape (nx, ny); other entries are
-    ignored).
+    Damped (implicit) pseudo-time iteration with step ``_ELLIPTIC_DT`` until
+    ‖u_t‖_∞ < ``_ELLIPTIC_TOL``; raises :class:`NoConvergence` after
+    ``_ELLIPTIC_MAX_STEPS`` steps.  ``boundary`` supplies node values on the
+    Dirichlet set (shape (nx, ny); other entries are ignored).
     """
+    dt, tol, max_steps = _ELLIPTIC_DT, _ELLIPTIC_TOL, _ELLIPTIC_MAX_STEPS
     B, mask = tensor_generator(grid_x, grid_y)
     nx, ny = grid_x.n_nodes, grid_y.n_nodes
     if boundary.shape != (nx, ny):

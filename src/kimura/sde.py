@@ -34,13 +34,24 @@ live paths' rows are found through an index compacted with the state.
 Paths restricted to a face are keyed afresh in their child level's call, so
 no path joins a block midway.
 
+Each level's Euler step is built once, as a step plan (``_StepPlan``),
+when the level's cohort starts: the drift (zero and skipped, constant with
+``b·dt`` precomputed, polynomial or callable, chosen from the coefficients
+after their zero polynomial terms are dropped), the noise strategy with its
+constants, the domain step and the hit test over the level's tangent faces.
+:meth:`~kimura.operator.KimuraOperator.drift_batch` and
+:meth:`~kimura.operator.KimuraOperator.noise_increment` stay as the
+reference the plan equals bit for bit.  Rows are checked for non-finite
+values as they are recorded, in both loops.
+
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
 
 Operators whose faces do not classify cleanly raise ``NotClean``; there is
 no opt-in.  Hits and occupation read face distances through
-:func:`~kimura.geometry.face_distance_rows`, the slack face included.
+:mod:`~kimura.geometry` (:func:`~kimura.geometry.face_column` and
+:func:`~kimura.geometry.face_distance_rows`), the slack face included.
 
 The cross-fed-drift system (:func:`counterexample_ensemble`) is stepped by
 full truncation instead (Lord, Koekkoek & van Dijk 2010): the raw state is
@@ -69,11 +80,12 @@ from .geometry import (
     Simplex,
     StratumId,
     embed_rows,
+    face_column,
     face_distance_rows,
     restrict_domain,
     restrict_rows,
 )
-from .operator import FaceClassification, KimuraOperator, PolyField
+from .operator import FaceClassification, KimuraOperator, PolyField, _EulerUpdate
 
 __all__ = [
     "SimConfig",
@@ -209,22 +221,25 @@ def _bits_to_stratum(bits: int) -> StratumId:
 
 
 def _simplex_clamp(x: np.ndarray) -> np.ndarray:
-    """Restore ``Σx ≤ 1`` by sequential chart-swap clamps (in place).
+    """Restore ``Σx ≤ 1`` by sequential chart-swap clamps (in place), on the
+    rows past the slack face only.
 
     Returns the pre-clamp slack overshoot ``max(Σx − 1, 0)`` per row.
     """
     over = np.maximum(x.sum(axis=1) - 1.0, 0.0)
+    fired = np.flatnonzero(over > 0)
+    if not fired.size:
+        return over
+    xf = x[fired]
     for j in range(x.shape[1] - 1, -1, -1):
-        s = x.sum(axis=1) - 1.0
+        s = xf.sum(axis=1) - 1.0
         bad = s > 0
         if not bad.any():
             break
-        adj = np.minimum(x[:, j], np.where(bad, s, 0.0))
-        x[:, j] -= np.maximum(adj, 0.0)
-    fired = over > 0
-    if fired.any():  # land exactly on the slack face
-        rest = x[fired, :-1].sum(axis=1)
-        x[fired, -1] = np.maximum(1.0 - rest, 0.0)
+        adj = np.minimum(xf[:, j], np.where(bad, s, 0.0))
+        xf[:, j] -= np.maximum(adj, 0.0)
+    xf[:, -1] = np.maximum(1.0 - xf[:, :-1].sum(axis=1), 0.0)  # land exactly on the slack face
+    x[fired] = xf
     return over
 
 
@@ -365,49 +380,126 @@ def _simulate_cohort(
     return res, tracked_ids, fc
 
 
+class _StepPlan:
+    """One level's Euler step at one ``dt``, built once when the level's
+    cohort starts, from the coefficients and the domain.
+
+    ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
+    (drift and noise).  :meth:`step` adds the domain step: box reflection,
+    or the simplex chart-swap clamp, which on ``Simplex(1)`` is ``min(x, 1)``
+    because the swap lands exactly on 1.  :meth:`hits` tests the level's
+    tangent faces through their distance columns.  The overshoots that break
+    ties between faces a path lies on at once are kept only where two
+    tangent faces meet, so not on ``Simplex(1)``.
+    """
+
+    def __init__(self, level: _Level, dt: float):
+        op, dom = level.op, level.dom
+        self.update = _EulerUpdate(op, dt)
+        self.dom = dom
+        self.n_faces = len(dom.face_ids)
+        self.tangent = tuple((f, face_column(f, dom), tol) for f, tol in level.tangent)
+        self.ties = len(self.tangent) > 1 and op.dim > 1
+
+    def step(self, x, y, xi):
+        """``(x′, y′, ov)`` one step on from rows ``(x, y)``: ``ov`` row
+        ``f − 1`` is each path's overshoot past face ``f``, or None when no
+        tie needs it."""
+        x, y = self.update(x, y, xi)
+        dom, nx = self.dom, x.shape[1]
+        ov = None
+        if self.ties:
+            ov = np.empty((self.n_faces, x.shape[0]))
+            np.maximum(-x.T, 0.0, out=ov[:nx])
+        np.maximum(x, 0.0, out=x)
+        if isinstance(dom, Simplex):  # the slack face N+1 takes the last row
+            if nx == 1:
+                np.minimum(x, 1.0, out=x)
+            else:
+                over = _simplex_clamp(x)
+                if ov is not None:
+                    ov[nx] = over
+        else:
+            if nx:
+                np.minimum(x, np.maximum(2.0 * dom.radius - x, 0.0), out=x)
+            if y.shape[1]:
+                ry = dom.y_radius
+                y = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
+        return x, y, ov
+
+    def hits(self, x, ov) -> np.ndarray | None:
+        """Per-path hit face id (0 = none), or None when no path lies on a
+        tangent face: of the tangent faces a path lies on, the one it
+        overshot deepest (``ov`` None counts as no overshoot), the first in
+        face order on a tie."""
+        face = best = None
+        for f, col, tol in self.tangent:
+            on = (x[:, col] if col is not None else face_distance_rows(x, f, self.dom)) <= tol
+            if not np.count_nonzero(on):
+                continue
+            if face is None:
+                face = np.zeros(x.shape[0], dtype=np.int64)
+            if not self.ties:  # no path lies on two tangent faces
+                face[on] = f
+                continue
+            if best is None:
+                best = np.full(x.shape[0], -np.inf)
+            sc = np.where(on, 0.0 if ov is None else ov[f - 1], -np.inf)
+            upd = sc > best
+            face[upd] = f
+            best[upd] = sc[upd]
+        return face
+
+
 def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
+    """Step the cohort ``(x, y)`` on ``level`` until each path hits a
+    tangent face or reaches the horizon.  ``steps`` holds each path's step
+    count on entry; every live path takes the same steps here, so the count
+    is that plus ``ran``."""
     dt, T = cfg.dt, cfg.T
-    sqdt = math.sqrt(dt)
     n_total = cfg.n_steps
-    nx = level.op.n
-    is_simplex = isinstance(level.dom, Simplex)
-    dombox = level.dom if isinstance(level.dom, CornerBox) else None
+    plan = _StepPlan(level, dt)
     slots = level.slots
     keys = _rng.stream_keys(cfg.seed, path_ids[rows], steps, slots, stride)
     eps = np.asarray(cfg.occupation_eps)
-    n_faces = len(level.dom.face_ids)
-    ov = np.zeros((n_faces, x.shape[0]))  # row f − 1: each path's overshoot past face f
+    ov = None  # each path's overshoot past each face in the last step
     xi_blk, k_blk = (), 0  # the noise block and the next step's row in it
     pos = np.arange(x.shape[0])  # row in xi_blk of each live path
-    check_ctr = 0
+    ran = 0
+    s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
     child_buf: dict[int, list] = {}
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
-        hit_face = _detect_hits(level, x, ov)
-        hits = np.flatnonzero(hit_face)
-        if hits.size:
+        hit_face = plan.hits(x, ov)
+        if hit_face is not None:
+            hits = np.flatnonzero(hit_face)
             _route_hits(
-                level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf
+                level, x, y, steps + ran, rows, hit_face, hits, res, cfg, child_buf, path_ids
             )
             keep = np.flatnonzero(hit_face == 0)
             x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
             if not x.shape[0]:
                 break
         # --- horizon ------------------------------------------------------
-        done = steps >= n_total
-        if done.any():
-            idx = np.flatnonzero(done)
-            res.term_time[rows[idx]] = T
-            res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
-            res.term_bits[rows[idx]] = level.stratum_bits
-            keep = np.flatnonzero(~done)
-            x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
-            if not x.shape[0]:
-                break
+        if s_max + ran >= n_total:
+            done = steps + ran >= n_total
+            if np.count_nonzero(done):
+                idx = np.flatnonzero(done)
+                xy = _embed_to_root(level, x[idx], y[idx])
+                _check_finite(xy, path_ids[rows[idx]])
+                res.term_time[rows[idx]] = T
+                res.term_xy[rows[idx]] = xy
+                res.term_bits[rows[idx]] = level.stratum_bits
+                keep = np.flatnonzero(~done)
+                x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
+                if not x.shape[0]:
+                    break
+            s_max = int(steps.max())
         # --- one Euler step for everyone -----------------------------------
         if k_blk == len(xi_blk):
             n_blk = max(
-                1, min(n_total - int(steps.min()), _BLOCK_NORMALS // (slots.size * x.shape[0]))
+                1,
+                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (slots.size * x.shape[0])),
             )
             xi_blk = _rng.next_normals(keys, n_blk, stride)
             k_blk, pos = 0, np.arange(x.shape[0])
@@ -415,36 +507,15 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         k_blk += 1
         if pos.size < xi.shape[0]:
             xi = xi.take(pos, 0)
-        drift = level.op.drift_batch(x, y)
-        inc = level.op.noise_increment(x, y, xi)
-        xn = x + drift[:, :nx] * dt + inc[:, :nx] * sqdt
-        if y.shape[1]:
-            y = y + drift[:, nx:] * dt + inc[:, nx:] * sqdt
-        ov = np.empty((n_faces, xn.shape[0]))
-        np.maximum(-xn.T, 0.0, out=ov[:nx])
-        np.maximum(xn, 0.0, out=xn)
-        if is_simplex:  # the slack face N+1 takes the last row
-            ov[nx] = _simplex_clamp(xn)
-        elif dombox is not None:
-            if nx:
-                np.minimum(xn, np.maximum(2.0 * dombox.radius - xn, 0.0), out=xn)
-            if y.shape[1]:
-                ry = dombox.y_radius
-                y = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
-        x = xn
-        steps = steps + 1
+        x, y, ov = plan.step(x, y, xi)
+        ran += 1
         # --- occupation accounting -----------------------------------------
         for face, row in level.tracked:
             v = face_distance_rows(x, face, level.dom)
             for j, e in enumerate(eps):
                 close = v < e
-                if close.any():
+                if np.count_nonzero(close):
                     res.occ[rows[close], row, j] += dt
-        check_ctr += 1
-        if check_ctr % 64 == 0 and not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-            bad = path_ids[rows[~finite]]
-            raise NonFinite(f"non-finite state in paths {bad[:5].tolist()}...")
     for face, buf in child_buf.items():
         if not buf:
             continue
@@ -456,29 +527,21 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         queue.append((child, xs, ys, st, rs))
 
 
+def _check_finite(rows: np.ndarray, ids: np.ndarray) -> None:
+    """Raise :class:`NonFinite` naming the paths ``ids`` of any non-finite
+    row about to be recorded."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise NonFinite(f"non-finite state in paths {ids[bad][:5].tolist()}...")
+
+
 def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     """The rows ``idx`` of each array: an integer ``take`` is several times
     faster than a boolean mask along the first axis of a 2-D array."""
     return [a.take(idx, 0) for a in arrays]
 
 
-def _detect_hits(level, x, ov) -> np.ndarray:
-    """Per-path hit face id (0 = none): of the tangent faces a path lies on,
-    the one it overshot deepest, the first in face order on a tie."""
-    face = np.zeros(x.shape[0], dtype=np.int64)
-    best = np.full(x.shape[0], -np.inf)
-    for f, tol in level.tangent:
-        on = face_distance_rows(x, f, level.dom) <= tol
-        if not on.any():
-            continue
-        sc = np.where(on, ov[f - 1], -np.inf)
-        upd = sc > best
-        face[upd] = f
-        best[upd] = sc[upd]
-    return face
-
-
-def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
+def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf, path_ids):
     T, dt = cfg.T, cfg.dt
     collect = res.events is not None
     first = level.stratum_bits == 0
@@ -494,6 +557,7 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
         terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if first or terminal_here:
             emb = _embed_to_root(level, xh, yh)
+            _check_finite(emb, path_ids[rows[idx]])
         if first:
             res.first_time[rows[idx]] = t_hit
             res.first_face[rows[idx]] = orig
@@ -758,9 +822,6 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
             zp = np.maximum(z, 0.0)
             z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
             step_ctr += 1
-            if step_ctr % 64 == 0 and not np.all(np.isfinite(z)):
-                bad = ids[alive[~np.isfinite(z).all(axis=1)]]
-                raise NonFinite(f"non-finite corner-sum state in paths {bad[:5].tolist()}...")
             S = np.maximum(z, 0.0).sum(axis=1)
             low = np.flatnonzero(S <= e_max)
             if low.size:
@@ -772,9 +833,11 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
                     hit_time[new, j] = t
             gone = (S <= e_min) | (S >= s_freeze)
             if gone.any():
+                _check_finite(z[gone], ids[alive[gone]])
                 s_end[alive[gone]] = S[gone]
                 z, alive, pos, keys = _take(np.flatnonzero(~gone), z, alive, pos, keys)
                 if not alive.size:
                     break
+    _check_finite(z, ids[alive])
     s_end[alive] = np.maximum(z, 0.0).sum(axis=1)
     return hit, hit_time, s_end

@@ -493,8 +493,6 @@ def growth_ratio(
     nu: float | None = None,
     outer: float = 1.0,
     M: int = 256,
-    tol: float = 1e-8,
-    max_steps: int = 40000,
 ) -> GrowthReport:
     """Window sup-ratios M(r;½)/M(r;1) of the steady solution near the corner.
 
@@ -536,7 +534,7 @@ def growth_ratio(
     boundary[-1, :] = outer
     boundary[:, -1] = outer
     boundary[0, :] = nu  # tangent-face data wins at the (0, edge) corner
-    u = solve_elliptic_2d(gx, gy, boundary, tol=tol, max_steps=max_steps)
+    u = solve_elliptic_2d(gx, gy, boundary)
 
     entries = []
     for r in sorted(r_values, reverse=True):

@@ -186,6 +186,29 @@ def test_check_assumptions_elliptic_box_preset():
     assert rep.lambda_estimate > 0
 
 
+def test_check_assumptions_reads_the_y_block():
+    """A12's operator has ``c`` and ``d`` terms; its reduced form is
+    ``[[ℓ₁+a₁₁, a₁₂, c₁/2], [a₁₂, ℓ₂+a₂₂, c₂/2], [c₁/2, c₂/2, d]]``, written
+    out here from the coefficient tables, and the report's λ is its least
+    eigenvalue over the same samples."""
+    L = _poly_operator()
+    x, y = sample_domain(L.dom, 64, seed=3)
+    x1, x2, one = x[:, 0], x[:, 1], np.ones(len(x))
+    c1, c2, a12 = 0.15 * one, 0.05 * x1, 0.1 * one
+    want = np.stack(
+        [
+            np.stack([1.0 + 0.5 * x2 + 0.3, a12, c1 / 2], axis=1),
+            np.stack([a12, 1.5 + 0.2 * one, c2 / 2], axis=1),
+            np.stack([c1 / 2, c2 / 2, 1.0 + 0.5 * x1], axis=1),
+        ],
+        axis=1,
+    )
+    assert np.max(np.abs(L._reduced_form_batch(x, y) - want)) <= 1e-15
+    rep = L.check_assumptions(samples=64, seed=3)
+    assert rep.nonneg_ok and rep.elliptic_ok and not rep.violations
+    assert rep.lambda_estimate == pytest.approx(np.linalg.eigvalsh(want)[:, 0].min(), abs=1e-14)
+
+
 def test_check_assumptions_flags_negative_drift():
     L = model1d(-0.2)
     rep = L.check_assumptions(samples=128)

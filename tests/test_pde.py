@@ -296,6 +296,18 @@ def test_2d_backward_matches_product_of_1d():
     assert np.max(np.abs(res2.values[-1] - ref)) < 5e-4
 
 
+def test_2d_backward_callable_data_equal_the_array():
+    """``f`` as a callable of the node grids and as the array of its node
+    values march the same data."""
+    P = product_operator(model1d(0.0, radius=2.0), model1d(0.5, radius=2.0))
+    f = lambda X, Y: X * np.exp(-Y)  # noqa: E731
+    by_call = solve_backward_2d(P, f, 0.05, 1e-3, M=24)
+    X, Y = np.meshgrid(by_call.grid_x.nodes, by_call.grid_y.nodes, indexing="ij")
+    by_array = solve_backward_2d(P, f(X, Y), 0.05, 1e-3, M=24)
+    assert np.array_equal(by_call.values, by_array.values)
+    assert np.array_equal(by_call.times, by_array.times)
+
+
 # ---------------------------------------------------------------------------
 # solve health
 # ---------------------------------------------------------------------------

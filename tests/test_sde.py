@@ -276,3 +276,35 @@ def test_non_finite_y_names_the_path(monkeypatch):
     _poison_path(monkeypatch, 12, 1)
     with pytest.raises(NonFinite, match=r"paths \[12\]"):
         simulate_ensemble(L, Point([1.0], [0.0]), CFG, 5, path_offset=10)
+
+
+def test_short_run_non_finite_y_names_the_path(monkeypatch):
+    """A run of 50 steps records its rows at the horizon; a NaN there is
+    reported, not recorded."""
+    L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(1.0,), d=((1.0,),))
+    _poison_path(monkeypatch, 12, 1)
+    with pytest.raises(NonFinite, match=r"paths \[12\]"):
+        simulate_ensemble(L, Point([1.0], [0.0]), SimConfig(dt=1e-3, T=0.05), 5, path_offset=10)
+
+
+def test_terminal_hit_with_non_finite_y_names_the_path(monkeypatch):
+    """A path absorbed with a NaN ``y`` is reported when its hit is
+    recorded."""
+    L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(0.0,), d=((1.0,),))
+    _poison_path(monkeypatch, 2, 1)
+    cfg = SimConfig(dt=1e-3, T=0.05, stop_at_first_tangent_hit=True)
+    with pytest.raises(NonFinite, match=r"paths \[2\]"):
+        simulate_ensemble(L, Point([1e-4], [0.0]), cfg, 4)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_short_corner_sum_non_finite_names_the_path(monkeypatch, oracle):
+    """The corner-sum loop checks the rows it records, so a run of 50 steps
+    reports the poisoned path too."""
+    _poison_path(monkeypatch, 3, slice(None))
+    cfg = SimConfig(dt=1e-3, T=0.05)
+    with pytest.raises(NonFinite, match=r"paths \[3\]"):
+        if oracle:
+            sum_process_ensemble(0.1, cfg, 20)
+        else:
+            counterexample_ensemble(Point([0.05, 0.05]), cfg, 20)
