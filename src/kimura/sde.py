@@ -41,8 +41,8 @@ after their zero polynomial terms are dropped), the noise strategy with its
 constants, the domain step and the hit test over the level's tangent faces.
 :meth:`~kimura.operator.KimuraOperator.drift_batch` and
 :meth:`~kimura.operator.KimuraOperator.noise_increment` stay as the
-reference the plan equals bit for bit.  Rows are checked for non-finite
-values as they are recorded, in both loops.
+reference the plan equals bit for bit.  Both loops check every recorded
+state for non-finite values before they return, however short the run.
 
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
@@ -377,6 +377,8 @@ def _simulate_cohort(
         _advance(level, x, y, steps, rows, path_ids, res, cfg, dim, queue)
     if np.any(np.isnan(res.term_time)):
         raise KimuraError("internal: some paths finished without a terminal record")
+    hit = res.first_face[:, None] > 0
+    _check_finite(np.concatenate([res.term_xy, np.where(hit, res.first_xy, 0.0)], axis=1), path_ids)
     return res, tracked_ids, fc
 
 
@@ -474,7 +476,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         if hit_face is not None:
             hits = np.flatnonzero(hit_face)
             _route_hits(
-                level, x, y, steps + ran, rows, hit_face, hits, res, cfg, child_buf, path_ids
+                level, x, y, steps + ran, rows, hit_face, hits, res, cfg, child_buf
             )
             keep = np.flatnonzero(hit_face == 0)
             x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
@@ -485,10 +487,8 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             done = steps + ran >= n_total
             if np.count_nonzero(done):
                 idx = np.flatnonzero(done)
-                xy = _embed_to_root(level, x[idx], y[idx])
-                _check_finite(xy, path_ids[rows[idx]])
                 res.term_time[rows[idx]] = T
-                res.term_xy[rows[idx]] = xy
+                res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
                 res.term_bits[rows[idx]] = level.stratum_bits
                 keep = np.flatnonzero(~done)
                 x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
@@ -529,7 +529,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
 
 def _check_finite(rows: np.ndarray, ids: np.ndarray) -> None:
     """Raise :class:`NonFinite` naming the paths ``ids`` of any non-finite
-    row about to be recorded."""
+    row of recorded states, before a result is returned."""
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         raise NonFinite(f"non-finite state in paths {ids[bad][:5].tolist()}...")
@@ -541,7 +541,7 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.take(idx, 0) for a in arrays]
 
 
-def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf, path_ids):
+def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
     T, dt = cfg.T, cfg.dt
     collect = res.events is not None
     first = level.stratum_bits == 0
@@ -557,7 +557,6 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf, p
         terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if first or terminal_here:
             emb = _embed_to_root(level, xh, yh)
-            _check_finite(emb, path_ids[rows[idx]])
         if first:
             res.first_time[rows[idx]] = t_hit
             res.first_face[rows[idx]] = orig
@@ -833,11 +832,10 @@ def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
                     hit_time[new, j] = t
             gone = (S <= e_min) | (S >= s_freeze)
             if gone.any():
-                _check_finite(z[gone], ids[alive[gone]])
                 s_end[alive[gone]] = S[gone]
                 z, alive, pos, keys = _take(np.flatnonzero(~gone), z, alive, pos, keys)
                 if not alive.size:
                     break
-    _check_finite(z, ids[alive])
     s_end[alive] = np.maximum(z, 0.0).sum(axis=1)
+    _check_finite(s_end[:, None], ids)  # S⁺ is NaN where z is
     return hit, hit_time, s_end

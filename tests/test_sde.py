@@ -279,8 +279,8 @@ def test_non_finite_y_names_the_path(monkeypatch):
 
 
 def test_short_run_non_finite_y_names_the_path(monkeypatch):
-    """A run of 50 steps records its rows at the horizon; a NaN there is
-    reported, not recorded."""
+    """A run of 50 steps, shorter than any periodic check, reports a NaN in
+    the rows it recorded at the horizon instead of returning it."""
     L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(1.0,), d=((1.0,),))
     _poison_path(monkeypatch, 12, 1)
     with pytest.raises(NonFinite, match=r"paths \[12\]"):
@@ -288,8 +288,8 @@ def test_short_run_non_finite_y_names_the_path(monkeypatch):
 
 
 def test_terminal_hit_with_non_finite_y_names_the_path(monkeypatch):
-    """A path absorbed with a NaN ``y`` is reported when its hit is
-    recorded."""
+    """A path absorbed with a NaN ``y`` is reported, not returned as a
+    terminal hit."""
     L = KimuraOperator(dom=CornerBox(1, 1, 8.0), b=(0.0,), d=((1.0,),))
     _poison_path(monkeypatch, 2, 1)
     cfg = SimConfig(dt=1e-3, T=0.05, stop_at_first_tangent_hit=True)
@@ -299,8 +299,8 @@ def test_terminal_hit_with_non_finite_y_names_the_path(monkeypatch):
 
 @pytest.mark.parametrize("oracle", [False, True])
 def test_short_corner_sum_non_finite_names_the_path(monkeypatch, oracle):
-    """The corner-sum loop checks the rows it records, so a run of 50 steps
-    reports the poisoned path too."""
+    """The corner-sum loop checks what it recorded before it returns, so a
+    run of 50 steps reports the poisoned path too."""
     _poison_path(monkeypatch, 3, slice(None))
     cfg = SimConfig(dt=1e-3, T=0.05)
     with pytest.raises(NonFinite, match=r"paths \[3\]"):

@@ -150,11 +150,16 @@ CASES = {
 
 
 def _states(L, k, seed):
-    """Sampled states, the corner and (on a simplex) the vertices."""
+    """Sampled states, the corner, and the vertices of a simplex or states
+    next to a box's outer edges."""
     x, y = sample_domain(L.dom, k, seed=seed)
     x[:8] = 0.0
     if isinstance(L.dom, Simplex):
         x[8 : 8 + L.n] = np.eye(L.n)
+    else:
+        x[8:40] = 0.99 * L.dom.radius
+        y[8:24] = 0.99 * L.dom.y_radius
+        y[24:40] = -0.99 * L.dom.y_radius
     return x, y
 
 
@@ -210,23 +215,29 @@ def test_step_and_hits_equal_the_reference(name):
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
 
 
+def _raw_step(L, x, y, dt):
+    """The reference update before the domain step, on the states and
+    normals of the step test."""
+    xi = np.random.default_rng(9).standard_normal((x.shape[0], L.dim))
+    d, inc = L.drift_batch(x, y), L.noise_increment(x, y, xi)
+    return np.concatenate([x, y], axis=1) + d * dt + inc * math.sqrt(dt)
+
+
 def test_the_reference_cases_reach_ties_and_clamps():
     """The step test above meets rows on two tangent faces at once, rows
-    past the slack face and rows past the box's outer edge."""
-    L = wright_fisher(2, (0.0, 0.0, 0.0))
+    past the slack face and rows past a box's outer edges in x and y."""
+    L = CASES["wf2-zero"][0]
     level = _levels(L)[0]
     x, y = _states(L, 400, seed=7)
-    xi = np.random.default_rng(9).standard_normal((x.shape[0], L.dim))
-    rx, _, rov = _ref_step(level, x, y, xi, 0.05)
+    rx, _, rov = _ref_step(level, x, y, np.random.default_rng(9).standard_normal((400, 2)), 0.05)
     on = np.stack([face_distance_rows(rx, f, L.dom) <= tol for f, tol in level.tangent])
     assert np.any(on.sum(axis=0) >= 2)
     assert np.any(rov[L.n] > 0)
-    P = CASES["product-constant"][0]
-    x, y = _states(P, 400, seed=7)
-    x[-50:] = 3.99
-    xi = np.random.default_rng(9).standard_normal((x.shape[0], P.dim))
-    d, inc = P.drift_batch(x, y), P.noise_increment(x, y, xi)
-    assert np.any(x + d * 0.05 + inc * math.sqrt(0.05) > 4.0)
+    for name in ("product-constant", "diag-y-constant"):
+        B = CASES[name][0]
+        z = _raw_step(B, *_states(B, 400, seed=7), 0.05)
+        assert np.any(z[:, : B.n] > B.dom.radius)
+        assert not B.m or (np.any(z[:, B.n :] > B.dom.y_radius) and np.any(z[:, B.n :] < -B.dom.y_radius))
 
 
 def test_simplex_one_clamp_is_min_one():
