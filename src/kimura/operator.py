@@ -1138,13 +1138,13 @@ class _EulerUpdate:
 
     It equals ``z + drift_batch·dt + noise_increment·√dt`` bit for bit at
     every finite state with no ``−0.0`` coordinate (the clamp leaves none);
-    those two stay as the reference.  ``drift`` is
-    chosen from the coefficients after their zero polynomial terms are
-    dropped: ``zero`` (skipped), ``constant`` (``b·dt`` precomputed),
-    ``polynomial`` or ``callable`` (evaluated each step).  ``noise`` is the
-    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
-    ``y`` factor precomputed where they are constant; ``wf`` in one
-    coordinate is ``√(x(1−x))·ξ``.
+    those two stay as the reference.  ``drift`` is chosen from the
+    coefficients after their zero polynomial terms are dropped: ``zero``
+    (skipped), ``constant`` (``b·dt`` precomputed), ``polynomial`` or
+    ``callable`` (evaluated each step).  ``noise`` is the strategy of
+    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
+    precomputed where they are constant; ``wf`` in one coordinate is
+    ``√(x(1−x))·ξ``.
     """
 
     def __init__(self, op: KimuraOperator, dt: float):
@@ -1175,17 +1175,17 @@ class _EulerUpdate:
         n = self.n
         gx, gy = self._noise(x, y, xi)
         gx *= self.sqdt
+        if gy is not None:
+            gy *= self.sqdt
         if self.drift == "zero":
-            xn = np.add(x, gx, out=gx)
-            yn = y + gy * self.sqdt if gy is not None else y
-            return xn, yn
+            return np.add(x, gx, out=gx), (y if gy is None else np.add(y, gy, out=gy))
         dd = self._bdt if self.drift == "constant" else self._drift_dt(x, y)
         xn = x + dd[..., :n]
         xn += gx
         if gy is None:
             return xn, y
         yn = y + dd[..., n:]
-        yn += gy * self.sqdt
+        yn += gy
         return xn, yn
 
     def _drift_dt(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1196,7 +1196,7 @@ class _EulerUpdate:
         return out
 
     def _noise(self, x, y, xi) -> tuple[np.ndarray, np.ndarray | None]:
-        """``G·ξ`` as a fresh x block and a y block (None without y)."""
+        """``G·ξ`` as fresh x and y blocks (y None without y coordinates)."""
         n, op = self.n, self._op
         if self.noise == "wf":
             if n > 1:
