@@ -104,10 +104,6 @@ class NoValidRho(KimuraError):
     """No radius rho made the regularity barrier inequality hold."""
 
 
-class NoConvergence(KimuraError):
-    """The damped steady-state iteration did not reach tolerance."""
-
-
 # --- cli -------------------------------------------------------------------------
 
 

@@ -20,7 +20,17 @@ used throughout the test-suite:
 Every time-dependent solve is one implicit-Euler march ``(I − Δt B) u⁺ = u``
 over ``⌈T/Δt⌉`` equal steps (there is no θ-scheme), so the kernel loses
 ``Δt·flux(tᵢ)`` through a face in step ``i``; absorbed mass is reported as
-that backward-rectangle sum.
+that backward-rectangle sum.  One-dimensional steps are sparse LU solves.
+
+Two-dimensional solves run on the tensor grid of two axes of a
+coordinate-separable operator, whose generator is the Kronecker sum
+``Bx ⊕ By``.  Each axis's block on its non-Dirichlet nodes is self-adjoint
+in dμ, so one small symmetric tridiagonal eigenproblem per axis diagonalises
+it, and every tensor-grid system is solved exactly by a transform into the
+product eigenbasis, a division and a transform back (the fast
+diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964): an
+implicit-Euler step divides by ``1 − Δt(λx_i + λy_j)``, the steady state
+with pinned data by ``λx_i + λy_j``.
 
 Boundary treatment: an endpoint whose weight vanishes (absorbing face)
 carries a homogeneous Dirichlet row; every other endpoint — reflecting face
@@ -38,10 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 from scipy.special import hyp2f1
 
@@ -51,7 +63,6 @@ from .errors import (
     IncompatibleData,
     KimuraError,
     LinearSolveFailure,
-    NoConvergence,
     PointOutsideDomain,
 )
 from .geometry import CornerBox, Simplex
@@ -76,10 +87,7 @@ __all__ = [
     "mu_inner",
 ]
 
-_SOLVE_TOL = 1e-12  # linear-solve sanity residual
 _CLIP_TOL = 1e-10  # kernel negativity clip
-# pseudo-time step, stopping residual and step budget of solve_elliptic_2d
-_ELLIPTIC_DT, _ELLIPTIC_TOL, _ELLIPTIC_MAX_STEPS = 0.25, 1e-8, 40_000
 
 
 # --------------------------------------------------------------------------
@@ -451,29 +459,17 @@ def generator_matrix(grid: Grid1D) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-class _Stepper:
-    """LU-factored implicit-Euler step ``(I − Δt B) u⁺ = u``."""
-
-    def __init__(self, B: sparse.spmatrix, dt: float):
-        eye = sparse.identity(B.shape[0], format="csc")
-        try:
-            self.lu = splu((eye - dt * B).tocsc())
-        except RuntimeError as exc:  # singular factorization
-            raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
-
-    def step(self, rhs: np.ndarray, boundary: tuple | None = None) -> np.ndarray:
-        """Solve for the next state; ``boundary = (rows, values)`` pins rows."""
-        if boundary is not None:
-            rhs = rhs.copy()
-            rhs[boundary[0]] = boundary[1]
-        out = self.lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveFailure("non-finite values after linear solve")
-        return out
+def _lu_step(B: sparse.spmatrix, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The implicit-Euler step ``rhs ↦ (I − Δt B)⁻¹ rhs``, LU-factored once."""
+    eye = sparse.identity(B.shape[0], format="csc")
+    try:
+        return splu((eye - dt * B).tocsc()).solve
+    except RuntimeError as exc:  # singular factorization
+        raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
 
 
 def _march(
-    B: sparse.spmatrix,
+    stepper: Callable[[float], Callable[[np.ndarray], np.ndarray]],
     u: np.ndarray,
     T: float,
     dt: float,
@@ -487,19 +483,22 @@ def _march(
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Implicit-Euler march ``(I − Δt B) u⁺ = u − Δt·source(t⁺)`` from ``u``.
 
-    ``T`` is split into ``⌈T/dt⌉`` equal steps.  ``pinned(t)`` gives the
-    ``(rows, values)`` set on the right-hand side of the step ending at
-    ``t``; ``view(u, t)`` is the quantity stored and minimised (the state
-    itself by default); ``on_step(step, u)`` runs after every step.  Step 0,
-    the last step, the steps nearest ``store_times`` and every
-    ``n // max_slices``-th step are stored.  Returns the step length
-    used, the stored times and states, and the minimum over all steps.
+    ``T`` is split into ``⌈T/dt⌉`` equal steps; ``stepper(Δt)`` builds the
+    step ``rhs ↦ u⁺`` once (``partial(_lu_step, B)`` on one axis,
+    :meth:`_TensorBasis.stepper` on a tensor grid), and a non-finite result
+    raises :class:`LinearSolveFailure`.  ``pinned(t)`` gives the ``(rows,
+    values)`` set on the right-hand side of the step ending at ``t``;
+    ``view(u, t)`` is the quantity stored and minimised (the state itself by
+    default); ``on_step(step, u)`` runs after every step.  Step 0, the last
+    step, the steps nearest ``store_times`` and every ``n // max_slices``-th
+    step are stored.  Returns the step length used, the stored times and
+    states, and the minimum over all steps.
     """
     if not (T > 0 and dt > 0):
         raise ValueError(f"need T, Δt > 0; got T={T}, Δt={dt}")
     n = max(1, int(math.ceil(T / dt - 1e-9)))
     dt = T / n
-    stepper = _Stepper(B, dt)
+    step_to = stepper(dt)
     keep = {0, n}
     for t in () if store_times is None else store_times:
         keep.add(min(n, max(0, int(round(t / dt)))))
@@ -511,7 +510,13 @@ def _march(
     for step in range(1, n + 1):
         t = step * dt
         rhs = u if source is None else u - dt * source(t)
-        u = stepper.step(rhs, None if pinned is None else pinned(t))
+        if pinned is not None:
+            rows, values = pinned(t)
+            rhs = rhs.copy()
+            rhs[rows] = values
+        u = step_to(rhs)
+        if not np.all(np.isfinite(u)):
+            raise LinearSolveFailure("non-finite values after an implicit step")
         shown = u if view is None else view(u, t)
         lowest = min(lowest, float(np.min(shown)))
         if on_step is not None:
@@ -573,9 +578,8 @@ def solve_backward(
     if u.shape != grid.nodes.shape:
         raise ValueError(f"initial data shape {u.shape} != grid {grid.nodes.shape}")
     u[grid.dirichlet_mask()] = 0.0
-    return SolveResult(
-        grid, *_march(generator_matrix(grid), u, T, dt, store_times, max_slices)
-    )
+    stepper = partial(_lu_step, generator_matrix(grid))
+    return SolveResult(grid, *_march(stepper, u, T, dt, store_times, max_slices))
 
 
 # --------------------------------------------------------------------------
@@ -678,7 +682,9 @@ def dirichlet_kernel(
             flux[fid].append(_face_flux(grid, k, left))
 
     B = _forward_matrix(grid, generator_matrix(grid))
-    dt, times, slices, lowest = _march(B, k, T, dt, None, max_slices, on_step=account)
+    dt, times, slices, lowest = _march(
+        partial(_lu_step, B), k, T, dt, None, max_slices, on_step=account
+    )
     if lowest < -_CLIP_TOL:
         raise KimuraError(f"kernel density fell below −{_CLIP_TOL}: {lowest}")
     return KernelSolution(
@@ -793,9 +799,9 @@ def solve_nonhomogeneous(
         return dir_idx, np.where(dir_idx == j_data, zeta(t), 0.0)
 
     u = np.zeros(grid.n_nodes)
+    stepper = partial(_lu_step, generator_matrix(grid))
     return SolveResult(
-        grid,
-        *_march(generator_matrix(grid), u, T, dt, store_times, max_slices, pinned=pinned),
+        grid, *_march(stepper, u, T, dt, store_times, max_slices, pinned=pinned)
     )
 
 
@@ -832,7 +838,7 @@ def duhamel_solve(
         return (zeta(t + delta) - zeta(lo)) / (t + delta - lo)
 
     march = _march(
-        B,
+        partial(_lu_step, B),
         np.zeros(grid.n_nodes),
         T,
         dt,
@@ -950,23 +956,61 @@ def _axis_callables_2d(L: KimuraOperator, axis: int):
     return a_fn, b_fn, edge
 
 
-def tensor_generator(grid_x: Grid1D, grid_y: Grid1D) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Kronecker-sum generator on the tensor grid, Dirichlet rows cleared.
+@dataclass(frozen=True)
+class _AxisBasis:
+    """One axis's generator on its non-Dirichlet nodes, diagonalised in dμ.
 
-    Returns the matrix (row-major node order, x outer) and the boolean
-    Dirichlet mask of shape (nx, ny).
+    That block is ``D⁻¹K``, with ``D = diag(μ)`` and ``K`` the symmetric
+    tridiagonal flux matrix, so ``D^{-1/2} K D^{-1/2}`` is symmetric, with
+    off-diagonal ``1/(S_k √(μ_k μ_{k+1}))``, and equals ``Q Λ Qᵀ``.  Then
+    ``D⁻¹K = from_eig · Λ · to_eig`` with ``to_eig = Qᵀ D^{1/2}`` and
+    ``from_eig = D^{-1/2} Q`` its inverse.  A decoupled node (``1/S = 0`` on
+    both sides) is a block of its own, with eigenvalue exactly zero.
     """
-    Bx, By = generator_matrix(grid_x), generator_matrix(grid_y)
-    nx, ny = grid_x.n_nodes, grid_y.n_nodes
-    B = sparse.kron(Bx, sparse.identity(ny), format="csr") + sparse.kron(
-        sparse.identity(nx), By, format="csr"
-    )
-    mask = grid_x.dirichlet_mask()[:, None] | grid_y.dirichlet_mask()[None, :]
-    flat = np.flatnonzero(mask.ravel())
-    B = B.tolil()
-    for r in flat:
-        B.rows[r], B.data[r] = [], []
-    return B.tocsr(), mask
+
+    live: slice  # the non-Dirichlet nodes
+    lam: np.ndarray
+    to_eig: np.ndarray
+    from_eig: np.ndarray
+
+    @classmethod
+    def of(cls, grid: Grid1D) -> "_AxisBasis":
+        live = slice(int(grid.dirichlet_left), grid.n_nodes - int(grid.dirichlet_right))
+        mu = grid.cell_mass[live]
+        flux = np.concatenate(([0.0], grid.inv_scale, [0.0]))  # 1/S around each node
+        left, right = flux[:-1][live], flux[1:][live]
+        root = np.sqrt(mu)
+        off = right[:-1] / (root[:-1] * root[1:])
+        lam, q = eigh_tridiagonal(-(left + right) / mu, off)
+        return cls(live, lam, q.T * root, q / root[:, None])
+
+
+class _TensorBasis:
+    """The Kronecker-sum generator of two axes in the product of their
+    :class:`_AxisBasis`: ``B = Bx ⊕ By`` is diagonal there, with eigenvalues
+    ``λx_i + λy_j``, on the block of nodes Dirichlet on neither axis.
+    """
+
+    def __init__(self, grid_x: Grid1D, grid_y: Grid1D):
+        self.x, self.y = _AxisBasis.of(grid_x), _AxisBasis.of(grid_y)
+        self.live = (self.x.live, self.y.live)
+        self.lam = self.x.lam[:, None] + self.y.lam[None, :]
+        self.shape = (grid_x.n_nodes, grid_y.n_nodes)
+
+    def to_eig(self, u: np.ndarray) -> np.ndarray:
+        return self.x.to_eig @ u[self.live] @ self.y.to_eig.T
+
+    def from_eig(self, w: np.ndarray) -> np.ndarray:
+        """Node values (zero on the Dirichlet set) of eigen-coefficients."""
+        u = np.zeros(self.shape)
+        u[self.live] = self.x.from_eig @ w @ self.y.from_eig.T
+        return u
+
+    def stepper(self, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The implicit-Euler step ``(I − Δt B) u⁺ = rhs`` with the Dirichlet
+        set held at zero: a diagonal scaling in the eigenbasis."""
+        gain = 1.0 / (1.0 - dt * self.lam)
+        return lambda rhs: self.from_eig(gain * self.to_eig(rhs))
 
 
 @dataclass(frozen=True)
@@ -997,7 +1041,10 @@ def solve_backward_2d(
     """Tensor-grid march of ``u_t = Lu`` for a separable 2D box operator.
 
     Same contracts as the 1D solver: Dirichlet rows at absorbing faces,
-    natural ends everywhere else, M-matrix implicit steps.
+    natural ends everywhere else, implicit Euler steps.  Each step
+    ``(I − Δt B) u⁺ = u`` is solved exactly in the per-axis dμ eigenbasis
+    (:class:`_TensorBasis`): one transform, a division by
+    ``1 − Δt(λx_i + λy_j)`` and one transform back.
     """
     fc = L.classify_faces()
     grids = []
@@ -1017,47 +1064,40 @@ def solve_backward_2d(
             )
         )
     gx, gy = grids
-    B, mask = tensor_generator(gx, gy)
+    basis = _TensorBasis(gx, gy)
 
     if callable(f):
         X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
         u = np.asarray(f(X, Y), dtype=float)
     else:
-        u = np.asarray(f, dtype=float).copy()
-    if u.shape != (gx.n_nodes, gy.n_nodes):
-        raise ValueError(f"initial data shape {u.shape} != grid {(gx.n_nodes, gy.n_nodes)}")
-    u[mask] = 0.0
-    dt, times, slices, lowest = _march(B, u.ravel().copy(), T, dt, store_times, max_slices)
-    vals = slices.reshape(times.size, gx.n_nodes, gy.n_nodes)
-    return SolveResult2D(gx, gy, dt, times, vals, lowest)
+        u = np.asarray(f, dtype=float)
+    if u.shape != basis.shape:
+        raise ValueError(f"initial data shape {u.shape} != grid {basis.shape}")
+    held = np.zeros(basis.shape)  # zero on the Dirichlet set
+    held[basis.live] = u[basis.live]
+    dt, times, slices, lowest = _march(basis.stepper, held, T, dt, store_times, max_slices)
+    return SolveResult2D(gx, gy, dt, times, slices, lowest)
 
 
 def solve_elliptic_2d(grid_x: Grid1D, grid_y: Grid1D, boundary: np.ndarray) -> np.ndarray:
-    """Steady state of the tensor-grid march with pinned Dirichlet data.
+    """Steady state ``B u = 0`` of the tensor-grid march with pinned Dirichlet data.
 
-    Damped (implicit) pseudo-time iteration with step ``_ELLIPTIC_DT`` until
-    ‖u_t‖_∞ < ``_ELLIPTIC_TOL``; raises :class:`NoConvergence` after
-    ``_ELLIPTIC_MAX_STEPS`` steps.  ``boundary`` supplies node values on the
-    Dirichlet set (shape (nx, ny); other entries are ignored).
+    ``boundary`` supplies node values on the Dirichlet set (shape (nx, ny);
+    other entries are ignored).  The data's pull on the other nodes moves
+    to the right-hand side, which is solved exactly in the per-axis dμ
+    eigenbasis (:class:`_TensorBasis`): one transform, a division by
+    ``λx_i + λy_j`` and one transform back.  A mode with ``λx_i + λy_j = 0``
+    (a node decoupled on both axes) keeps the value zero.
     """
-    dt, tol, max_steps = _ELLIPTIC_DT, _ELLIPTIC_TOL, _ELLIPTIC_MAX_STEPS
-    B, mask = tensor_generator(grid_x, grid_y)
-    nx, ny = grid_x.n_nodes, grid_y.n_nodes
-    if boundary.shape != (nx, ny):
-        raise ValueError(f"boundary shape {boundary.shape} != grid {(nx, ny)}")
-    stepper = _Stepper(B, dt)
-    dir_idx = np.flatnonzero(mask.ravel())
-    bvals = boundary.ravel()[dir_idx]
-
-    u = np.zeros(nx * ny)
-    u[dir_idx] = bvals
-    for _ in range(max_steps):
-        nxt = stepper.step(u, boundary=(dir_idx, bvals))
-        res = float(np.max(np.abs(nxt - u))) / dt
-        u = nxt
-        if res < tol:
-            return u.reshape(nx, ny)
-    raise NoConvergence(
-        f"pseudo-time iteration did not reach ‖u_t‖ < {tol} in {max_steps} steps "
-        f"(last residual {res})"
-    )
+    basis = _TensorBasis(grid_x, grid_y)
+    if boundary.shape != basis.shape:
+        raise ValueError(f"boundary shape {boundary.shape} != grid {basis.shape}")
+    data = np.array(boundary, dtype=float)
+    data[basis.live] = 0.0
+    pull = generator_matrix(grid_x) @ data + (generator_matrix(grid_y) @ data.T).T
+    w = basis.to_eig(-pull)
+    w = np.divide(w, basis.lam, out=np.zeros_like(w), where=basis.lam != 0.0)
+    u = basis.from_eig(w) + data
+    if not np.all(np.isfinite(u)):
+        raise LinearSolveFailure("non-finite values in the steady state")
+    return u

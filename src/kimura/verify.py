@@ -501,9 +501,11 @@ def growth_ratio(
     condition on the transverse face {x₂=0}; then reports, for each scale
     r, the sup of u over the corner windows (0, r/2)² and (0, r)².
 
-    The solve runs on per-axis graded grids through the damped steady-state
-    iteration; the coefficients must be separable per coordinate (the probe
-    of :func:`~kimura.pde.solve_backward_2d` rejects the rest).
+    The solve runs on per-axis graded grids and is the exact discrete
+    steady state, solved in the per-axis dμ eigenbasis by
+    :func:`~kimura.pde.solve_elliptic_2d`; the coefficients must be
+    separable per coordinate (the probe of
+    :func:`~kimura.pde.solve_backward_2d` rejects the rest).
     """
     from .pde import Grid1D, _axis_callables_2d, solve_elliptic_2d
 

@@ -14,6 +14,7 @@ from kimura.operator import model1d, product_operator, wright_fisher
 from kimura.pde import (
     Grid1D,
     SpeedScale,
+    _graded_nodes,
     caloric_density,
     dirichlet_kernel,
     duhamel_solve,
@@ -21,6 +22,7 @@ from kimura.pde import (
     mu_inner,
     solve_backward,
     solve_backward_2d,
+    solve_elliptic_2d,
     solve_nonhomogeneous,
 )
 
@@ -253,6 +255,15 @@ def test_backward_march_is_positivity_preserving(wf):
     assert res.min_value >= -1e-12
 
 
+def test_right_grading_refines_toward_the_right_end_only():
+    nodes = _graded_nodes(2.0, 40, grade_left=False, grade_right=True)
+    widths = np.diff(nodes)
+    assert nodes[0] == 0.0 and nodes[-1] == 2.0
+    assert np.all(widths > 0.0)
+    assert np.all(np.diff(widths) < 0.0)  # every cell finer than the one before
+    assert widths[-1] == widths.min() < widths[0]
+
+
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         Grid1D.for_operator(model1d(0.0), M=4)
@@ -294,6 +305,77 @@ def test_2d_backward_matches_product_of_1d():
     ry = solve_backward(Ly, fy, T, dt, grid=res2.grid_y)
     ref = np.outer(rx.final, ry.final)
     assert np.max(np.abs(res2.values[-1] - ref)) < 5e-4
+
+
+def _sparse_tensor_generator(gx, gy):
+    """The Kronecker-sum generator on the tensor grid (x outer), with its
+    Dirichlet rows cleared, and the flat Dirichlet mask."""
+    Bx, By = generator_matrix(gx), generator_matrix(gy)
+    B = sp.kron(Bx, sp.identity(gy.n_nodes)) + sp.kron(sp.identity(gx.n_nodes), By)
+    mask = (gx.dirichlet_mask()[:, None] | gy.dirichlet_mask()[None, :]).ravel()
+    return (sp.diags((~mask).astype(float)) @ B).tocsc(), mask
+
+
+def test_2d_backward_matches_the_sparse_implicit_euler_march():
+    """Each eigenbasis step equals a sparse LU solve of ``(I − Δt B) u⁺ = u``
+    on the Kronecker-sum generator, up to round-off."""
+    P = product_operator(model1d(0.0, radius=2.0), model1d(0.5, radius=2.0))
+    f = lambda X, Y: np.sin(np.pi * X / 2.0) * np.cos(np.pi * Y / 4.0)  # noqa: E731
+    res = solve_backward_2d(P, f, 0.1, 1e-3, M=64)
+    gx, gy = res.grid_x, res.grid_y
+    B, mask = _sparse_tensor_generator(gx, gy)
+    lu = spla.splu((sp.identity(B.shape[0], format="csc") - res.dt * B).tocsc())
+    X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+    u = np.where(mask, 0.0, f(X, Y).ravel())
+    states = [u]
+    for _ in range(round(0.1 / res.dt)):
+        u = lu.solve(u)
+        states.append(u)
+    want = np.array([states[round(t / res.dt)] for t in res.times]).reshape(res.values.shape)
+    assert np.max(np.abs(res.values - want)) <= 1e-10 * np.max(np.abs(want))
+    assert res.min_value == pytest.approx(min(s.min() for s in states), abs=1e-12)
+
+
+def _axis_grid(b, M, tangent):
+    """The grid ``growth_ratio`` builds for an axis ``x∂² + b∂`` of the unit
+    box: Dirichlet at the far end, and at ``x = 0`` on the tangent axis."""
+    return Grid1D.from_coefficients(
+        lambda t: np.asarray(t, float),
+        lambda t: np.full(np.shape(t), b),
+        1.0,
+        M,
+        dirichlet_left=tangent,
+        dirichlet_right=True,
+        logistic_possible=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "bx, tangent_x, by",
+    [
+        (0.0, True, 0.5),  # growth's operator
+        (0.0, True, 1.0),  # entrance transverse end: 1/S = 0 at the first y-interface
+        (1.0, False, 1.0),  # entrance ends on both axes: node (0, 0) couples to nothing
+    ],
+)
+def test_elliptic_2d_equals_a_direct_sparse_solve(bx, tangent_x, by):
+    """``B u = 0`` off the Dirichlet set, the data on it: one sparse solve with
+    identity rows at the Dirichlet nodes (and at a node with no coupling,
+    which keeps 0) against the eigenbasis solve."""
+    gx, gy = _axis_grid(bx, 48, tangent_x), _axis_grid(by, 48, False)
+    nu, outer = 0.5, 1.0
+    boundary = np.zeros((gx.n_nodes, gy.n_nodes))
+    boundary[-1, :] = outer
+    boundary[:, -1] = outer
+    boundary[0, :] = nu
+    B, mask = _sparse_tensor_generator(gx, gy)
+    hold = mask | (np.asarray(abs(B).sum(axis=1)).ravel() == 0.0)
+    assert np.count_nonzero(hold & ~mask) == (0 if tangent_x else 1)
+    A = (B + sp.diags(hold.astype(float))).tocsc()
+    want = spla.spsolve(A, np.where(mask, boundary.ravel(), 0.0)).reshape(boundary.shape)
+    got = solve_elliptic_2d(gx, gy, boundary)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.array_equal(got[mask.reshape(got.shape)], boundary[mask.reshape(got.shape)])
 
 
 def test_2d_backward_callable_data_equal_the_array():
@@ -338,6 +420,11 @@ _POISONED = {
         model1d(0.0), _nan_after_half, 1.0, 1e-2, M=50
     ),
     "duhamel": lambda: duhamel_solve(model1d(0.0), _nan_after_half, 1.0, 1e-2, M=50),
+    "elliptic_2d": lambda: solve_elliptic_2d(
+        _axis_grid(0.0, 16, True),
+        _axis_grid(0.5, 16, False),
+        np.full((17, 17), np.nan),
+    ),
 }
 
 
