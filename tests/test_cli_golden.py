@@ -18,9 +18,10 @@ from kimura import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 MONTE_CARLO = (
-    "simulate", "hitting", "occupation", "duhamel", "crosscheck", "corner", "counterexample", "doubling",
+    "simulate", "decompose", "hitting", "occupation", "duhamel", "crosscheck", "corner", "counterexample",
+    "doubling",
 )
-TASKS = MONTE_CARLO + ("growth", "barriers")
+TASKS = MONTE_CARLO + ("growth", "barriers", "kernel", "check")
 
 
 def _run(tmp_path, task, workers=None):
