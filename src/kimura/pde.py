@@ -88,6 +88,10 @@ __all__ = [
 ]
 
 _CLIP_TOL = 1e-10  # kernel negativity clip
+# ``_march`` runs its per-step checks once per block of at most this many
+# steps, and of at most this many state values (1 MB).
+_MARCH_BLOCK = 64
+_MARCH_BLOCK_VALUES = 2**17
 
 
 # --------------------------------------------------------------------------
@@ -479,20 +483,25 @@ def _march(
     pinned: Callable[[float], tuple] | None = None,
     source: Callable[[float], np.ndarray] | None = None,
     view: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
+    on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Implicit-Euler march ``(I − Δt B) u⁺ = u − Δt·source(t⁺)`` from ``u``.
 
     ``T`` is split into ``⌈T/dt⌉`` equal steps; ``stepper(Δt)`` builds the
     step ``rhs ↦ u⁺`` once (``partial(_lu_step, B)`` on one axis,
-    :meth:`_TensorBasis.stepper` on a tensor grid), and a non-finite result
-    raises :class:`LinearSolveFailure`.  ``pinned(t)`` gives the ``(rows,
-    values)`` set on the right-hand side of the step ending at ``t``;
-    ``view(u, t)`` is the quantity stored and minimised (the state itself by
-    default); ``on_step(step, u)`` runs after every step.  Step 0, the last
-    step, the steps nearest ``store_times`` and every ``n // max_slices``-th
-    step are stored.  Returns the step length used, the stored times and
-    states, and the minimum over all steps.
+    :meth:`_TensorBasis.stepper` on a tensor grid).  ``pinned(t)`` gives the
+    ``(rows, values)`` set on the right-hand side of the step ending at
+    ``t``; ``view(u, t)`` is the quantity stored and minimised (the state
+    itself by default).  Step 0, the last step, the steps nearest
+    ``store_times`` and every ``n // max_slices``-th step are stored.
+    Returns the step length used, the stored times and states, and the
+    minimum over all steps.
+
+    The states are written into a block of at most ``_MARCH_BLOCK`` steps,
+    and the per-step checks run once per block: ``on_block(step, U)`` gets
+    the states ``U[i]`` after steps ``step + i`` that are finite, then the
+    first non-finite state raises :class:`LinearSolveFailure`.  So the
+    earliest failing step raises, as if each step were checked in turn.
     """
     if not (T > 0 and dt > 0):
         raise ValueError(f"need T, Δt > 0; got T={T}, Δt={dt}")
@@ -507,23 +516,31 @@ def _march(
     shown = u if view is None else view(u, 0.0)
     slices, times = [shown.copy()], [0.0]
     lowest = float(np.min(shown))
-    for step in range(1, n + 1):
-        t = step * dt
-        rhs = u if source is None else u - dt * source(t)
-        if pinned is not None:
-            rows, values = pinned(t)
-            rhs = rhs.copy()
-            rhs[rows] = values
-        u = step_to(rhs)
-        if not np.all(np.isfinite(u)):
+    size = max(1, min(n, _MARCH_BLOCK, _MARCH_BLOCK_VALUES // max(1, u.size)))
+    block = np.empty((size,) + u.shape)
+    for first in range(1, n + 1, size):
+        U = block[: min(size, n + 1 - first)]
+        for i in range(len(U)):
+            t = (first + i) * dt
+            rhs = u if source is None else u - dt * source(t)
+            if pinned is not None:
+                rows, values = pinned(t)
+                rhs = rhs.copy()
+                rhs[rows] = values
+            u = U[i] = step_to(rhs)
+        finite = np.isfinite(U.reshape(len(U), -1)).all(axis=1)
+        n_ok = len(U) if finite.all() else int(np.argmin(finite))
+        if on_block is not None:
+            on_block(first, U[:n_ok])
+        if n_ok < len(U):
             raise LinearSolveFailure("non-finite values after an implicit step")
-        shown = u if view is None else view(u, t)
-        lowest = min(lowest, float(np.min(shown)))
-        if on_step is not None:
-            on_step(step, u)
-        if step in keep:
-            slices.append(shown.copy())
-            times.append(t)
+        shown = U if view is None else np.array([view(v, (first + i) * dt) for i, v in enumerate(U)])
+        for m in shown.reshape(len(U), -1).min(axis=1).tolist():  # in step order, as min() keeps ties
+            lowest = min(lowest, m)
+        for i in range(len(U)):
+            if first + i in keep:
+                slices.append(shown[i].copy())
+                times.append((first + i) * dt)
     return dt, np.array(times), np.array(slices), lowest
 
 
@@ -607,13 +624,15 @@ def _one_sided_slope(d1: float, d2: float, v1: float, v2: float) -> float:
     return (v1 * d2 * d2 - v2 * d1 * d1) / (d1 * d2 * (d2 - d1))
 
 
-def _face_flux(grid: Grid1D, k: np.ndarray, left: bool) -> float:
+def _face_flux(grid: Grid1D, k: np.ndarray, left: bool) -> np.ndarray:
+    """The flux through one end of each density in ``k`` (nodes on the last
+    axis)."""
     x = grid.nodes
     if left:
         d1, d2 = x[1] - x[0], x[2] - x[0]
-        return _one_sided_slope(d1, d2, k[1], k[2])
+        return _one_sided_slope(d1, d2, k[..., 1], k[..., 2])
     d1, d2 = x[-1] - x[-2], x[-1] - x[-3]
-    return _one_sided_slope(d1, d2, k[-2], k[-3])
+    return _one_sided_slope(d1, d2, k[..., -2], k[..., -3])
 
 
 @dataclass(frozen=True)
@@ -673,17 +692,22 @@ def dirichlet_kernel(
     survival = [float(np.sum(grid.cell_mass * k))]
     flux = {fid: [0.0] for fid, _ in faces}
 
-    def account(step: int, k: np.ndarray) -> None:
-        s = float(np.sum(grid.cell_mass * k))
-        if s > survival[-1] + 1e-12:
-            raise KimuraError(f"forward mass increased at step {step}: {survival[-1]} -> {s}")
-        survival.append(s)
+    def account(first: int, K: np.ndarray) -> None:
+        s = np.sum(grid.cell_mass * K, axis=1)
+        before = np.concatenate(([survival[-1]], s[:-1]))
+        up = np.flatnonzero(s > before + 1e-12)
+        if up.size:
+            j = int(up[0])
+            raise KimuraError(
+                f"forward mass increased at step {first + j}: {float(before[j])} -> {float(s[j])}"
+            )
+        survival.extend(s.tolist())
         for fid, left in faces:
-            flux[fid].append(_face_flux(grid, k, left))
+            flux[fid].extend(_face_flux(grid, K, left).tolist())
 
     B = _forward_matrix(grid, generator_matrix(grid))
     dt, times, slices, lowest = _march(
-        partial(_lu_step, B), k, T, dt, None, max_slices, on_step=account
+        partial(_lu_step, B), k, T, dt, None, max_slices, on_block=account
     )
     if lowest < -_CLIP_TOL:
         raise KimuraError(f"kernel density fell below −{_CLIP_TOL}: {lowest}")

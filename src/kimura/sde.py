@@ -24,15 +24,26 @@ no matter how the ensemble is chunked across workers.
 
 Each call of the engine, and the corner-sum loop below, keys its paths'
 streams once (:func:`~kimura._rng.stream_keys`: one ``(live paths, n_slots)``
-array at each path's step count) and compacts that array with the state.
-It draws the noise a block of steps per call from it
+array at each path's step count), kept row-aligned with the state.  It draws
+the noise a block of steps per call from it
 (:func:`~kimura._rng.next_normals`, at most ``_BLOCK_NORMALS`` variates):
 ``K = max(1, min(steps left, _BLOCK_NORMALS // (n_slots·live paths)))``
 steps, after which the keys stand ``K`` steps further on.  A path that stops
 inside a block (hit, horizon, freeze) leaves its remaining rows unused; the
-live paths' rows are found through an index compacted with the state.
+live paths' rows are found through an index aligned with the state.
 Paths restricted to a face are keyed afresh in their child level's call, so
 no path joins a block midway.
+
+No path's output depends on its row, so the engine reorders rows freely.
+When paths leave a level it compacts by tail-fill (``_tail_fill``): the last
+staying rows move into the holes and every aligned array is cut to its new
+length, O(paths leaving) per step.  Occupation is counted: each step adds 1
+to an ``int32`` count per tracked face, threshold and live path; a path's
+counts go to its record when it leaves the level, and at the end of the run
+:func:`_count_seconds` turns each count ``k`` into the sum of ``k``
+sequential additions of ``dt``, the float a per-step ``+= dt`` would hold.
+Hits are copied as they are found and routed (``_route_hits``: first hit,
+events, terminal records, child cohorts) once, when the level's loop ends.
 
 Each level's Euler step is built once, as a step plan (``_StepPlan``),
 when the level's cohort starts: the drift (zero and skipped, constant with
@@ -115,6 +126,10 @@ _SUM_SEED_TAG = 0x5DE1
 # tail of a few paths draws many, so the fixed cost of a call (tens of µs) no
 # longer dominates its steps.
 _BLOCK_NORMALS = 2**14
+
+# Occupation step counts are turned into seconds through a table of running
+# sums built this many counts at a time.
+_OCC_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -336,9 +351,12 @@ class _Collector:
         self.first_xy = np.full((k, dim), np.nan)
         n_eps = len(cfg.occupation_eps)
         self.tracked_rows = {f: i for i, f in enumerate(tracked_ids)}
-        self.occ = (
-            np.zeros((k, len(tracked_ids), n_eps)) if n_eps and tracked_ids else None
+        # steps each path ended within each threshold of each tracked face,
+        # over all its levels; ``occ`` is these in seconds, set at the end
+        self.occ_steps = (
+            np.zeros((k, len(tracked_ids), n_eps), dtype=np.int64) if n_eps and tracked_ids else None
         )
+        self.occ: np.ndarray | None = None
         self.events: list[list[HitEvent]] | None = (
             [[] for _ in range(k)] if collect_events else None
         )
@@ -379,7 +397,29 @@ def _simulate_cohort(
         raise KimuraError("internal: some paths finished without a terminal record")
     hit = res.first_face[:, None] > 0
     _check_finite(np.concatenate([res.term_xy, np.where(hit, res.first_xy, 0.0)], axis=1), path_ids)
+    if res.occ_steps is not None:
+        res.occ = _count_seconds(res.occ_steps, cfg.dt)
     return res, tracked_ids, fc
+
+
+def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
+    """Each count ``k`` as ``k`` sequential additions ``s += dt`` from 0.0,
+    the float an accumulator of ``dt`` per step would hold.
+
+    ``np.cumsum`` adds in order.  The table is built ``_OCC_CHUNK`` counts at
+    a time, each chunk starting from the last one's running sum, so its memory
+    does not grow with the step count.
+    """
+    out = np.empty(counts.shape)
+    carry = 0.0
+    for lo in range(0, int(counts.max(initial=0)) + 1, _OCC_CHUNK):
+        run = np.full(_OCC_CHUNK + 1, dt)
+        run[0] = carry
+        run = np.cumsum(run)  # run[j]: lo + j additions
+        here = (counts >= lo) & (counts < lo + _OCC_CHUNK)
+        out[here] = run[counts[here] - lo]
+        carry = run[-1]
+    return out
 
 
 class _StepPlan:
@@ -457,43 +497,56 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
     """Step the cohort ``(x, y)`` on ``level`` until each path hits a
     tangent face or reaches the horizon.  ``steps`` holds each path's step
     count on entry; every live path takes the same steps here, so the count
-    is that plus ``ran``."""
+    is that plus ``ran``.  The cohort's arrays are compacted in place."""
     dt, T = cfg.dt, cfg.T
     n_total = cfg.n_steps
     plan = _StepPlan(level, dt)
     slots = level.slots
     keys = _rng.stream_keys(cfg.seed, path_ids[rows], steps, slots, stride)
-    eps = np.asarray(cfg.occupation_eps)
+    eps = np.asarray(cfg.occupation_eps)[:, None]
+    occ_rows = np.array([row for _, row in level.tracked], dtype=np.intp)
+    # steps each live path ended within each threshold of each tracked face
+    cnt = np.zeros((occ_rows.size, eps.size, x.shape[0]), dtype=np.int32)
     ov = None  # each path's overshoot past each face in the last step
     xi_blk, k_blk = (), 0  # the noise block and the next step's row in it
     pos = np.arange(x.shape[0])  # row in xi_blk of each live path
     ran = 0
     s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
-    child_buf: dict[int, list] = {}
+    # copies of (x, y, steps, rows, face) of the paths that hit, in hit order:
+    # each path hits at most once per level
+    hits = (np.empty_like(x), np.empty_like(y), np.empty_like(steps), np.empty_like(rows),
+            np.empty(x.shape[0], dtype=np.int64))
+    n_hit = 0
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
         hit_face = plan.hits(x, ov)
+        gone = None  # the rows that leave the level at this state
         if hit_face is not None:
-            hits = np.flatnonzero(hit_face)
-            _route_hits(
-                level, x, y, steps + ran, rows, hit_face, hits, res, cfg, child_buf
-            )
-            keep = np.flatnonzero(hit_face == 0)
-            x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
-            if not x.shape[0]:
-                break
+            gone = hit_face != 0
+            h = np.flatnonzero(gone)
+            for buf, rec in zip(hits, (x[h], y[h], steps[h] + ran, rows[h], hit_face[h])):
+                buf[n_hit : n_hit + h.size] = rec
+            n_hit += h.size
         # --- horizon ------------------------------------------------------
-        if s_max + ran >= n_total:
+        horizon = s_max + ran >= n_total
+        if horizon:
             done = steps + ran >= n_total
+            if gone is not None:
+                done &= ~gone
             if np.count_nonzero(done):
                 idx = np.flatnonzero(done)
                 res.term_time[rows[idx]] = T
                 res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
                 res.term_bits[rows[idx]] = level.stratum_bits
-                keep = np.flatnonzero(~done)
-                x, y, steps, rows, pos, keys = _take(keep, x, y, steps, rows, pos, keys)
-                if not x.shape[0]:
-                    break
+                gone = done if gone is None else gone | done
+        if gone is not None:
+            out = np.flatnonzero(gone)
+            if cnt.size:
+                res.occ_steps[rows[out, None], occ_rows] += cnt[..., out].transpose(2, 0, 1)
+            cnt, x, y, steps, rows, pos, keys = _tail_fill(out, cnt, x, y, steps, rows, pos, keys)
+            if not x.shape[0]:
+                break
+        if horizon:
             s_max = int(steps.max())
         # --- one Euler step for everyone -----------------------------------
         if k_blk == len(xi_blk):
@@ -509,22 +562,11 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             xi = xi.take(pos, 0)
         x, y, ov = plan.step(x, y, xi)
         ran += 1
-        # --- occupation accounting -----------------------------------------
-        for face, row in level.tracked:
-            v = face_distance_rows(x, face, level.dom)
-            for j, e in enumerate(eps):
-                close = v < e
-                if np.count_nonzero(close):
-                    res.occ[rows[close], row, j] += dt
-    for face, buf in child_buf.items():
-        if not buf:
-            continue
-        child = buf[0][0]
-        xs = np.vstack([b[1] for b in buf])
-        ys = np.vstack([b[2] for b in buf])
-        st = np.concatenate([b[3] for b in buf])
-        rs = np.concatenate([b[4] for b in buf])
-        queue.append((child, xs, ys, st, rs))
+        # --- occupation: count the steps ending near each tracked face -----
+        for i, (face, _) in enumerate(level.tracked):
+            cnt[i] += face_distance_rows(x, face, level.dom) < eps
+    if n_hit:
+        _route_hits(level, *(buf[:n_hit] for buf in hits), res, cfg, queue)
 
 
 def _check_finite(rows: np.ndarray, ids: np.ndarray) -> None:
@@ -541,12 +583,38 @@ def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a.take(idx, 0) for a in arrays]
 
 
-def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
+def _tail_fill(out: np.ndarray, cnt: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Drop the rows ``out`` (ascending) of ``cnt``, whose rows lie on its last
+    axis, and of each array, in place: the last rows that stay move into the
+    holes below ``m = rows − len(out)``, and each array is cut to its first
+    ``m`` rows.  This moves O(len(out)) rows, where a ``take`` copies every
+    row; the rows change order, which no path's result depends on.  Empty
+    arrays are only cut (a zero-column ``y`` may be read-only)."""
+    n = cnt.shape[-1]
+    m = n - out.size
+    j = int(np.searchsorted(out, m))
+    if j:  # holes below m, filled from the rows at or above m that stay
+        stay = np.ones(n - m, dtype=bool)
+        stay[out[j:] - m] = False
+        holes, fill = out[:j], np.flatnonzero(stay) + m
+        for a in arrays:
+            if a.size:
+                a[holes] = a[fill]
+        if cnt.size:
+            cnt[..., holes] = cnt[..., fill]
+    return [cnt[..., :m], *(a[:m] for a in arrays)]
+
+
+def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
+    """Record the hits of one level's cohort, once its loop has ended: rows
+    ``(x, y)`` where each path lay when it hit ``face``, at its step count
+    ``steps``.  Paths that go on inside a face join that face's child cohort
+    on ``queue``."""
     T, dt = cfg.T, cfg.dt
     collect = res.events is not None
     first = level.stratum_bits == 0
-    for f in np.unique(hit_face[hits]):
-        idx = hits[hit_face[hits] == f]
+    for f in np.unique(face):
+        idx = np.flatnonzero(face == f)
         f = int(f)
         xc = restrict_rows(x[idx], f, level.dom)
         xh = embed_rows(xc, f, level.dom)  # the hit point, exactly on the face
@@ -572,7 +640,7 @@ def _route_hits(level, x, y, steps, rows, hit_face, hits, res, cfg, child_buf):
             res.term_bits[rows[idx]] = bits
             continue
         child = _child_level(level, f, res.tracked_rows)
-        child_buf.setdefault(f, []).append((child, xc, yh, steps[idx], rows[idx]))
+        queue.append((child, xc, yh, steps[idx], rows[idx]))
 
 
 # ---------------------------------------------------------------------------

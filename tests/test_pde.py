@@ -8,13 +8,15 @@ import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kimura.errors import GridTooCoarse, IncompatibleData, LinearSolveFailure
+from kimura.errors import GridTooCoarse, IncompatibleData, KimuraError, LinearSolveFailure
 from kimura.geometry import Point
 from kimura.operator import model1d, product_operator, wright_fisher
 from kimura.pde import (
+    _MARCH_BLOCK,
     Grid1D,
     SpeedScale,
     _graded_nodes,
+    _march,
     caloric_density,
     dirichlet_kernel,
     duhamel_solve,
@@ -432,3 +434,52 @@ _POISONED = {
 def test_non_finite_data_raise_linear_solve_failure(solver):
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         _POISONED[solver]()
+
+
+def _counting_stepper(nan_at):
+    """A stepper whose step ``k`` adds 1, except step ``nan_at``, which
+    returns NaN."""
+    def stepper(dt):
+        taken = iter(range(1, 10**9))
+        return lambda rhs: np.full(rhs.shape, np.nan) if next(taken) == nan_at else rhs + 1.0
+    return stepper
+
+
+@pytest.mark.parametrize("fail_at", [None, _MARCH_BLOCK + 3, _MARCH_BLOCK + 5, _MARCH_BLOCK + 4])
+def test_march_raises_for_the_earliest_failing_step(fail_at):
+    """The march checks its states a block of steps at a time, yet raises as
+    if each step were checked in turn: the block callback sees every step
+    before the first non-finite state and none after it, and a callback
+    failure at an earlier step wins over the non-finite state."""
+    nan_at = _MARCH_BLOCK + 4  # inside the second block
+    seen = []
+
+    def on_block(first, U):
+        for i, u in enumerate(U):
+            assert np.all(u == first + i)
+            seen.append(first + i)
+            if first + i == fail_at:
+                raise KimuraError(f"step {first + i}")
+
+    march = lambda: _march(_counting_stepper(nan_at), np.zeros(3), 1.0, 1e-3, None, 10, on_block=on_block)
+    if fail_at is not None and fail_at < nan_at:
+        with pytest.raises(KimuraError, match=f"step {fail_at}$"):
+            march()
+    else:
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            march()
+    assert seen == list(range(1, min(nan_at - 1, fail_at or nan_at) + 1))
+
+
+def test_march_stores_and_minimises_every_block_like_single_steps():
+    """Slices, times and the minimum over a march of 2.5 blocks that stores
+    every step equal a step-by-step loop's."""
+    n = 5 * _MARCH_BLOCK // 2
+    dt, times, slices, lowest = _march(
+        _counting_stepper(None), np.array([0.0, -0.5]), 1.0, 1.0 / n, None, n,
+        view=lambda u, t: u - 2.0 * t,
+    )
+    steps = np.arange(n + 1)
+    assert np.array_equal(times, steps * dt)
+    assert np.array_equal(slices, [np.array([0.0, -0.5]) + k - 2.0 * k * dt for k in steps])
+    assert lowest == -0.5

@@ -10,7 +10,10 @@ from kimura.errors import MaxStepsExceeded, NonFinite
 from kimura.geometry import CornerBox, Point
 from kimura.operator import KimuraOperator, model1d, product_operator, wright_fisher
 from kimura.sde import (
+    _OCC_CHUNK,
     SimConfig,
+    _count_seconds,
+    _simulate_cohort,
     counterexample_ensemble,
     simulate,
     simulate_ensemble,
@@ -95,6 +98,77 @@ def test_product_occupation_is_pinned(workers):
     ens = simulate_ensemble(P, Point([0.15, 0.3]), cfg, 400, workers=workers)
     assert ens.occupation.sum() > 0
     assert _ensemble_sha(ens) == "540e3615e2ad7197b5520ad771b4d4845875988bd8dfa224ca1e3810b06a63bc"
+
+
+# The configurations of the pins above, as (operator, start, config, paths,
+# collect events).
+_CASCADE = (wright_fisher(2, (0.0, 0.0, 0.0)), Point([0.3, 0.3]), SimConfig(dt=1e-3, T=3.0, seed=11), 300, True)
+_PRODUCT_OCCUPATION = (
+    product_operator(model1d(0.0, radius=4.0), model1d(1.0, radius=4.0)),
+    Point([0.15, 0.3]),
+    SimConfig(dt=1e-3, T=0.5, seed=13, occupation_eps=(0.05, 0.2)),
+    400,
+    False,
+)
+
+
+def _event_rows(events):
+    return [[(e.time, e.face, e.depth, e.location.x.tolist(), e.location.y.tolist()) for e in ev] for ev in events]
+
+
+@pytest.mark.parametrize("case", [_CASCADE, _PRODUCT_OCCUPATION], ids=["cascade", "product_occupation"])
+def test_cohort_in_reversed_row_order_gives_reversed_results(case):
+    """A path's result does not depend on its row in the cohort, which the
+    engine's compaction reorders: reversed path ids give every per-path
+    array reversed, bit for bit."""
+    L, p0, cfg, n, events = case
+    ids = np.arange(n, dtype=np.uint64)
+    fwd, *_ = _simulate_cohort(L, p0, cfg, ids, events)
+    rev, *_ = _simulate_cohort(L, p0, cfg, ids[::-1].copy(), events)
+    for name in ("term_time", "term_xy", "term_bits", "first_time", "first_face", "first_xy", "occ"):
+        a, b = getattr(fwd, name), getattr(rev, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == np.ascontiguousarray(b[::-1]).tobytes(), name
+    if events:
+        assert _event_rows(fwd.events) == _event_rows(rev.events[::-1])
+    assert fwd.first_face.any() and (fwd.occ is not None) == bool(cfg.occupation_eps)
+
+
+def test_simulate_occupation_equals_its_ensemble_row():
+    """``simulate()`` copies a path's occupation out of its one-path
+    ensemble; on the two-level slack-face run it equals that path's row of
+    the full ensemble bit for bit, for paths absorbed on an edge and for
+    paths still inside."""
+    W = wright_fisher(2, (0.0, 0.0, 0.4))
+    p0 = Point([0.3, 0.3])
+    cfg = SimConfig(dt=1e-3, T=2.0, seed=12, occupation_eps=(0.02, 0.1))
+    ens = simulate_ensemble(W, p0, cfg, 300)
+    near = ens.occupation[:, 0, -1] > 0
+    edge = np.flatnonzero(near & (ens.strata_bits != 0))[:3]
+    inside = np.flatnonzero(near & (ens.strata_bits == 0))[:1]
+    assert edge.size == 3 and inside.size == 1
+    for i in (*edge, *inside):
+        rec = simulate(W, p0, cfg, path_index=int(i))
+        assert set(rec.occupation) == {3}
+        assert rec.occupation[3].tobytes() == ens.occupation[i, 0].tobytes()
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1.5625e-4])
+def test_occupation_counts_become_sequential_sums_of_dt(dt):
+    """A count ``k`` becomes the float that ``k`` additions ``s += dt`` from
+    0.0 give, at the ends of every table chunk up to 10⁶ steps."""
+    edges = [j * _OCC_CHUNK + d for j in range(1, 10**6 // _OCC_CHUNK + 1) for d in (-1, 0, 1)]
+    counts = np.array([0, 1, *edges, 10**6])
+    want, s = {}, 0.0
+    wanted = set(counts.tolist())
+    for k in range(int(counts.max()) + 1):
+        if k in wanted:
+            want[k] = s
+        s += dt
+    got = _count_seconds(counts[::-1].reshape(-1, 1, 1), dt)
+    assert got.shape == (counts.size, 1, 1)
+    assert got.ravel()[::-1].tolist() == [want[k] for k in counts.tolist()]
 
 
 def test_seed_changes_paths(wf, p03):
