@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 from .errors import (
     BoundaryEvaluation,
     ConfigInvalid,
-    DerivativeUnavailable,
     EmptyBin,
     FaceNotTangent,
     GridTooCoarse,
@@ -37,7 +36,6 @@ from .errors import (
     NotOnFace,
     NoValidH,
     NoValidParams,
-    NoValidRho,
     PointOutsideDomain,
 )
 from .geometry import (
@@ -65,7 +63,6 @@ from .operator import (
     PolyField,
     PolynomialFunction,
     PRESET_NAMES,
-    SmoothFunction,
     as_field,
     make_preset,
     model1d,
@@ -135,7 +132,6 @@ __all__ = [
     "PointOutsideDomain",
     "NotOnFace",
     "BoundaryEvaluation",
-    "DerivativeUnavailable",
     "NotClean",
     "FaceNotTangent",
     "NonFinite",
@@ -146,7 +142,6 @@ __all__ = [
     "IncompatibleData",
     "NoValidH",
     "NoValidParams",
-    "NoValidRho",
     "ConfigInvalid",
     "AssumptionViolation",
     # geometry
@@ -168,7 +163,6 @@ __all__ = [
     "PolyField",
     "FuncField",
     "as_field",
-    "SmoothFunction",
     "PolynomialFunction",
     "AssumptionReport",
     "FaceClassification",

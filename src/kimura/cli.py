@@ -35,7 +35,6 @@ from .errors import (
     NotClean,
     NoValidH,
     NoValidParams,
-    NoValidRho,
 )
 from .estimators import _prob_ci
 from .geometry import Point
@@ -51,7 +50,6 @@ _ASSUMPTION_ERRORS = (
     FaceNotTangent,
     NoValidH,
     NoValidParams,
-    NoValidRho,
 )
 
 

@@ -31,10 +31,6 @@ class BoundaryEvaluation(KimuraError):
 # --- operator ----------------------------------------------------------------
 
 
-class DerivativeUnavailable(KimuraError):
-    """A field lacks the derivative needed and finite differences are disabled."""
-
-
 class NotClean(KimuraError):
     """A face weight neither vanishes identically nor is bounded below.
 
@@ -98,10 +94,6 @@ class NoValidH(KimuraError):
 
 class NoValidParams(KimuraError):
     """No (beta, k) made the w1 barrier inequality hold within budget."""
-
-
-class NoValidRho(KimuraError):
-    """No radius rho made the regularity barrier inequality hold."""
 
 
 # --- cli -------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DerivativeUnavailable,
     FaceNotTangent,
     KimuraError,
     NotClean,
@@ -73,7 +72,6 @@ __all__ = [
     "PolyField",
     "FuncField",
     "as_field",
-    "SmoothFunction",
     "PolynomialFunction",
     "AssumptionViolation",
     "AssumptionReport",
@@ -327,94 +325,24 @@ def as_field(obj) -> CoefficientField:
 
 
 # --------------------------------------------------------------------------
-# smooth test functions (arguments of L)
+# polynomial test functions (arguments of L)
 # --------------------------------------------------------------------------
 
 
-class SmoothFunction:
-    """A twice-differentiable scalar function of a domain point.
-
-    Supply ``f`` plus optional ``grad`` / ``hess`` callables; missing
-    derivatives fall back to central differences unless ``allow_fd=False`` at
-    the call site, in which case :class:`DerivativeUnavailable` is raised.
-    """
-
-    def __init__(self, f: Callable[[Point], float], grad=None, hess=None):
-        self._f, self._grad, self._hess = f, grad, hess
-
-    def value(self, p: Point) -> float:
-        return float(self._f(p))
-
-    def gradient(self, p: Point, allow_fd: bool = True) -> np.ndarray:
-        if self._grad is not None:
-            return np.asarray(self._grad(p), dtype=float)
-        if not allow_fd:
-            raise DerivativeUnavailable("no analytic gradient and fallback disabled")
-        return _fd_gradient(self._f, p)
-
-    def hessian(self, p: Point, allow_fd: bool = True) -> np.ndarray:
-        if self._hess is not None:
-            return np.asarray(self._hess(p), dtype=float)
-        if not allow_fd:
-            raise DerivativeUnavailable("no analytic hessian and fallback disabled")
-        return _fd_hessian(self._f, p)
-
-
-def _fd_gradient(f, p: Point) -> np.ndarray:
-    z = p.coords()
-    n = p.n
-    g = np.empty(z.size)
-    for i in range(z.size):
-        h = 1e-6 * max(1.0, abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(Point(zp[:n], zp[n:])) - f(Point(zm[:n], zm[n:]))) / (2 * h)
-    return g
-
-
-def _fd_hessian(f, p: Point) -> np.ndarray:
-    z = p.coords()
-    n = p.n
-    d = z.size
-    H = np.empty((d, d))
-
-    def at(v):
-        return f(Point(v[:n], v[n:]))
-
-    f0 = at(z)
-    hs = [3e-4 * max(1.0, abs(z[i])) for i in range(d)]
-    for i in range(d):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += hs[i]
-        zm[i] -= hs[i]
-        H[i, i] = (at(zp) - 2 * f0 + at(zm)) / hs[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            zpp, zpm, zmp, zmm = z.copy(), z.copy(), z.copy(), z.copy()
-            zpp[[i, j]] += [hs[i], hs[j]]
-            zpm[i] += hs[i]; zpm[j] -= hs[j]
-            zmp[i] -= hs[i]; zmp[j] += hs[j]
-            zmm[[i, j]] -= [hs[i], hs[j]]
-            H[i, j] = H[j, i] = (at(zpp) - at(zpm) - at(zmp) + at(zmm)) / (
-                4 * hs[i] * hs[j]
-            )
-    return H
-
-
-class PolynomialFunction(SmoothFunction):
+class PolynomialFunction:
     """A polynomial test function with exact gradient and hessian.
 
     ``terms`` follows the :class:`PolyField` convention:
-    ``(coeff, xpow, ypow)`` tuples.
+    ``(coeff, xpow, ypow)`` tuples.  Every derivative is again a polynomial,
+    so :meth:`KimuraOperator.apply` evaluates ``L u`` with no discretisation
+    error.
     """
 
     def __init__(self, terms, n: int, m: int = 0):
         self.terms = tuple((float(c), tuple(xp), tuple(yp)) for c, xp, yp in terms)
         self.n, self.m = n, m
-        super().__init__(self._value)
 
-    def _value(self, p: Point) -> float:
+    def value(self, p: Point) -> float:
         out = 0.0
         for c, xp, yp in self.terms:
             t = c
@@ -425,7 +353,7 @@ class PolynomialFunction(SmoothFunction):
                 if pw:
                     t *= p.y[l] ** pw
             out += t
-        return out
+        return float(out)
 
     def _diff(self, slot: int) -> "PolynomialFunction":
         new = []
@@ -443,17 +371,17 @@ class PolynomialFunction(SmoothFunction):
                     new.append((c * pw, xp, nyp))
         return PolynomialFunction(new, self.n, self.m)
 
-    def gradient(self, p: Point, allow_fd: bool = True) -> np.ndarray:
+    def gradient(self, p: Point) -> np.ndarray:
         d = self.n + self.m
-        return np.array([self._diff(i)._value(p) for i in range(d)])
+        return np.array([self._diff(i).value(p) for i in range(d)])
 
-    def hessian(self, p: Point, allow_fd: bool = True) -> np.ndarray:
+    def hessian(self, p: Point) -> np.ndarray:
         d = self.n + self.m
         H = np.empty((d, d))
         for i in range(d):
             di = self._diff(i)
             for j in range(i, d):
-                H[i, j] = H[j, i] = di._diff(j)._value(p)
+                H[i, j] = H[j, i] = di._diff(j).value(p)
         return H
 
     def rescaled_input(self, lam: float) -> "PolynomialFunction":
@@ -693,19 +621,13 @@ class KimuraOperator:
 
     # -- pointwise application ---------------------------------------------
 
-    def apply(self, u, p: Point, allow_fd: bool = True) -> float:
-        """Evaluate ``L u`` at ``p``.
+    def apply(self, u: PolynomialFunction, p: Point) -> float:
+        """Evaluate ``L u`` at ``p`` from the exact derivatives of ``u``.
 
-        ``u`` is a :class:`SmoothFunction` or a plain callable of
-        :class:`Point` (differentiated by central differences when allowed).
         The formula is polynomial in ``x``, so boundary points are fine.
         """
-        if not isinstance(u, SmoothFunction):
-            if not callable(u):
-                raise TypeError("u must be callable or a SmoothFunction")
-            u = SmoothFunction(u)
-        g = u.gradient(p, allow_fd=allow_fd)
-        H = u.hessian(p, allow_fd=allow_fd)
+        g = u.gradient(p)
+        H = u.hessian(p)
         n, m = self.n, self.m
         x = p.x
         val = 0.0

@@ -348,7 +348,6 @@ class Grid1D:
         dirichlet_left: bool,
         dirichlet_right: bool,
         *,
-        grade_right: bool | None = None,
         face_left: int | None = None,
         face_right: int | None = None,
         logistic_possible: bool = True,
@@ -356,9 +355,7 @@ class Grid1D:
         if M < 8:
             raise GridTooCoarse(f"need at least 8 cells, got {M}")
         ss = _probe_speed_scale(a_fn, b_fn, edge, logistic_possible)
-        if grade_right is None:
-            grade_right = ss.kind == "beta"
-        nodes = _graded_nodes(edge, M, grade_left=True, grade_right=grade_right)
+        nodes = _graded_nodes(edge, M, grade_left=True, grade_right=ss.kind == "beta")
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         lo = np.concatenate(([nodes[0]], mid))
         hi = np.concatenate((mid, [nodes[-1]]))

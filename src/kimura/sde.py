@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -274,7 +274,6 @@ class _Level:
     tracked: tuple[tuple[int, int], ...]    # (face id, occupation row) per tracked face
     parent: "_Level | None" = None
     via_face: int | None = None
-    children: dict[int, "_Level"] = dc_field(default_factory=dict)
 
     @property
     def dom(self) -> DomainSpec:
@@ -308,11 +307,9 @@ def _make_level(
 
 
 def _child_level(level: _Level, face: int, tracked_rows: dict[int, int]) -> _Level:
-    if face in level.children:
-        return level.children[face]
     sub_op = level.op.restrict(face)
     _, fmap = restrict_domain(level.dom, face)
-    child = _make_level(
+    return _make_level(
         sub_op,
         sub_op.classify_faces(),
         {new: level.face_orig[old] for new, old in fmap.items()},
@@ -323,8 +320,6 @@ def _child_level(level: _Level, face: int, tracked_rows: dict[int, int]) -> _Lev
         parent=level,
         via_face=face,
     )
-    level.children[face] = child
-    return child
 
 
 def _embed_to_root(level: _Level, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ derivatives of the barrier (they are explicit elementary functions), so the
 reported margins carry no finite-difference error; grids exclude the
 degenerate edge x₁ = 0, where the barriers' derivatives blow up.
 
-Search conventions: a barrier parameter passed as ``None`` is searched —
-geometric descent/doubling with a 40-iteration budget and a 1e−6 floor —
-and the first comfortably passing value is reported (not the razor-thin
-threshold), so that a re-check on a 10× finer grid stays negative.
+Search conventions: a w1/w2 barrier parameter passed as ``None`` is
+searched — geometric descent/doubling with a 40-iteration budget and a 1e−6
+floor — and the first comfortably passing value is reported (not the
+razor-thin threshold), so that a re-check on a 10× finer grid stays
+negative.  The regularity barrier of a 1-D operator takes its window ρ
+as given.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .errors import (
     KimuraError,
     NoValidH,
     NoValidParams,
-    NoValidRho,
 )
-from .geometry import CornerBox, Point
-from .operator import FuncField, KimuraOperator, SmoothFunction
+from .geometry import CornerBox
+from .operator import FuncField, KimuraOperator
 
 __all__ = [
     "AppendixOperator",
@@ -346,81 +347,43 @@ def check_barrier_w1(
 # --------------------------------------------------------------------------
 
 
-def _w_reg_smooth(L: KimuraOperator, rho: float) -> SmoothFunction:
-    """√(x₁/ρ) + Σ_{i≥2} x_i + Σ y_l², with exact derivatives."""
-    n, m = L.n, L.m
+def _w_reg_margin(L: KimuraOperator, rho: float, M: int):
+    """−L(w) on (0,ρ], from exact derivatives.
 
-    def f(p: Point) -> float:
-        return math.sqrt(p.x[0] / rho) + float(np.sum(p.x[1:])) + float(np.sum(p.y**2))
-
-    def grad(p: Point) -> np.ndarray:
-        g = np.ones(n + m)
-        g[0] = 0.5 / math.sqrt(rho * p.x[0])
-        g[n:] = 2.0 * p.y
-        return g
-
-    def hess(p: Point) -> np.ndarray:
-        h = np.zeros((n + m, n + m))
-        h[0, 0] = -0.25 / (math.sqrt(rho) * p.x[0] ** 1.5)
-        for l in range(m):
-            h[n + l, n + l] = 2.0
-        return h
-
-    return SmoothFunction(f, grad=grad, hess=hess)
-
-
-def check_barrier_regularity(
-    L: KimuraOperator,
-    rho: float | None = None,
-    *,
-    M: int = 48,
-) -> BarrierReport:
-    """Check the regularity barrier L(√(x₁/ρ) + Σ_{i≥2}x_i + Σy_l²) < 0.
-
-    Evaluated on the anisotropic window (0,ρ)^n × (−√ρ,√ρ)^m through the
-    operator's own coefficients (exact barrier derivatives).  ``rho=None``
-    bisects ρ downward from min(1, chart radius).
+    w = √(x/ρ), so w′ = ½(ρx)^{−½}, w″ = −¼ρ^{−½}x^{−3/2} and
+    L w = ℓ x w″ + b w′ + x² a w″.
     """
-    if rho is not None and rho <= 0.0:
+    x = _graded_open(rho, M)
+    X, Y = x[:, None], np.empty((M, 0))
+    dw = 0.5 / np.sqrt(rho * x)
+    d2w = -0.25 / (math.sqrt(rho) * x**1.5)
+    val = L.lead[0].eval(X, Y) * x * d2w + L.b[0].eval(X, Y) * dw
+    val += x * x * L.a[0][0].eval(X, Y) * d2w
+    return [x], -val
+
+
+def check_barrier_regularity(L: KimuraOperator, rho: float, *, M: int = 48) -> BarrierReport:
+    """Check the regularity barrier L(√(x/ρ)) < 0 of a 1-D box operator.
+
+    Evaluated on the graded window (0, ρ] through the operator's own
+    coefficients ``lead[0]``, ``b[0]`` and ``a[0][0]`` (exact barrier
+    derivatives).  ``rho`` must be positive and at most the chart radius;
+    an operator with ``n ≠ 1``, ``m ≠ 0`` or a non-box chart raises
+    :class:`~kimura.errors.KimuraError`.
+    """
+    if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     box = L.dom
-    if not isinstance(box, CornerBox):
-        raise KimuraError("the regularity barrier runs on a box chart")
+    if not isinstance(box, CornerBox) or (L.n, L.m) != (1, 0):
+        raise KimuraError("the regularity barrier runs on a 1-D box chart")
+    if rho > box.radius + 1e-12:
+        raise ValueError(f"rho={rho} exceeds the chart radius {box.radius}")
     flags = []
     fc = L.classify_faces()
     if 1 not in fc.tangent:
         flags.append("face 1 drift does not vanish: tangency assumption violated")
-
-    def run(r: float) -> BarrierReport:
-        w = _w_reg_smooth(L, r)
-        axes = [_graded_open(r, M)]
-        for _ in range(L.n - 1):
-            axes.append(np.linspace(r / M, r, M))
-        y_edge = math.sqrt(r)
-        for _ in range(L.m):
-            axes.append(np.linspace(-y_edge, y_edge, max(3, M // 2)))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flatpts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-        margin = np.empty(flatpts.shape[0])
-        for idx, row in enumerate(flatpts):
-            p = Point(row[: L.n], row[L.n :])
-            margin[idx] = -L.apply(w, p, allow_fd=False)
-        params = {"rho": r}
-        return _report("w_reg", params, axes, margin.reshape(mesh[0].shape), flags)
-
-    if rho is not None:
-        if rho > box.radius + 1e-12:
-            raise ValueError(f"rho={rho} exceeds the chart radius {box.radius}")
-        return run(float(rho))
-    r = min(1.0, box.radius)
-    for _ in range(_SEARCH_BUDGET):
-        rep = run(r)
-        if rep.passed:
-            return rep
-        if r <= _PARAM_FLOOR:
-            break
-        r = max(0.5 * r, _PARAM_FLOOR)
-    raise NoValidRho(f"no window size ≥ {_PARAM_FLOOR} makes the regularity barrier strict")
+    arrays, margin = _w_reg_margin(L, float(rho), M)
+    return _report("w_reg", {"rho": float(rho)}, arrays, margin, flags)
 
 
 # --------------------------------------------------------------------------

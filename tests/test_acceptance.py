@@ -430,8 +430,8 @@ def test_A12_rescaling_identity(capsys):
             Lp = L.rescale(lam)
             v = u.rescaled_input(lam)
             for x, y in zip(xs, ys):
-                lhs = lam * L.apply(u, Point(lam * x, math.sqrt(lam) * y), allow_fd=False)
-                rhs = Lp.apply(v, Point(x, y), allow_fd=False)
+                lhs = lam * L.apply(u, Point(lam * x, math.sqrt(lam) * y))
+                rhs = Lp.apply(v, Point(x, y))
                 worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-8
     _verdict(

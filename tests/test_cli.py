@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from kimura import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -174,6 +177,19 @@ def test_barriers_task_passes(tmp_path):
     rows = (out / "barriers.csv").read_text().splitlines()
     assert len(rows) == 4  # header + w2 + w1 + w_reg
     assert all("pass" in r for r in rows[1:])
+
+
+def test_barriers_task_failure_exits_two(tmp_path):
+    # the golden barriers config with a strip height far too tall for w2
+    golden = json.loads((GOLDEN / "cli_barriers.json").read_text())["config"]
+    out = tmp_path / "out"
+    cfg = {**golden, "task": "barriers", "out": str(out)}
+    cfg["params"] = {**cfg["params"], "H": 1.0}
+    assert cli.main(["barriers", "--config", _write(tmp_path, cfg)]) == 2
+    doc = _summary(out)
+    assert doc["status"] == "assumption-failure"
+    assert doc["results"]["verdict"] == "fail"
+    assert doc["results"]["barriers"]["w2"]["verdict"] == "fail"
 
 
 def test_kernel_task_artifacts(tmp_path):

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from kimura.errors import EmptyBin, NotClean
+from kimura.errors import EmptyBin, FaceNotTangent, NotClean
 from kimura.estimators import (
     HittingHistogram,
     aligned_hitting_edges,
@@ -169,9 +169,20 @@ def test_histogram_against_pde_flux(wf, p03):
     assert np.abs(mc - ref).sum() < 0.03
 
 
+def test_hitting_histogram_rejects_a_transverse_face():
+    with pytest.raises(FaceNotTangent):
+        hitting_histogram(model1d(0.5), Point([0.5]), 1, 10)
+
+
 # ---------------------------------------------------------------------------
 # corner probability
 # ---------------------------------------------------------------------------
+
+
+def test_corner_probability_rejects_a_transverse_first_face():
+    P = product_operator(model1d(0.5), model1d(0.0))
+    with pytest.raises(FaceNotTangent):
+        corner_hit_probability(P, Point([0.5, 0.5]), (1, 2), 10)
 
 
 def test_corner_probability_rule_of_three():

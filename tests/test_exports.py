@@ -54,3 +54,24 @@ def test_every_import_is_used_or_exported(name):
     exported = set(getattr(module, "__all__", ()))
     unused = sorted(f"{n} (line {ln})" for n, ln in imported.items() if n not in used | exported)
     assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def test_every_error_class_is_raised_somewhere():
+    """Each error class but the base is constructed in a module other than
+    ``errors``, so deleting a feature cannot leave its error class behind."""
+    errors = importlib.import_module("kimura.errors")
+    classes = {
+        n
+        for n, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.KimuraError) and obj is not errors.KimuraError
+    }
+    built = set()
+    for path in Path(kimura.__file__).parent.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                built.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    missing = sorted(classes - built)
+    assert not missing, f"error classes never constructed outside errors.py: {missing}"

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kimura.errors import DerivativeUnavailable, KimuraError, NotClean
+from kimura.errors import KimuraError, NotClean
 from kimura.geometry import CornerBox, Point, Simplex
 from kimura.operator import (
     FuncField,
     KimuraOperator,
     PolyField,
     PolynomialFunction,
-    SmoothFunction,
     make_preset,
     model1d,
     product_operator,
@@ -34,7 +33,7 @@ def test_apply_1d_model_on_quadratic():
     L = model1d(0.7)
     u = PolynomialFunction([(1.0, (2,), ())], n=1)
     p = Point([0.3])
-    assert L.apply(u, p, allow_fd=False) == pytest.approx(2 * 0.3 + 2 * 0.7 * 0.3)
+    assert L.apply(u, p) == pytest.approx(2 * 0.3 + 2 * 0.7 * 0.3)
 
 
 def test_apply_wright_fisher_on_quadratic():
@@ -42,7 +41,7 @@ def test_apply_wright_fisher_on_quadratic():
     # gives x(1-x).
     W = wright_fisher(1, np.array([0.0, 0.0]))
     u = PolynomialFunction([(1.0, (2,), ())], n=1)
-    assert W.apply(u, Point([0.25]), allow_fd=False) == pytest.approx(0.25 * 0.75)
+    assert W.apply(u, Point([0.25])) == pytest.approx(0.25 * 0.75)
 
 
 def test_apply_mixed_terms_2d():
@@ -50,17 +49,7 @@ def test_apply_mixed_terms_2d():
     L = KimuraOperator(dom=CornerBox(2, 0), b=(1.0, 2.0))
     u = PolynomialFunction([(1.0, (1, 1), ())], n=2)
     p = Point([0.2, 0.5])
-    assert L.apply(u, p, allow_fd=False) == pytest.approx(0.5 + 2 * 0.2)
-
-
-def test_apply_finite_difference_fallback():
-    L = model1d(0.4)
-    u = SmoothFunction(lambda p: float(np.sin(p.x[0])))
-    p = Point([0.5])
-    exact = 0.5 * (-np.sin(0.5)) + 0.4 * np.cos(0.5)
-    assert L.apply(u, p) == pytest.approx(exact, abs=1e-6)
-    with pytest.raises(DerivativeUnavailable):
-        L.apply(u, p, allow_fd=False)
+    assert L.apply(u, p) == pytest.approx(0.5 + 2 * 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +388,8 @@ def test_rescale_identity_on_polynomials(lam):
     for x, y in zip(xs, ys):
         zp = Point(x, y)
         z = Point(lam * x, np.sqrt(lam) * y)
-        lhs = lam * L.apply(u, z, allow_fd=False)
-        rhs = Lp.apply(v, zp, allow_fd=False)
+        lhs = lam * L.apply(u, z)
+        rhs = Lp.apply(v, zp)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -452,6 +441,6 @@ def test_apply_is_linear_in_u(b, x, coef):
         [(coef * 1.0, (2,), ()), (coef * 0.5, (1,), ())], n=1
     )
     p = Point([x])
-    assert L.apply(w, p, allow_fd=False) == pytest.approx(
-        coef * L.apply(u, p, allow_fd=False), rel=1e-9, abs=1e-12
+    assert L.apply(w, p) == pytest.approx(
+        coef * L.apply(u, p), rel=1e-9, abs=1e-12
     )

@@ -12,8 +12,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from kimura.errors import KimuraError, NoValidH, NoValidParams, NoValidRho
-from kimura.operator import make_preset, model1d
+from kimura.errors import KimuraError, NoValidH, NoValidParams
+from kimura.geometry import CornerBox
+from kimura.operator import KimuraOperator, make_preset, model1d
 from kimura.verify import (
     AppendixOperator,
     check_barrier_regularity,
@@ -149,9 +150,31 @@ def test_wreg_rejects_bad_radius():
         check_barrier_regularity(model1d(0.0), rho=2.0)
 
 
-def test_wreg_search_failure():
-    with pytest.raises(NoValidRho):
-        check_barrier_regularity(model1d(0.9))
+def test_wreg_fixed_rho_failure():
+    # b > ½ makes L√(x/ρ) = (2b − 1)/(4√(ρx)) positive at every node, so the
+    # margin is most negative at the first node and every node is a witness
+    b, rho, M = 0.9, 0.25, 48
+    rep = check_barrier_regularity(model1d(b), rho=rho, M=M)
+    assert not rep.passed
+    nodes = [(k / M) * (k / M) * rho for k in range(1, 17)]
+    assert rep.violations == tuple((x,) for x in nodes)
+    assert rep.argmin == (nodes[0],)
+    exact = (1.0 - 2.0 * b) / (4.0 * np.sqrt(rho * nodes[0]))
+    assert rep.min_margin == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        KimuraOperator(dom=CornerBox(2, 0), b=(0.0, 0.5)),
+        KimuraOperator(dom=CornerBox(1, 1), b=(0.0,)),
+        make_preset("wright-fisher", N=1, b=[0.0, 0.0]),
+    ],
+    ids=["2d-box", "1d-with-y", "simplex"],
+)
+def test_wreg_rejects_operators_other_than_1d_box(L):
+    with pytest.raises(KimuraError, match="1-D box"):
+        check_barrier_regularity(L, rho=0.25)
 
 
 def test_reports_serialize():
