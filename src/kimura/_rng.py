@@ -24,9 +24,10 @@ engine keys each path's stream once (:func:`stream_keys`, an array of
 ``key + (step·stride + slot)·GOLD`` per path and slot), compacts that array
 with its state, and draws the next steps from it (:func:`next_normals`),
 which adds ``k·stride·GOLD`` per step ahead and advances the array past the
-steps it drew.  :func:`counter_uniforms` and :func:`step_normals` are the
-same stream addressed by explicit counters; all of them share :func:`_key`
-and :func:`_uniforms`, the one copy of the mix chain.
+steps it drew.  :func:`counter_uniforms`, :func:`counter_normals` and
+:func:`step_normals` are the same stream addressed by explicit counters; all
+of them share :func:`_key` and :func:`_uniforms`, the one copy of the mix
+chain.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def step_normals(
     normals of counters ``step·slot_stride + slot`` (arguments as in
     :func:`stream_keys`).
 
-    This is the one-step definition of the stream that the tests compare the
-    engines' block draws against.
+    This is the one-step definition of the stream, by explicit counters, that
+    the tests compare the engine's block draws against.
     """
-    return next_normals(stream_keys(seed, path, step, slots, slot_stride), 1, slot_stride)[0]
+    return ndtri(_uniforms(stream_keys(seed, path, step, slots, slot_stride)))

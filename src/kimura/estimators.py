@@ -333,7 +333,7 @@ def corner_hit_probability(
     The cross-fed-drift system (``b = (x₂, x₁)`` on a two-dimensional box,
     recognised by its coefficients) cannot be classified (its faces are
     neither tangent nor transverse), so for it the estimate comes from the
-    dedicated corner-absorbing integrator: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One
+    engine under a corner stop: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One
     call of :func:`sde.counterexample_ensemble` serves the whole sequence: each path
     runs until it passes below the smallest ``eps`` and records its first
     passage below every value on the way.  Either way the paths are split

@@ -163,18 +163,23 @@ class PolyField(CoefficientField):
                 )
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Each term is ``coeff·x^xp·y^yp`` multiplied left to right from its
+        first factor, and the terms are summed from +0.0 in table order."""
         k = x.shape[0] if x.ndim == 2 else y.shape[0]
-        out = np.zeros(k)
+        out = None
         for coeff, xp, yp in self.terms:
-            t = np.full(k, float(coeff))
-            for i, p in enumerate(xp):
-                if p:
-                    t = t * x[:, i] ** p
-            for l, p in enumerate(yp):
-                if p:
-                    t = t * y[:, l] ** p
-            out += t
-        return out
+            t = None if coeff == 1.0 else float(coeff)
+            for z, pows in ((x, xp), (y, yp)):
+                for i, p in enumerate(pows):
+                    if p:
+                        f = z[:, i] if p == 1 else z[:, i] ** p
+                        t = f if t is None else t * f
+            t = 1.0 if t is None else t
+            if out is None:
+                out = np.full(k, t + 0.0) if np.ndim(t) == 0 else t + 0.0
+            else:
+                out += t
+        return np.zeros(k) if out is None else out
 
     @property
     def const(self) -> float | None:
@@ -415,11 +420,11 @@ class AssumptionReport:
     ``nonneg_ok`` — the corner drifts are non-negative where they guard their
     own face (each ``b_i`` sampled on ``{x_i = 0}``, and the slack-face inward
     drift on simplex domains).  ``lambda_estimate`` — the minimum observed
-    Rayleigh quotient of the reduced second-order form
-    ``Σ ℓ_i ξ_i² + Σ a_ij ξ_i ξ_j + Σ c_il ξ_i η_l + Σ d_lk η_l η_k`` over
-    sampled points (exact minimum over directions at each sample).  A value of
-    0 marks a presentation that is only marginally non-degenerate in this
-    chart (zooming toward the corner strengthens it).
+    Rayleigh quotient of the reduced second-order form (see
+    :meth:`KimuraOperator._reduced_form_batch`) over sampled points (exact
+    minimum over directions at each sample).  A value near 0 marks a
+    presentation only marginally non-degenerate in this chart, as
+    Wright–Fisher's near the slack face, where the ``x``-chart is not adapted.
     """
 
     nonneg_ok: bool
@@ -705,19 +710,23 @@ class KimuraOperator:
         return AssumptionReport(nonneg_ok, lam, tuple(violations))
 
     def _reduced_form_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The reduced direction form ``Q(z)`` at each sample, shape (k,dim,dim)."""
+        """The reduced form ``Q(z)`` at each sample, shape (k,dim,dim): the
+        second-order part in the variables ``√x_i ∂_i`` and ``∂_y``,
+        ``Q = [[ℓ_i δ_ij + √(x_i x_j) a_ij, ½√x_i c_il], [·, d_lk]]``, so that
+        ``D Q D = diffusion_matrix_batch`` with ``D = diag(√x, 1)``."""
         k, n, m = x.shape[0], self.n, self.m
         Q = np.zeros((k, self.dim, self.dim))
+        r = np.sqrt(x)
         for i in range(n):
             Q[:, i, i] = self.lead[i].eval(x, y)
             for j in range(n):
                 aij = self.a[i][j]
                 if not aij.is_zero:
-                    Q[:, i, j] += aij.eval(x, y)
+                    Q[:, i, j] += r[:, i] * r[:, j] * aij.eval(x, y)
             for l in range(m):
                 cil = self.c[i][l]
                 if not cil.is_zero:
-                    half = 0.5 * cil.eval(x, y)
+                    half = 0.5 * r[:, i] * cil.eval(x, y)
                     Q[:, i, n + l] += half
                     Q[:, n + l, i] += half
         for l in range(m):
@@ -823,11 +832,13 @@ class KimuraOperator:
     def _weight_samples(self, W, face, samples):
         if self._face_is_point(face):
             p = self._face_point(face)
-            return [p], np.array([W(p) if not isinstance(W, ConstField) else W.value])
+            return [p], np.array([W(p) if W.const is None else W.const])
         sub, _ = restrict_domain(self.dom, face)
+        ex, ey = _extreme_points(sub)  # closed-face corners: cleanness holds on the *closed* face
+        if W.const is not None:  # one value, witnessed at the first corner
+            return [Point(ex[0], ey[0])], np.array([W.const])
         xs, ys = sample_domain(sub, samples, 0)
-        ex, ey = _extreme_points(sub)  # closed-face corners: cleanness is a
-        xs = np.vstack([xs, ex])       # condition on the *closed* face
+        xs = np.vstack([xs, ex])
         ys = np.vstack([ys, ey])
         vals = W.eval(xs, ys)
         pts = [Point(xs[r], ys[r]) for r in range(xs.shape[0])]
@@ -1046,6 +1057,15 @@ def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bare_coordinate(f: CoefficientField) -> int | None:
+    """``j`` when ``f`` is the polynomial ``x_j`` alone, else None."""
+    if isinstance(f, PolyField) and len(f.terms) == 1:
+        c, xp, yp = f.terms[0]
+        if c == 1.0 and sum(xp) == 1 and not any(yp):
+            return xp.index(1)
+    return None
+
+
 def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
     """``f`` without its zero polynomial terms, which add ±0 to every value
     at a finite state (so neutral Wright–Fisher's drift becomes constant 0)."""
@@ -1055,53 +1075,57 @@ def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
 
 
 class _EulerUpdate:
-    """One operator's Euler–Maruyama update ``z′ = z + drift·dt + G·√dt·ξ``
-    at one ``dt``, with what does not depend on the state worked out once.
-
-    It equals ``z + drift_batch·dt + noise_increment·√dt`` bit for bit at
-    every finite state with no ``−0.0`` coordinate (the clamp leaves none);
-    those two stay as the reference.  ``drift`` is chosen from the
-    coefficients after their zero polynomial terms are dropped: ``zero``
-    (skipped), ``constant`` (``b·dt`` precomputed), ``polynomial`` or
-    ``callable`` (evaluated each step).  ``noise`` is the strategy of
-    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
-    precomputed where they are constant; ``wf`` in one coordinate is
-    ``√(x(1−x))·ξ``.
+    """One operator's Euler–Maruyama update ``z′ = z + drift(x⁺)·dt + G(x⁺)·η``
+    at one ``dt``, ``η`` being the normals scaled by ``√dt``.  The raw ``x``
+    (full truncation leaves transverse box coordinates below 0) takes the
+    increment.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺, η)``
+    bit for bit at every finite state with no ``−0.0`` coordinate; those two
+    stay as the reference.  ``drift`` is chosen from the coefficients after
+    their zero polynomial terms are dropped: ``zero`` (skipped), ``constant``
+    (``b·dt`` precomputed), ``coordinates`` (each field a bare ``x_j``),
+    ``polynomial`` or ``callable``.  ``noise`` is the
+    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
+    ``y`` factor precomputed where constant; ``wf`` in one coordinate is
+    ``√(x(1−x))·η``.
     """
 
     def __init__(self, op: KimuraOperator, dt: float):
-        self.n = op.n
-        self.dt, self.sqdt = dt, math.sqrt(dt)
+        self.n, self.dt = op.n, dt
         self._fields = [_drop_zero_terms(f) for f in (*op.b, *op.e)]
         consts = [f.const for f in self._fields]
+        self._cols = [_bare_coordinate(f) for f in self._fields]
         if all(c is not None for c in consts):
             self.drift = "constant" if any(consts) else "zero"
             self._bdt = np.array(consts) * dt
+        elif None not in self._cols:
+            self.drift = "coordinates"
         elif all(isinstance(f, (ConstField, PolyField)) for f in self._fields):
             self.drift = "polynomial"
         else:
             self.drift = "callable"
         self.noise = op._noise_strategy
         self._op = op
+        # the wf factor clips its own arguments, and drift constants need no state
+        self._positive = bool(op.n) and (self.noise != "wf" or self.drift not in ("zero", "constant"))
         if self.noise in ("diag", "diag+chol"):
             lead = op._lead_const
+            if lead is not None and lead.size and np.all(lead == lead[0]):
+                lead = lead[0]  # one scalar: a product with a short row is far slower
             self._two_lead = None if lead is None else 2.0 * lead
             if op.m:
                 self._y_factor = (
                     np.sqrt(2.0 * op._d_diag_const) if self.noise == "diag" else op._yy_chol_const.T
                 )
 
-    def __call__(self, x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(x′, y′)`` for rows ``(x, y)`` and normals ``ξ``; the inputs are
-        left as they are."""
+    def __call__(self, x: np.ndarray, y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(x′, y′)`` for rows ``(x, y)`` and scaled normals ``η``; the
+        inputs are left as they are."""
         n = self.n
-        gx, gy = self._noise(x, y, xi)
-        gx *= self.sqdt
-        if gy is not None:
-            gy *= self.sqdt
+        xp = np.maximum(x, 0.0) if self._positive else x
+        gx, gy = self._noise(xp, y, eta)
         if self.drift == "zero":
             return np.add(x, gx, out=gx), (y if gy is None else np.add(y, gy, out=gy))
-        dd = self._bdt if self.drift == "constant" else self._drift_dt(x, y)
+        dd = self._bdt if self.drift == "constant" else self._drift_dt(xp, y)
         xn = x + dd[..., :n]
         xn += gx
         if gy is None:
@@ -1111,38 +1135,39 @@ class _EulerUpdate:
         return xn, yn
 
     def _drift_dt(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.drift == "coordinates":  # x_j + 0.0 is x_j at x⁺, which holds no −0.0
+            return x[:, self._cols] * self.dt
         out = np.empty((x.shape[0], len(self._fields)))
         for i, f in enumerate(self._fields):
-            out[:, i] = f.eval(x, y)
-        out *= self.dt
+            np.multiply(f.eval(x, y), self.dt, out=out[:, i])
         return out
 
-    def _noise(self, x, y, xi) -> tuple[np.ndarray, np.ndarray | None]:
-        """``G·ξ`` as fresh x and y blocks (y None without y coordinates)."""
+    def _noise(self, x, y, eta) -> tuple[np.ndarray, np.ndarray | None]:
+        """``G·η`` at ``x ≥ 0`` as fresh x and y blocks (y None without y
+        coordinates)."""
         n, op = self.n, self._op
         if self.noise == "wf":
             if n > 1:
-                return _wf_noise(x, xi), None
+                return _wf_noise(x, eta), None
             g = x * (1.0 - x)  # the factor's one pivot, with q₀ = 1
             np.maximum(g, 0.0, out=g)
             np.sqrt(g, out=g)
-            g *= xi
+            g *= eta
             return g, None
         if self.noise == "generic":
-            g = op.noise_increment(x, y, xi)
+            g = op.noise_increment(x, y, eta)
             return g[:, :n], (g[:, n:] if op.m else None)
-        gx = np.maximum(x, 0.0)
         if self._two_lead is not None:
-            gx *= self._two_lead
+            gx = x * self._two_lead
         else:
-            gx *= 2.0 * np.column_stack([f.eval(x, y) for f in op.lead])
+            gx = x * (2.0 * np.column_stack([f.eval(x, y) for f in op.lead]))
         np.sqrt(gx, out=gx)
-        gx *= xi[:, :n]
+        gx *= eta[:, :n]
         if not op.m:
             return gx, None
         if self.noise == "diag":
-            return gx, self._y_factor * xi[:, n:]
-        return gx, xi[:, n:] @ self._y_factor
+            return gx, self._y_factor * eta[:, n:]
+        return gx, eta[:, n:] @ self._y_factor
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Path simulation of corner-degenerate diffusions with face absorption.
 
-The Euler–Maruyama scheme steps ``z′ = z + drift·dt + G·√dt·ξ`` with the
-noise factor ``G Gᵀ = 2M`` from the operator, then enforces the domain:
-corner coordinates clamp to 0, and on a simplex the slack constraint
-``Σx ≤ 1`` is restored through the affine chart swap (the slack face behaves
-exactly like a coordinate face).  What happens at a face depends on its
-weight:
+One Euler–Maruyama loop, :func:`_advance`, steps every path:
+``z′ = z + drift(x⁺)·dt + G(x⁺)·(√dt·ξ)`` with the noise factor
+``G Gᵀ = 2M`` from the operator, then enforces the domain: corner
+coordinates clamp to 0, and on a simplex the slack constraint ``Σx ≤ 1`` is
+restored through the affine chart swap (the slack face behaves exactly like
+a coordinate face).  What happens at a face depends on its weight:
 
 * **tangent face** (weight ≡ 0): the exact process reaches the face with
   positive probability and is absorbed; a clamp that lands a tangent
@@ -14,7 +14,7 @@ weight:
   the face — recursively, down to dimension-0 corners, which are frozen.
 * **transverse face** (weight ≥ β₀ > 0): the exact process touches the face
   but spends zero time there and does not stick; clamping without absorption
-  is the consistent discrete analogue.
+  is the discrete analogue used here.
 
 Noise is counter-based: every normal variate is a pure function of
 ``(seed, path_index, step, slot)`` where slots are the *original* domain's
@@ -22,11 +22,11 @@ coordinates.  A restricted path keeps drawing from the slots of its surviving
 coordinates at its own step counter, so each path's trajectory is identical
 no matter how the ensemble is chunked across workers.
 
-Each call of the engine, and the corner-sum loop below, keys its paths'
-streams once (:func:`~kimura._rng.stream_keys`: one ``(live paths, n_slots)``
-array at each path's step count), kept row-aligned with the state.  It draws
-the noise a block of steps per call from it
-(:func:`~kimura._rng.next_normals`, at most ``_BLOCK_NORMALS`` variates):
+Each call of the engine keys its paths' streams once
+(:func:`~kimura._rng.stream_keys`: one ``(live paths, n_slots)`` array at
+each path's step count), kept row-aligned with the state.  It draws the
+noise a block of steps per call from it (:func:`~kimura._rng.next_normals`,
+at most ``_BLOCK_NORMALS`` variates) and scales the block by ``√dt`` once:
 ``K = max(1, min(steps left, _BLOCK_NORMALS // (n_slots·live paths)))``
 steps, after which the keys stand ``K`` steps further on.  A path that stops
 inside a block (hit, horizon, freeze) leaves its remaining rows unused; the
@@ -34,26 +34,12 @@ live paths' rows are found through an index aligned with the state.
 Paths restricted to a face are keyed afresh in their child level's call, so
 no path joins a block midway.
 
-No path's output depends on its row, so the engine reorders rows freely.
-When paths leave a level it compacts by tail-fill (``_tail_fill``): the last
-staying rows move into the holes and every aligned array is cut to its new
-length, O(paths leaving) per step.  Occupation is counted: each step adds 1
-to an ``int32`` count per tracked face, threshold and live path; a path's
-counts go to its record when it leaves the level, and at the end of the run
-:func:`_count_seconds` turns each count ``k`` into the sum of ``k``
-sequential additions of ``dt``, the float a per-step ``+= dt`` would hold.
-Hits are copied as they are found and routed (``_route_hits``: first hit,
-events, terminal records, child cohorts) once, when the level's loop ends.
-
-Each level's Euler step is built once, as a step plan (``_StepPlan``),
-when the level's cohort starts: the drift (zero and skipped, constant with
-``b·dt`` precomputed, polynomial or callable, chosen from the coefficients
-after their zero polynomial terms are dropped), the noise strategy with its
-constants, the domain step and the hit test over the level's tangent faces.
-:meth:`~kimura.operator.KimuraOperator.drift_batch` and
-:meth:`~kimura.operator.KimuraOperator.noise_increment` stay as the
-reference the plan equals bit for bit.  Both loops check every recorded
-state for non-finite values before they return, however short the run.
+No path's output depends on its row, so the engine reorders rows freely:
+it compacts by tail-fill (``_tail_fill``), counts occupation in steps
+(``_count_seconds``) and routes hits once per level (``_route_hits``).
+Each level's Euler step is built once, as a step plan (``_StepPlan``).
+Every recorded state is checked for non-finite values before a run returns,
+however short the run.
 
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
@@ -64,14 +50,13 @@ no opt-in.  Hits and occupation read face distances through
 :mod:`~kimura.geometry` (:func:`~kimura.geometry.face_column` and
 :func:`~kimura.geometry.face_distance_rows`), the slack face included.
 
-The cross-fed-drift system (:func:`counterexample_ensemble`) is stepped by
-full truncation instead (Lord, Koekkoek & van Dijk 2010): the raw state is
-kept unclamped and its positive part ``x⁺`` enters only the drift and the
-diffusion coefficient.  Neither of that system's faces absorbs, so a
-per-coordinate clamp would add mass to ``S = X₁ + X₂`` at every touch and
-push paths away from the corner.  The corner hit is tested on
-``X₁⁺ + X₂⁺``.  The one-dimensional oracle :func:`sum_process_ensemble`
-runs the same loop with ``d = 1``.
+The cross-fed-drift system (:func:`counterexample_ensemble`), whose corner
+is reached although neither face absorbs, runs through the same loop on an
+unbounded box with no face classified, under a private corner stop
+(``_CornerStop``) on ``S = X₁⁺ + X₂⁺``; so does its one-dimensional oracle
+:func:`sum_process_ensemble`.  There no coordinate clamps: the state is
+stepped by full truncation (Lord, Koekkoek & van Dijk 2010), left raw with
+only ``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.
 """
 
 from __future__ import annotations
@@ -96,7 +81,7 @@ from .geometry import (
     restrict_domain,
     restrict_rows,
 )
-from .operator import FaceClassification, KimuraOperator, PolyField, _EulerUpdate
+from .operator import FaceClassification, KimuraOperator, PolyField, _EulerUpdate, remark_counterexample
 
 __all__ = [
     "SimConfig",
@@ -121,7 +106,7 @@ _MAX_STEPS = 2_000_000_000
 # stream is ``cfg.seed ^ _SUM_SEED_TAG``, apart from the two-dimensional run's.
 _SUM_SEED_TAG = 0x5DE1
 
-# Normals drawn per call by both loops: a fixed cap on the noise buffer (2¹⁴
+# Normals drawn per call by the engine: a fixed cap on the noise buffer (2¹⁴
 # doubles, 128 KB).  A full ensemble still draws one step per call; the long
 # tail of a few paths draws many, so the fixed cost of a call (tens of µs) no
 # longer dominates its steps.
@@ -279,10 +264,6 @@ class _Level:
     def dom(self) -> DomainSpec:
         return self.op.dom
 
-    @property
-    def slots(self) -> np.ndarray:
-        return np.concatenate([self.x_slots, self.y_slots])
-
 
 def _make_level(
     op: KimuraOperator,
@@ -337,7 +318,7 @@ def _embed_to_root(level: _Level, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Collector:
-    def __init__(self, k: int, dim: int, cfg: SimConfig, tracked_ids: tuple[int, ...], collect_events: bool):
+    def __init__(self, k: int, dim: int, cfg: SimConfig, tracked_ids, collect_events: bool, n_below: int):
         self.term_time = np.full(k, np.nan)
         self.term_xy = np.full((k, dim), np.nan)
         self.term_bits = np.zeros(k, dtype=np.uint32)
@@ -355,6 +336,8 @@ class _Collector:
         self.events: list[list[HitEvent]] | None = (
             [[] for _ in range(k)] if collect_events else None
         )
+        # each path's first step at or below each corner-stop threshold, or −1
+        self.below = np.full((k, n_below), -1, dtype=np.int64)
 
 
 def _simulate_cohort(
@@ -363,14 +346,17 @@ def _simulate_cohort(
     cfg: SimConfig,
     path_ids: np.ndarray,
     collect_events: bool,
+    stop: "_CornerStop | None" = None,
 ) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
+    """Run the paths ``path_ids`` from ``p0``; under a corner ``stop`` no
+    face is classified, absorbs or is tracked."""
     if cfg.n_steps > _MAX_STEPS:
         raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
     k = len(path_ids)
     dim = L.dim
-    fc = L.classify_faces()
+    fc = L.classify_faces() if stop is None else FaceClassification(frozenset(), frozenset(), {}, math.inf)
     tracked_ids = tuple(sorted(fc.transverse)) if cfg.occupation_eps else ()
-    res = _Collector(k, dim, cfg, tracked_ids, collect_events=collect_events)
+    res = _Collector(k, dim, cfg, tracked_ids, collect_events, 0 if stop is None else stop.eps.size)
     root = _make_level(
         L,
         fc,
@@ -387,7 +373,7 @@ def _simulate_cohort(
     ]
     while queue:
         level, x, y, steps, rows = queue.pop()
-        _advance(level, x, y, steps, rows, path_ids, res, cfg, dim, queue)
+        _advance(level, x, y, steps, rows, path_ids, res, cfg, dim, queue, stop)
     if np.any(np.isnan(res.term_time)):
         raise KimuraError("internal: some paths finished without a terminal record")
     hit = res.first_face[:, None] > 0
@@ -422,33 +408,38 @@ class _StepPlan:
     cohort starts, from the coefficients and the domain.
 
     ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
-    (drift and noise).  :meth:`step` adds the domain step: box reflection,
-    or the simplex chart-swap clamp, which on ``Simplex(1)`` is ``min(x, 1)``
-    because the swap lands exactly on 1.  :meth:`hits` tests the level's
-    tangent faces through their distance columns.  The overshoots that break
-    ties between faces a path lies on at once are kept only where two
-    tangent faces meet, so not on ``Simplex(1)``.
+    (drift and noise at ``x⁺``).  :meth:`step` adds the domain step: the
+    clamp of every coordinate to 0 (none when ``raw``, full truncation), then
+    box reflection, or the simplex chart-swap clamp, which on ``Simplex(1)``
+    is ``min(x, 1)`` because the swap lands exactly on 1.  :meth:`hits`
+    tests the level's tangent faces through their distance columns.  The
+    overshoots that break ties between faces a path lies on at once are kept
+    only where two tangent faces meet, so not on ``Simplex(1)``.
     """
 
-    def __init__(self, level: _Level, dt: float):
+    def __init__(self, level: _Level, dt: float, raw: bool = False):
         op, dom = level.op, level.dom
         self.update = _EulerUpdate(op, dt)
         self.dom = dom
         self.n_faces = len(dom.face_ids)
         self.tangent = tuple((f, face_column(f, dom), tol) for f, tol in level.tangent)
         self.ties = len(self.tangent) > 1 and op.dim > 1
+        self.clamp = not raw
+        # an unbounded box has no outer edge to reflect at
+        self.reflect = isinstance(dom, CornerBox) and op.n and math.isfinite(dom.radius)
 
-    def step(self, x, y, xi):
-        """``(x′, y′, ov)`` one step on from rows ``(x, y)``: ``ov`` row
-        ``f − 1`` is each path's overshoot past face ``f``, or None when no
-        tie needs it."""
-        x, y = self.update(x, y, xi)
+    def step(self, x, y, eta):
+        """``(x′, y′, ov)`` one step on from rows ``(x, y)`` with the scaled
+        normals ``η``: ``ov`` row ``f − 1`` is each path's overshoot past face
+        ``f``, or None when no tie needs it."""
+        x, y = self.update(x, y, eta)
         dom, nx = self.dom, x.shape[1]
         ov = None
         if self.ties:
             ov = np.empty((self.n_faces, x.shape[0]))
             np.maximum(-x.T, 0.0, out=ov[:nx])
-        np.maximum(x, 0.0, out=x)
+        if self.clamp:
+            np.maximum(x, 0.0, out=x)
         if isinstance(dom, Simplex):  # the slack face N+1 takes the last row
             if nx == 1:
                 np.minimum(x, 1.0, out=x)
@@ -457,7 +448,7 @@ class _StepPlan:
                 if ov is not None:
                     ov[nx] = over
         else:
-            if nx:
+            if self.reflect:
                 np.minimum(x, np.maximum(2.0 * dom.radius - x, 0.0), out=x)
             if y.shape[1]:
                 ry = dom.y_radius
@@ -488,23 +479,23 @@ class _StepPlan:
         return face
 
 
-def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
-    """Step the cohort ``(x, y)`` on ``level`` until each path hits a
-    tangent face or reaches the horizon.  ``steps`` holds each path's step
-    count on entry; every live path takes the same steps here, so the count
-    is that plus ``ran``.  The cohort's arrays are compacted in place."""
+def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=None):
+    """Step the cohort ``(x, y)`` on ``level`` until each path hits a tangent
+    face, meets the corner ``stop`` or reaches the horizon.  ``steps`` holds
+    each path's step count on entry; every live path takes the same steps
+    here, so the count is that plus ``ran``.  Arrays are compacted in place."""
     dt, T = cfg.dt, cfg.T
     n_total = cfg.n_steps
-    plan = _StepPlan(level, dt)
-    slots = level.slots
+    plan = _StepPlan(level, dt, raw=stop is not None)
+    slots = np.concatenate([level.x_slots, level.y_slots])
     keys = _rng.stream_keys(cfg.seed, path_ids[rows], steps, slots, stride)
     eps = np.asarray(cfg.occupation_eps)[:, None]
     occ_rows = np.array([row for _, row in level.tracked], dtype=np.intp)
     # steps each live path ended within each threshold of each tracked face
     cnt = np.zeros((occ_rows.size, eps.size, x.shape[0]), dtype=np.int32)
     ov = None  # each path's overshoot past each face in the last step
-    xi_blk, k_blk = (), 0  # the noise block and the next step's row in it
-    pos = np.arange(x.shape[0])  # row in xi_blk of each live path
+    eta_blk, k_blk = (), 0  # the scaled noise block and the next step's row in it
+    pos = np.arange(x.shape[0])  # row in eta_blk of each live path
     ran = 0
     s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
     # copies of (x, y, steps, rows, face) of the paths that hit, in hit order:
@@ -522,6 +513,12 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
             for buf, rec in zip(hits, (x[h], y[h], steps[h] + ran, rows[h], hit_face[h])):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
+        if stop is not None:  # its level has no tangent face, so no hit
+            left = stop.passed(x, steps, ran, rows, res.below)
+            if np.count_nonzero(left):
+                idx = np.flatnonzero(left)
+                _set_terminal(res, level, rows[idx], np.minimum((steps[idx] + ran) * dt, T), x[idx], y[idx])
+                gone = left
         # --- horizon ------------------------------------------------------
         horizon = s_max + ran >= n_total
         if horizon:
@@ -530,9 +527,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
                 done &= ~gone
             if np.count_nonzero(done):
                 idx = np.flatnonzero(done)
-                res.term_time[rows[idx]] = T
-                res.term_xy[rows[idx]] = _embed_to_root(level, x[idx], y[idx])
-                res.term_bits[rows[idx]] = level.stratum_bits
+                _set_terminal(res, level, rows[idx], T, x[idx], y[idx])
                 gone = done if gone is None else gone | done
         if gone is not None:
             out = np.flatnonzero(gone)
@@ -544,18 +539,19 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         if horizon:
             s_max = int(steps.max())
         # --- one Euler step for everyone -----------------------------------
-        if k_blk == len(xi_blk):
+        if k_blk == len(eta_blk):
             n_blk = max(
                 1,
                 min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (slots.size * x.shape[0])),
             )
-            xi_blk = _rng.next_normals(keys, n_blk, stride)
+            eta_blk = _rng.next_normals(keys, n_blk, stride)
+            eta_blk *= math.sqrt(dt)
             k_blk, pos = 0, np.arange(x.shape[0])
-        xi = xi_blk[k_blk]
+        eta = eta_blk[k_blk]
         k_blk += 1
-        if pos.size < xi.shape[0]:
-            xi = xi.take(pos, 0)
-        x, y, ov = plan.step(x, y, xi)
+        if pos.size < eta.shape[0]:
+            eta = eta.take(pos, 0)
+        x, y, ov = plan.step(x, y, eta)
         ran += 1
         # --- occupation: count the steps ending near each tracked face -----
         for i, (face, _) in enumerate(level.tracked):
@@ -564,18 +560,19 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue):
         _route_hits(level, *(buf[:n_hit] for buf in hits), res, cfg, queue)
 
 
+def _set_terminal(res, level, r, t, x, y) -> None:
+    """Paths ``r`` end at time ``t`` on ``level`` in rows ``(x, y)``, kept as ``(x⁺, y)``."""
+    res.term_time[r] = t
+    res.term_xy[r] = _embed_to_root(level, np.maximum(x, 0.0), y)
+    res.term_bits[r] = level.stratum_bits
+
+
 def _check_finite(rows: np.ndarray, ids: np.ndarray) -> None:
     """Raise :class:`NonFinite` naming the paths ``ids`` of any non-finite
     row of recorded states, before a result is returned."""
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         raise NonFinite(f"non-finite state in paths {ids[bad][:5].tolist()}...")
-
-
-def _take(idx: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The rows ``idx`` of each array: an integer ``take`` is several times
-    faster than a boolean mask along the first axis of a 2-D array."""
-    return [a.take(idx, 0) for a in arrays]
 
 
 def _tail_fill(out: np.ndarray, cnt: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -767,7 +764,7 @@ def _is_cross_fed(L: KimuraOperator) -> bool:
 
     That is ``x₁∂₁² + x₂∂₂² + x₂∂₁ + x₁∂₂`` on a two-dimensional box: unit
     leading coefficients, the drift table ``(x₂, x₁)`` and no ``a``, ``c``,
-    ``d`` or ``e`` terms.  The box radius does not enter the integrator.
+    ``d`` or ``e`` terms.  The box radius does not enter the run.
     """
     return (
         isinstance(L.dom, CornerBox)
@@ -777,6 +774,31 @@ def _is_cross_fed(L: KimuraOperator) -> bool:
         and all(f.const == 1.0 for f in L.lead)
         and L._a_zero
     )
+
+
+class _CornerStop:
+    """A stop on the corner sum ``S = Σx⁺``: each path's first step at or
+    below each of ``eps`` is recorded, and it leaves at ``S ≤ min eps`` or
+    ``S ≥ s_freeze``."""
+
+    def __init__(self, eps: np.ndarray, s_freeze: float):
+        self.eps, self.s_freeze = eps, s_freeze
+        self.lo, self.hi = eps.min(), eps.max()
+
+    def passed(self, x, steps, ran, rows, below) -> np.ndarray:
+        """Record the first passages of the rows ``x`` (at step ``steps +
+        ran``) in ``below``; return the rows that leave."""
+        xp = np.maximum(x, 0.0)
+        S = xp[:, 0]
+        for j in range(1, xp.shape[1]):  # by columns: a sum along short rows is far slower
+            S = S + xp[:, j]
+        low = (S <= self.hi).nonzero()[0]
+        if low.size:
+            for j, e in enumerate(self.eps):
+                new = low[S[low] <= e]
+                new = new[below[rows[new], j] < 0]
+                below[rows[new], j] = steps[new] + ran
+        return (S <= self.lo) | (S >= self.s_freeze)
 
 
 def counterexample_ensemble(
@@ -790,33 +812,29 @@ def counterexample_ensemble(
     """Simulate ``dX₁ = X₂ dt + √(2X₁) dW₁, dX₂ = X₁ dt + √(2X₂) dW₂``.
 
     Returns ``(hit, hit_time)``; a path counts as a corner hit for ``ε`` when
-    ``S = X₁⁺ + X₂⁺`` drops to ``ε`` or below before the horizon, and
-    ``hit_time`` is the end of the first step at which it does (NaN if it
-    never does).  A scalar ``eps_abs`` gives arrays of shape ``(n_paths,)``.
-    A sequence gives ``(n_paths, n_eps)`` arrays, one column per ε in the
-    order given, from one ensemble: a path runs until ``S ≤ min(ε)`` or
-    ``S ≥ s_freeze``, and its first passage below each ε is recorded on the
-    way.  Up to that passage a path's trajectory does not depend on which ε
-    are asked for, so every column equals the scalar run for its ε
-    bit-for-bit.  A column with ``ε ≥ S₀`` is hit at time 0.
+    ``S = X₁⁺ + X₂⁺`` is at ``ε`` or below at the start or at the end of a
+    step before the horizon, and ``hit_time`` is the first such time (NaN if
+    there is none).  A scalar ``eps_abs`` gives arrays of shape
+    ``(n_paths,)``; a sequence gives ``(n_paths, n_eps)``, one column per ε,
+    from one ensemble whose paths run until ``S ≤ min(ε)`` or
+    ``S ≥ s_freeze``.  Each column equals the scalar run for its ε
+    bit-for-bit, and a column with ``ε ≥ S₀`` is hit at time 0.
 
-    The step is full truncation: ``z ← z + z⁺[::-1]·dt + √(2z⁺)·√dt·ξ`` with
-    ``z`` left unclamped, so a negative coordinate is pulled back by the
-    other's drift and carries no noise.  A per-coordinate clamp would bias the
-    hit frequency down (by ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``).
+    The run is the engine's on ``remark_counterexample`` over an unbounded
+    box, with no face classified or absorbing.  Both coordinates are stepped
+    by full truncation, ``z ← z + z⁺[::-1]·dt + √(2z⁺)·(√dt·ξ)`` with ``z``
+    left raw; a per-coordinate clamp would bias the hit frequency down (by
+    ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``).
 
-    Once ``S ≥ s_freeze`` the path is frozen as escaped: for the sum process
-    the probability of returning to 0 from level ``s`` is ``e^{−s}``
-    (≈ 1.1e−7 at the default 16), far below the estimator tolerances, and the
-    exponential outward drift makes further simulation pure cost.
-
-    The noise is ``_rng.step_normals(seed, path, step, 2, 2)``, keyed once
-    and drawn a block of steps per call as in the engine (see the module
-    docstring).
+    A path with ``S ≥ s_freeze`` is frozen as escaped (at once, if it starts
+    there): the sum process returns to 0 from level ``s`` with probability
+    ``e^{−s}`` (≈ 1.1e−7 at the default 16), far below the estimator
+    tolerances.
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
-    hit, hit_time, _ = _corner_sum(p0.x, cfg.seed, cfg, n_paths, eps_abs, s_freeze, path_offset)
+    L = remark_counterexample(math.inf)
+    hit, hit_time, _ = _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset)
     if np.ndim(eps_abs) == 0:
         return hit[:, 0], hit_time[:, 0]
     return hit, hit_time
@@ -832,73 +850,28 @@ def sum_process_ensemble(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direct simulation of the sum process ``dS = S dt + √(2S) dW``.
 
-    Returns ``(hit, hit_time, S_T)`` with the same absorption/freeze rules as
-    :func:`counterexample_ensemble`, whose loop it runs in one dimension
-    (there ``z⁺[::-1]`` is ``z⁺``), on the seed ``cfg.seed ^ 0x5DE1``:
-    ``S_T`` is ``S⁺`` where the path stopped (frozen paths report their frozen
-    value) or at the horizon, and 0 on hit paths.  Used as a one-dimensional
-    oracle for the two-dimensional system.
+    Returns ``(hit, hit_time, S_T)`` by the rules and the engine of
+    :func:`counterexample_ensemble`, run on ``x∂² + x∂`` over an unbounded
+    box with the seed ``cfg.seed ^ 0x5DE1``: ``S_T`` is ``S⁺`` where the path
+    stopped or at the horizon, and 0 on hit paths.  Used as a
+    one-dimensional oracle for the two-dimensional system.
     """
-    hit, hit_time, s_end = _corner_sum(
-        [s0], cfg.seed ^ _SUM_SEED_TAG, cfg, n_paths, eps_abs, s_freeze, path_offset
-    )
+    L = KimuraOperator(dom=CornerBox(1, 0, math.inf), b=(PolyField(((1.0, (1,), ()),), 1),))
+    cfg = replace(cfg, seed=cfg.seed ^ _SUM_SEED_TAG)
+    hit, hit_time, s_end = _corner_run(L, Point([s0]), cfg, n_paths, eps_abs, s_freeze, path_offset)
     hit, hit_time = hit[:, 0], hit_time[:, 0]
     s_end[hit] = 0.0
     return hit, hit_time, s_end
 
 
-def _corner_sum(z0, seed, cfg, n_paths, eps_abs, s_freeze, path_offset):
-    """The full-truncation loop of :func:`counterexample_ensemble` in the
-    dimension ``d`` of ``z0``, on the slots ``0..d−1`` of stride ``d``.
-
-    Returns ``(hit, hit_time, s_end)``: the first two of shape
-    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped or at the horizon.
-    """
+def _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset):
+    """The engine on ``L`` under a corner stop: ``(hit, hit_time)`` of shape
+    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped."""
     eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
     if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
         raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
-    dt, sqdt, n_total = cfg.dt, math.sqrt(cfg.dt), cfg.n_steps
-    z = np.tile(np.asarray(z0, dtype=float), (n_paths, 1))
-    d = z.shape[1]
     ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    hit = np.zeros((n_paths, eps.size), dtype=bool)
-    hit_time = np.full((n_paths, eps.size), np.nan)
-    s_end = np.zeros(n_paths)
-    at_start = eps >= float(np.sum(z0))
-    hit[:, at_start] = True
-    hit_time[:, at_start] = 0.0
-    cols = np.flatnonzero(~at_start)
-    if not cols.size:
-        return hit, hit_time, s_end
-    e_min, e_max = eps[cols].min(), eps[cols].max()
-    alive = np.arange(n_paths)
-    keys = _rng.stream_keys(seed, ids, 0, d, d)
-    step_ctr = 0
-    while alive.size and step_ctr < n_total:
-        n_blk = max(1, min(n_total - step_ctr, _BLOCK_NORMALS // (d * alive.size)))
-        xi_blk = _rng.next_normals(keys, n_blk, d)
-        pos = np.arange(alive.size)  # row in xi_blk of each live path
-        for xi in xi_blk:
-            if pos.size < len(xi):
-                xi = xi.take(pos, 0)
-            zp = np.maximum(z, 0.0)
-            z = z + zp[:, ::-1] * dt + np.sqrt(2.0 * zp) * (sqdt * xi)
-            step_ctr += 1
-            S = np.maximum(z, 0.0).sum(axis=1)
-            low = np.flatnonzero(S <= e_max)
-            if low.size:
-                t = min(step_ctr * dt, cfg.T)
-                for j in cols:
-                    new = alive[low[S[low] <= eps[j]]]
-                    new = new[~hit[new, j]]
-                    hit[new, j] = True
-                    hit_time[new, j] = t
-            gone = (S <= e_min) | (S >= s_freeze)
-            if gone.any():
-                s_end[alive[gone]] = S[gone]
-                z, alive, pos, keys = _take(np.flatnonzero(~gone), z, alive, pos, keys)
-                if not alive.size:
-                    break
-    s_end[alive] = np.maximum(z, 0.0).sum(axis=1)
-    _check_finite(s_end[:, None], ids)  # S⁺ is NaN where z is
-    return hit, hit_time, s_end
+    res, _, _ = _simulate_cohort(L, p0, cfg, ids, False, _CornerStop(eps, float(s_freeze)))
+    hit = res.below >= 0
+    hit_time = np.where(hit, np.minimum(res.below * cfg.dt, cfg.T), np.nan)
+    return hit, hit_time, res.term_xy.sum(axis=1)

@@ -75,3 +75,21 @@ def test_every_error_class_is_raised_somewhere():
                 built.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     missing = sorted(classes - built)
     assert not missing, f"error classes never constructed outside errors.py: {missing}"
+
+
+def test_one_euler_loop_draws_the_noise():
+    """``next_normals`` is called from one function in the package, the
+    engine's ``sde._advance``, so a second hand-written Euler loop cannot
+    come back unnoticed."""
+    callers = []
+    for path in Path(kimura.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "next_normals":
+                        callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["sde._advance"], callers

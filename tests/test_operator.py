@@ -152,6 +152,64 @@ def test_counterexample_is_not_clean():
     assert np.isfinite(wt)
 
 
+def test_constant_face_weights_draw_no_samples(monkeypatch):
+    """A constant weight is its own sup and inf: classifying and restricting
+    Wright–Fisher and a product draw no Sobol points, and a constant weight
+    that is not clean names the face's first corner as its witness."""
+    import kimura.operator as operator_module
+
+    def no_samples(*args):
+        raise AssertionError("sampled a constant weight")
+
+    monkeypatch.setattr(operator_module, "_sobol", no_samples)
+    W = wright_fisher(2, (0.0, 0.5, 0.0))
+    fc = W.classify_faces()
+    assert (fc.tangent, fc.transverse) == ({1, 3}, {2})
+    assert W.restrict(1).classify_faces().tangent == {2}
+    P = product_operator(model1d(0.0, radius=4.0), model1d(1.0, radius=4.0))
+    assert P.classify_faces().transverse == {2}
+    with pytest.raises(NotClean) as err:
+        KimuraOperator(dom=CornerBox(2, 0, 1.0), b=(-0.5, 1.0)).classify_faces()
+    ((pt, wt),) = set((tuple(p.x), w) for p, w in err.value.witnesses)
+    assert pt == (0.0,) and wt == -0.5
+
+
+def _eval_from_full(f, x, y):
+    """``PolyField.eval`` as each term's product from a full array of its
+    coefficient, summed into zeros."""
+    out = np.zeros(x.shape[0])
+    for coeff, xp, yp in f.terms:
+        t = np.full(x.shape[0], float(coeff))
+        for i, p in enumerate(xp):
+            if p:
+                t = t * x[:, i] ** p
+        for l, p in enumerate(yp):
+            if p:
+                t = t * y[:, l] ** p
+        out += t
+    return out
+
+
+def test_poly_eval_equals_the_product_from_a_full_array():
+    """Starting each term from its first factor changes no bit, −0.0 and
+    zero coefficients included."""
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(50, 2)), rng.normal(size=(50, 1))
+    x[:5], x[5:10] = -0.0, 0.0
+    tables = [
+        ((1.0, (0, 1), (0,)),),
+        ((-1.0, (1, 0), (0,)),),
+        ((0.0, (1, 1), (0,)), (0.5, (0, 0), (0,))),
+        ((1.0, (0, 0), (0,)),),
+        ((-0.0, (0, 0), (0,)), (1.0, (1, 0), (0,))),
+        ((0.3, (2, 1), (3,)), (1.0, (1, 0), (1,)), (-2.5, (0, 3), (0,))),
+        (),
+    ]
+    for terms in tables:
+        f = PolyField(terms, 2, 1)
+        assert f.eval(x, y).tobytes() == _eval_from_full(f, x, y).tobytes(), terms
+
+
 # ---------------------------------------------------------------------------
 # assumption report
 # ---------------------------------------------------------------------------
@@ -161,11 +219,39 @@ def test_check_assumptions_wright_fisher(wf):
     rep = wf.check_assumptions(samples=256)
     assert rep.nonneg_ok
     assert not rep.violations
-    # The simplex chart splits ½x(1-x)∂² as x·½(ℓ) + x²·(-½) (a-term), whose
-    # reduced form is identically zero: the marginal presentation documented
-    # on the report.  A strictly elliptic interior still classifies cleanly.
-    assert rep.lambda_estimate == 0.0
-    assert not rep.elliptic_ok
+    # The simplex chart splits ½x(1-x)∂² as x·½(ℓ) + x²·(-½) (a-term); in the
+    # variable √x ∂ its reduced form is ½ − ½x, positive inside the simplex
+    # and tending to 0 only at the slack face x = 1.
+    x, _ = sample_domain(wf.dom, 256, seed=0)
+    assert rep.lambda_estimate == pytest.approx(0.5 * (1.0 - x.max()), rel=1e-12)
+    assert 0.0 < rep.lambda_estimate < 1e-3
+    assert rep.elliptic_ok
+    # Three alleles: ½(δ_ij − √(x_i x_j)) has least eigenvalue ½(1 − Σx),
+    # where the unweighted ℓ + a read −½ everywhere.
+    W = wright_fisher(2, (0.0, 0.5, 0.0))
+    rep = W.check_assumptions(samples=256, seed=7)
+    x, _ = sample_domain(W.dom, 256, seed=7)
+    assert rep.elliptic_ok and not rep.violations
+    assert rep.lambda_estimate == pytest.approx(0.5 * (1.0 - x.sum(axis=1)).min(), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: wright_fisher(2, (0.0, 0.5, 0.0)),
+        lambda: wright_fisher(3, (0.1, 0.2, 0.3, 0.4)),
+        lambda: _poly_operator(),
+    ],
+    ids=["wf2", "wf3", "poly-y-block"],
+)
+def test_reduced_form_scaled_by_root_x_is_the_diffusion_matrix(make):
+    """``D Q D`` equals ``diffusion_matrix_batch`` with ``D = diag(√x, 1)``
+    at every sample, so the checked form is the generator's."""
+    L = make()
+    x, y = sample_domain(L.dom, 256, seed=3)
+    D = np.sqrt(np.concatenate([x, np.ones_like(y)], axis=1))
+    DQD = D[:, :, None] * L._reduced_form_batch(x, y) * D[:, None, :]
+    assert np.allclose(DQD, L.diffusion_matrix_batch(x, y), rtol=1e-13, atol=1e-15)
 
 
 def test_check_assumptions_elliptic_box_preset():
@@ -177,17 +263,18 @@ def test_check_assumptions_elliptic_box_preset():
 
 def test_check_assumptions_reads_the_y_block():
     """A12's operator has ``c`` and ``d`` terms; its reduced form is
-    ``[[ℓ₁+a₁₁, a₁₂, c₁/2], [a₁₂, ℓ₂+a₂₂, c₂/2], [c₁/2, c₂/2, d]]``, written
-    out here from the coefficient tables, and the report's λ is its least
-    eigenvalue over the same samples."""
+    ``[[ℓ₁+x₁a₁₁, √(x₁x₂)a₁₂, √x₁c₁/2], [·, ℓ₂+x₂a₂₂, √x₂c₂/2], [·, ·, d]]``,
+    written out here from the coefficient tables, and the report's λ is its
+    least eigenvalue over the same samples."""
     L = _poly_operator()
     x, y = sample_domain(L.dom, 64, seed=3)
     x1, x2, one = x[:, 0], x[:, 1], np.ones(len(x))
-    c1, c2, a12 = 0.15 * one, 0.05 * x1, 0.1 * one
+    r1, r2 = np.sqrt(x1), np.sqrt(x2)
+    c1, c2, a12 = 0.15 * r1, 0.05 * x1 * r2, 0.1 * r1 * r2
     want = np.stack(
         [
-            np.stack([1.0 + 0.5 * x2 + 0.3, a12, c1 / 2], axis=1),
-            np.stack([a12, 1.5 + 0.2 * one, c2 / 2], axis=1),
+            np.stack([1.0 + 0.5 * x2 + 0.3 * x1, a12, c1 / 2], axis=1),
+            np.stack([a12, 1.5 + 0.2 * x2, c2 / 2], axis=1),
             np.stack([c1 / 2, c2 / 2, 1.0 + 0.5 * x1], axis=1),
         ],
         axis=1,

@@ -2,8 +2,11 @@
 
 The plan (``sde._StepPlan``, with ``operator._EulerUpdate``) must give the
 same states, overshoots and hits as ``drift_batch`` + ``noise_increment``
-followed by the domain step and the hit test below, which are copies of the
-engine's code before the plan.  Nothing here is timed.
+followed by the domain step and the hit test below.  The reference evaluates
+drift and noise at ``x⁺ = max(x, 0)`` with the normals scaled by ``√dt``
+first, adds the increment to ``x``, and clamps every coordinate to 0, or
+none in a raw plan (full truncation, the corner stop's).  Nothing here is
+timed.
 """
 
 import math
@@ -12,14 +15,17 @@ import numpy as np
 import pytest
 
 from kimura import sde
+from kimura.errors import NotClean
 from kimura.geometry import CornerBox, Point, Simplex, face_distance_rows
 from kimura.operator import (
+    FaceClassification,
     FuncField,
     KimuraOperator,
     PolyField,
     _EulerUpdate,
     model1d,
     product_operator,
+    remark_counterexample,
     sample_domain,
     wright_fisher,
 )
@@ -41,19 +47,25 @@ def _ref_simplex_clamp(x):
     return over
 
 
-def _ref_step(level, x, y, xi, dt):
-    """One Euler step and the domain step as the engine took them before the
-    plan: ``(x′, y′, ov)`` with every face's overshoot row."""
+def _ref_update(L, x, y, eta, dt):
+    """``(x′, y′)``: drift and noise at ``x⁺``, normals ``η`` already scaled
+    by ``√dt``, added to the raw state."""
+    xp = np.maximum(x, 0.0)
+    drift, inc = L.drift_batch(xp, y), L.noise_increment(xp, y, eta)
+    xn = x + drift[:, : L.n] * dt + inc[:, : L.n]
+    yn = y + drift[:, L.n :] * dt + inc[:, L.n :] if L.m else y
+    return xn, yn
+
+
+def _ref_step(level, x, y, eta, dt, raw=False):
+    """One Euler step and the domain step: ``(x′, y′, ov)`` with every
+    face's overshoot row."""
     L, nx = level.op, level.op.n
-    drift = L.drift_batch(x, y)
-    inc = L.noise_increment(x, y, xi)
-    sqdt = math.sqrt(dt)
-    xn = x + drift[:, :nx] * dt + inc[:, :nx] * sqdt
-    if y.shape[1]:
-        y = y + drift[:, nx:] * dt + inc[:, nx:] * sqdt
+    xn, y = _ref_update(L, x, y, eta, dt)
     ov = np.empty((len(level.dom.face_ids), xn.shape[0]))
     np.maximum(-xn.T, 0.0, out=ov[:nx])
-    np.maximum(xn, 0.0, out=xn)
+    if not raw:
+        np.maximum(xn, 0.0, out=xn)
     if isinstance(level.dom, Simplex):
         ov[nx] = _ref_simplex_clamp(xn)
     else:
@@ -145,13 +157,14 @@ CASES = {
     ),
     "lead-varying": (_varying_lead_operator(), "constant", "diag"),
     "callable": (_callable_operator(), "callable", "diag"),
+    "crossfed-coordinates": (remark_counterexample(radius=2.0), "coordinates", "diag"),
     "generic-polynomial": (_generic_operator(), "polynomial", "generic"),
 }
 
 
 def _states(L, k, seed):
-    """Sampled states, the corner, and the vertices of a simplex or states
-    next to a box's outer edges."""
+    """Sampled states, the corner, and the vertices of a simplex or, on a
+    box, states next to its outer edges and raw states below its faces."""
     x, y = sample_domain(L.dom, k, seed=seed)
     x[:8] = 0.0
     if isinstance(L.dom, Simplex):
@@ -160,6 +173,7 @@ def _states(L, k, seed):
         x[8:40] = 0.99 * L.dom.radius
         y[8:24] = 0.99 * L.dom.y_radius
         y[24:40] = -0.99 * L.dom.y_radius
+        x[40:56] = -0.02 * L.dom.radius * np.arange(1, 17)[:, None]
     return x, y
 
 
@@ -170,20 +184,22 @@ def test_update_equals_drift_batch_and_noise_increment(name, dt):
     upd = _EulerUpdate(L, dt)
     assert (upd.drift, upd.noise) == (drift, noise)
     x, y = _states(L, 300, seed=3)
-    xi = np.random.default_rng(5).standard_normal((x.shape[0], L.dim))
-    d, inc = L.drift_batch(x, y), L.noise_increment(x, y, xi)
-    sqdt = math.sqrt(dt)
-    want_x = x + d[:, : L.n] * dt + inc[:, : L.n] * sqdt
-    want_y = y + d[:, L.n :] * dt + inc[:, L.n :] * sqdt if L.m else y
+    eta = np.random.default_rng(5).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
+    want_x, want_y = _ref_update(L, x, y, eta, dt)
     x0, y0 = x.copy(), y.copy()
-    got_x, got_y = upd(x, y, xi)
+    got_x, got_y = upd(x, y, eta)
     assert _same(got_x, want_x) and _same(got_y, want_y)
     assert _same(x, x0) and _same(y, y0)  # the inputs are left as they are
 
 
 def _levels(L):
-    """The root level of ``L`` and, through each tangent face, its child."""
-    fc = L.classify_faces()
+    """The root level of ``L`` and, through each tangent face, its child; an
+    operator that does not classify gets the corner stop's level, with no
+    face classified."""
+    try:
+        fc = L.classify_faces()
+    except NotClean:
+        fc = FaceClassification(frozenset(), frozenset(), {}, math.inf)
     root = sde._make_level(
         L, fc, {f: f for f in L.dom.face_ids}, {},
         stratum_bits=0, x_slots=np.arange(L.n, dtype=np.uint64),
@@ -202,9 +218,9 @@ def test_step_and_hits_equal_the_reference(name):
         L = level.op
         plan = sde._StepPlan(level, dt)
         x, y = _states(L, 400, seed=7)
-        xi = np.random.default_rng(9).standard_normal((x.shape[0], L.dim))
-        rx, ry, rov = _ref_step(level, x, y, xi, dt)
-        px, py, pov = plan.step(x, y, xi)
+        eta = np.random.default_rng(9).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
+        rx, ry, rov = _ref_step(level, x, y, eta, dt)
+        px, py, pov = plan.step(x, y, eta)
         assert _same(px, rx) and _same(py, ry)
         want = _ref_hits(level, rx, rov)
         got = plan.hits(px, pov)
@@ -213,23 +229,28 @@ def test_step_and_hits_equal_the_reference(name):
         want0 = _ref_hits(level, x, np.zeros_like(rov))
         got0 = plan.hits(x, None)
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
+        if isinstance(level.dom, CornerBox):  # a raw plan leaves x below 0
+            rx, ry, _ = _ref_step(level, x, y, eta, dt, raw=True)
+            px, py, _ = sde._StepPlan(level, dt, raw=True).step(x, y, eta)
+            assert _same(px, rx) and _same(py, ry)
 
 
 def _raw_step(L, x, y, dt):
     """The reference update before the domain step, on the states and
     normals of the step test."""
-    xi = np.random.default_rng(9).standard_normal((x.shape[0], L.dim))
-    d, inc = L.drift_batch(x, y), L.noise_increment(x, y, xi)
-    return np.concatenate([x, y], axis=1) + d * dt + inc * math.sqrt(dt)
+    eta = np.random.default_rng(9).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
+    return np.concatenate(_ref_update(L, x, y, eta, dt), axis=1)
 
 
 def test_the_reference_cases_reach_ties_and_clamps():
     """The step test above meets rows on two tangent faces at once, rows
-    past the slack face and rows past a box's outer edges in x and y."""
+    past the slack face, rows past a box's outer edges in x and y, and rows
+    that a raw plan leaves below 0."""
     L = CASES["wf2-zero"][0]
     level = _levels(L)[0]
     x, y = _states(L, 400, seed=7)
-    rx, _, rov = _ref_step(level, x, y, np.random.default_rng(9).standard_normal((400, 2)), 0.05)
+    eta = np.random.default_rng(9).standard_normal((400, 2)) * math.sqrt(0.05)
+    rx, _, rov = _ref_step(level, x, y, eta, 0.05)
     on = np.stack([face_distance_rows(rx, f, L.dom) <= tol for f, tol in level.tangent])
     assert np.any(on.sum(axis=0) >= 2)
     assert np.any(rov[L.n] > 0)
@@ -238,6 +259,9 @@ def test_the_reference_cases_reach_ties_and_clamps():
         z = _raw_step(B, *_states(B, 400, seed=7), 0.05)
         assert np.any(z[:, : B.n] > B.dom.radius)
         assert not B.m or (np.any(z[:, B.n :] > B.dom.y_radius) and np.any(z[:, B.n :] < -B.dom.y_radius))
+    P = CASES["product-constant"][0]
+    px, _, _ = _ref_step(_levels(P)[0], *_states(P, 400, seed=7), eta, 0.05, raw=True)
+    assert np.any(px < 0.0)
 
 
 def test_simplex_one_clamp_is_min_one():
