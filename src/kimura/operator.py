@@ -1077,15 +1077,15 @@ def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
 class _EulerUpdate:
     """One operator's Euler–Maruyama update ``z′ = z + drift(x⁺)·dt + G(x⁺)·η``
     at one ``dt``, ``η`` being the normals scaled by ``√dt``.  The raw ``x``
-    (full truncation leaves transverse box coordinates below 0) takes the
-    increment.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺, η)``
-    bit for bit at every finite state with no ``−0.0`` coordinate; those two
-    stay as the reference.  ``drift`` is chosen from the coefficients after
-    their zero polynomial terms are dropped: ``zero`` (skipped), ``constant``
-    (``b·dt`` precomputed), ``coordinates`` (each field a bare ``x_j``),
-    ``polynomial`` or ``callable``.  ``noise`` is the
-    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
-    ``y`` factor precomputed where constant; ``wf`` in one coordinate is
+    (below 0 in places under full truncation, a corner stop's scheme) takes
+    the increment.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺,
+    η)`` bit for bit at every finite state with no ``−0.0`` coordinate; those
+    two stay as the reference.  ``drift`` is chosen from the coefficients
+    after their zero polynomial terms are dropped: ``zero`` (skipped),
+    ``constant`` (``b·dt`` precomputed), ``coordinates`` (each field a bare
+    ``x_j``), ``polynomial`` or ``callable``.  ``noise`` is the strategy of
+    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
+    precomputed where constant; ``wf`` in one coordinate is
     ``√(x(1−x))·η``.
     """
 
