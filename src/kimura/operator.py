@@ -1057,15 +1057,6 @@ def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bare_coordinate(f: CoefficientField) -> int | None:
-    """``j`` when ``f`` is the polynomial ``x_j`` alone, else None."""
-    if isinstance(f, PolyField) and len(f.terms) == 1:
-        c, xp, yp = f.terms[0]
-        if c == 1.0 and sum(xp) == 1 and not any(yp):
-            return xp.index(1)
-    return None
-
-
 def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
     """``f`` without its zero polynomial terms, which add ±0 to every value
     at a finite state (so neutral Wright–Fisher's drift becomes constant 0)."""
@@ -1076,41 +1067,35 @@ def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
 
 class _EulerUpdate:
     """One operator's Euler–Maruyama update ``z′ = z + drift(x⁺)·dt + G(x⁺)·η``
-    at one ``dt``, ``η`` being the normals scaled by ``√dt``.  The raw ``x``
-    (below 0 in places under full truncation, a corner stop's scheme) takes
-    the increment.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺,
-    η)`` bit for bit at every finite state with no ``−0.0`` coordinate; those
-    two stay as the reference.  ``drift`` is chosen from the coefficients
-    after their zero polynomial terms are dropped: ``zero`` (skipped),
-    ``constant`` (``b·dt`` precomputed), ``coordinates`` (each field a bare
-    ``x_j``), ``polynomial`` or ``callable``.  ``noise`` is the strategy of
-    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
-    precomputed where constant; ``wf`` in one coordinate is
+    at one ``dt``, ``η`` being the normals scaled by ``√dt``.  Under a
+    ``raw`` plan (full truncation, a corner stop's scheme) ``x`` may lie below
+    0 and takes the increment, while ``x⁺ = max(x, 0)`` is formed once for
+    the coefficients; otherwise the plan's clamp leaves ``x ≥ 0`` and ``x⁺``
+    is ``x``.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺, η)``
+    bit for bit at every finite state with no ``−0.0`` coordinate; those two
+    stay as the reference.  ``drift`` is chosen from the coefficients after
+    their zero polynomial terms are dropped: ``zero`` (skipped), ``constant``
+    (``b·dt`` precomputed), ``polynomial`` or ``callable``.  ``noise`` is the
+    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
+    ``y`` factor precomputed where constant; ``wf`` in one coordinate is
     ``√(x(1−x))·η``.
     """
 
-    def __init__(self, op: KimuraOperator, dt: float):
-        self.n, self.dt = op.n, dt
+    def __init__(self, op: KimuraOperator, dt: float, raw: bool = False):
+        self.n, self.dt, self.raw = op.n, dt, raw
         self._fields = [_drop_zero_terms(f) for f in (*op.b, *op.e)]
         consts = [f.const for f in self._fields]
-        self._cols = [_bare_coordinate(f) for f in self._fields]
         if all(c is not None for c in consts):
             self.drift = "constant" if any(consts) else "zero"
             self._bdt = np.array(consts) * dt
-        elif None not in self._cols:
-            self.drift = "coordinates"
         elif all(isinstance(f, (ConstField, PolyField)) for f in self._fields):
             self.drift = "polynomial"
         else:
             self.drift = "callable"
         self.noise = op._noise_strategy
         self._op = op
-        # the wf factor clips its own arguments, and drift constants need no state
-        self._positive = bool(op.n) and (self.noise != "wf" or self.drift not in ("zero", "constant"))
         if self.noise in ("diag", "diag+chol"):
             lead = op._lead_const
-            if lead is not None and lead.size and np.all(lead == lead[0]):
-                lead = lead[0]  # one scalar: a product with a short row is far slower
             self._two_lead = None if lead is None else 2.0 * lead
             if op.m:
                 self._y_factor = (
@@ -1121,7 +1106,7 @@ class _EulerUpdate:
         """``(x′, y′)`` for rows ``(x, y)`` and scaled normals ``η``; the
         inputs are left as they are."""
         n = self.n
-        xp = np.maximum(x, 0.0) if self._positive else x
+        xp = np.maximum(x, 0.0) if self.raw else x
         gx, gy = self._noise(xp, y, eta)
         if self.drift == "zero":
             return np.add(x, gx, out=gx), (y if gy is None else np.add(y, gy, out=gy))
@@ -1135,8 +1120,6 @@ class _EulerUpdate:
         return xn, yn
 
     def _drift_dt(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.drift == "coordinates":  # x_j + 0.0 is x_j at x⁺, which holds no −0.0
-            return x[:, self._cols] * self.dt
         out = np.empty((x.shape[0], len(self._fields)))
         for i, f in enumerate(self._fields):
             np.multiply(f.eval(x, y), self.dt, out=out[:, i])

@@ -419,14 +419,12 @@ class _StepPlan:
 
     def __init__(self, level: _Level, dt: float, raw: bool = False):
         op, dom = level.op, level.dom
-        self.update = _EulerUpdate(op, dt)
+        self.update = _EulerUpdate(op, dt, raw)
         self.dom = dom
         self.n_faces = len(dom.face_ids)
         self.tangent = tuple((f, face_column(f, dom), tol) for f, tol in level.tangent)
         self.ties = len(self.tangent) > 1 and op.dim > 1
         self.clamp = not raw
-        # an unbounded box has no outer edge to reflect at
-        self.reflect = isinstance(dom, CornerBox) and op.n and math.isfinite(dom.radius)
 
     def step(self, x, y, eta):
         """``(x′, y′, ov)`` one step on from rows ``(x, y)`` with the scaled
@@ -448,7 +446,7 @@ class _StepPlan:
                 if ov is not None:
                     ov[nx] = over
         else:
-            if self.reflect:
+            if nx:
                 np.minimum(x, np.maximum(2.0 * dom.radius - x, 0.0), out=x)
             if y.shape[1]:
                 ry = dom.y_radius

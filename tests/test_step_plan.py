@@ -157,7 +157,7 @@ CASES = {
     ),
     "lead-varying": (_varying_lead_operator(), "constant", "diag"),
     "callable": (_callable_operator(), "callable", "diag"),
-    "crossfed-coordinates": (remark_counterexample(radius=2.0), "coordinates", "diag"),
+    "crossfed-polynomial": (remark_counterexample(radius=2.0), "polynomial", "diag"),
     "generic-polynomial": (_generic_operator(), "polynomial", "generic"),
 }
 
@@ -180,16 +180,20 @@ def _states(L, k, seed):
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("dt", [1e-3, 0.05])
 def test_update_equals_drift_batch_and_noise_increment(name, dt):
+    """A raw update meets states below 0; a clamped plan never hands its
+    update one, so the clamped update sees the states clamped."""
     L, drift, noise = CASES[name]
-    upd = _EulerUpdate(L, dt)
-    assert (upd.drift, upd.noise) == (drift, noise)
     x, y = _states(L, 300, seed=3)
     eta = np.random.default_rng(5).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
-    want_x, want_y = _ref_update(L, x, y, eta, dt)
-    x0, y0 = x.copy(), y.copy()
-    got_x, got_y = upd(x, y, eta)
-    assert _same(got_x, want_x) and _same(got_y, want_y)
-    assert _same(x, x0) and _same(y, y0)  # the inputs are left as they are
+    for raw in (False, True):
+        upd = _EulerUpdate(L, dt, raw)
+        assert (upd.drift, upd.noise) == (drift, noise)
+        z = x if raw else np.maximum(x, 0.0)
+        want_x, want_y = _ref_update(L, z, y, eta, dt)
+        z0, y0 = z.copy(), y.copy()
+        got_x, got_y = upd(z, y, eta)
+        assert _same(got_x, want_x) and _same(got_y, want_y)
+        assert _same(z, z0) and _same(y, y0)  # the inputs are left as they are
 
 
 def _levels(L):
@@ -212,12 +216,14 @@ def _levels(L):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_step_and_hits_equal_the_reference(name):
     """A large ``dt`` pushes many rows past one face or two at once, so the
-    clamp, the reflection and the tie rule all run."""
+    clamp, the reflection and the tie rule all run.  Only the raw plan
+    starts from states below 0; a clamped plan never holds one."""
     dt = 0.05
     for level in _levels(CASES[name][0]):
         L = level.op
         plan = sde._StepPlan(level, dt)
-        x, y = _states(L, 400, seed=7)
+        xr, y = _states(L, 400, seed=7)
+        x = np.maximum(xr, 0.0)
         eta = np.random.default_rng(9).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
         rx, ry, rov = _ref_step(level, x, y, eta, dt)
         px, py, pov = plan.step(x, y, eta)
@@ -230,8 +236,8 @@ def test_step_and_hits_equal_the_reference(name):
         got0 = plan.hits(x, None)
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
         if isinstance(level.dom, CornerBox):  # a raw plan leaves x below 0
-            rx, ry, _ = _ref_step(level, x, y, eta, dt, raw=True)
-            px, py, _ = sde._StepPlan(level, dt, raw=True).step(x, y, eta)
+            rx, ry, _ = _ref_step(level, xr, y, eta, dt, raw=True)
+            px, py, _ = sde._StepPlan(level, dt, raw=True).step(xr, y, eta)
             assert _same(px, rx) and _same(py, ry)
 
 
