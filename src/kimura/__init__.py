@@ -114,7 +114,6 @@ from .pde import (
     stochastic_rep_check,
 )
 from .verify import (
-    AppendixAssumptions,
     AppendixOperator,
     BarrierReport,
     GrowthEntry,
@@ -215,7 +214,6 @@ __all__ = [
     "mu_inner",
     # verify
     "AppendixOperator",
-    "AppendixAssumptions",
     "BarrierReport",
     "GrowthEntry",
     "GrowthReport",

@@ -37,7 +37,7 @@ from .errors import (
     NoValidParams,
 )
 from .estimators import _prob_ci
-from .geometry import Point
+from .geometry import Point, classify_point
 from .operator import PRESET_NAMES, KimuraOperator, make_preset
 from .sde import SimConfig
 
@@ -589,13 +589,14 @@ def _task_crosscheck(L, params, seed, workers, out: Path) -> dict:
     horizon = max(times)
     grid_f = Grid1D.for_operator(L, M)
     grid_h = Grid1D.for_operator(L, M // 2)
-    p0 = params["p0"][0]
-    ks_f = dirichlet_kernel(L, p0, horizon, dt_pde, grid=grid_f)
-    ks_h = dirichlet_kernel(L, p0, horizon, dt_pde, grid=grid_h)
+    p0 = _point(params)
+    classify_point(p0, L.dom)  # the kernels read p0 before any path runs
+    ks_f = dirichlet_kernel(L, float(p0.x[0]), horizon, dt_pde, grid=grid_f)
+    ks_h = dirichlet_kernel(L, float(p0.x[0]), horizon, dt_pde, grid=grid_h)
     rows, worst = [], {}
     for t in times:
         cfg = SimConfig(dt=params["dt"], seed=seed)
-        dec = decompose(L, _point(params), t, params["n_paths"], cfg=cfg, workers=workers)
+        dec = decompose(L, p0, t, params["n_paths"], cfg=cfg, workers=workers)
         mc, se = dec.mass(frozenset())
         pde = ks_f.survival_at(t)
         grid_err = abs(pde - ks_h.survival_at(t))

@@ -1272,12 +1272,6 @@ def remark_counterexample(radius: float = 32.0) -> KimuraOperator:
     )
 
 
-def _appendix_a(a11: float, a22: float, b1: float, b2: float, nu: float):
-    from .verify import AppendixOperator
-
-    return AppendixOperator(a11=a11, a22=a22, b1=b1, b2=b2, nu=nu)
-
-
 PRESET_NAMES = (
     "model1d",
     "wright-fisher",
@@ -1287,7 +1281,7 @@ PRESET_NAMES = (
 )
 
 
-def make_preset(name: str, **params):
+def make_preset(name: str, **params) -> KimuraOperator:
     """Build a registry operator by config-addressable name."""
     if name == "model1d":
         return model1d(**params)
@@ -1298,5 +1292,7 @@ def make_preset(name: str, **params):
     if name == "remark-counterexample":
         return remark_counterexample(**params)
     if name == "appendix-A":
-        return _appendix_a(**params)
+        from .verify import AppendixOperator
+
+        return AppendixOperator(**params)
     raise ValueError(f"unknown preset {name!r}; known: {PRESET_NAMES}")

@@ -248,7 +248,6 @@ def _probe_speed_scale(
     a_fn: Callable[[np.ndarray], np.ndarray],
     b_fn: Callable[[np.ndarray], np.ndarray],
     edge: float,
-    logistic_possible: bool,
 ) -> SpeedScale:
     """Match the axis coefficients against the two closed-form families."""
     t = edge * np.array([0.11, 0.239, 0.413, 0.587, 0.761, 0.917])
@@ -262,19 +261,18 @@ def _probe_speed_scale(
             raise KimuraError(f"axis lead coefficient must be positive, got {ell}")
         return SpeedScale("power", edge, ell, float(np.mean(bv)) / ell)
 
-    if logistic_possible:
-        g = av * edge / (t * (edge - t))
-        alpha = bv[0] + (bv[-1] - bv[0]) * (0.0 - t[0]) / (t[-1] - t[0])
-        beta = (bv[-1] - bv[0]) / (t[-1] - t[0])
-        affine = alpha + beta * t
-        if np.ptp(g) <= tol and np.max(np.abs(bv - affine)) <= tol:
-            ge = float(np.mean(g))
-            if ge <= 0:
-                raise KimuraError(f"axis lead coefficient must be positive, got {ge}")
-            # b/A = (α/x + (α + β·edge)/(edge − x))/g, so s′ ∝ u^{−p}(1−u)^{−q}
-            p = alpha / ge
-            q = -(alpha + beta * edge) / ge
-            return SpeedScale("beta", edge, ge, float(p), float(q))
+    g = av * edge / (t * (edge - t))
+    alpha = bv[0] + (bv[-1] - bv[0]) * (0.0 - t[0]) / (t[-1] - t[0])
+    beta = (bv[-1] - bv[0]) / (t[-1] - t[0])
+    affine = alpha + beta * t
+    if np.ptp(g) <= tol and np.max(np.abs(bv - affine)) <= tol:
+        ge = float(np.mean(g))
+        if ge <= 0:
+            raise KimuraError(f"axis lead coefficient must be positive, got {ge}")
+        # b/A = (α/x + (α + β·edge)/(edge − x))/g, so s′ ∝ u^{−p}(1−u)^{−q}
+        p = alpha / ge
+        q = -(alpha + beta * edge) / ge
+        return SpeedScale("beta", edge, ge, float(p), float(q))
 
     return SpeedScale("numeric", edge, a_fn=a_fn, b_fn=b_fn)
 
@@ -350,11 +348,10 @@ class Grid1D:
         *,
         face_left: int | None = None,
         face_right: int | None = None,
-        logistic_possible: bool = True,
     ) -> "Grid1D":
         if M < 8:
             raise GridTooCoarse(f"need at least 8 cells, got {M}")
-        ss = _probe_speed_scale(a_fn, b_fn, edge, logistic_possible)
+        ss = _probe_speed_scale(a_fn, b_fn, edge)
         nodes = _graded_nodes(edge, M, grade_left=True, grade_right=ss.kind == "beta")
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         lo = np.concatenate(([nodes[0]], mid))
@@ -410,7 +407,6 @@ class Grid1D:
             dir_r,
             face_left=face_l,
             face_right=face_r,
-            logistic_possible=isinstance(L.dom, Simplex),
         )
 
 
@@ -977,6 +973,19 @@ def _axis_callables_2d(L: KimuraOperator, axis: int):
     return a_fn, b_fn, edge
 
 
+def _axis_grids_2d(
+    L: KimuraOperator, M: int, dirichlet_left: tuple[bool, bool], dirichlet_right: bool
+) -> tuple[Grid1D, Grid1D]:
+    """The two axis grids of a separable 2D box operator, with one
+    ``dirichlet_left`` flag per axis and one ``dirichlet_right`` for both."""
+    return tuple(
+        Grid1D.from_coefficients(
+            *_axis_callables_2d(L, axis), M, dirichlet_left[axis], dirichlet_right, face_left=axis + 1
+        )
+        for axis in (0, 1)
+    )
+
+
 @dataclass(frozen=True)
 class _AxisBasis:
     """One axis's generator on its non-Dirichlet nodes, diagonalised in dμ.
@@ -1068,23 +1077,8 @@ def solve_backward_2d(
     ``1 − Δt(λx_i + λy_j)`` and one transform back.
     """
     fc = L.classify_faces()
-    grids = []
-    for axis in range(2):
-        a_fn, b_fn, edge = _axis_callables_2d(L, axis)
-        grids.append(
-            Grid1D.from_coefficients(
-                a_fn,
-                b_fn,
-                edge,
-                M,
-                dirichlet_left=(axis + 1) in fc.tangent,
-                dirichlet_right=False,
-                face_left=axis + 1,
-                face_right=None,
-                logistic_possible=False,
-            )
-        )
-    gx, gy = grids
+    tangent = tuple(face in fc.tangent for face in (1, 2))
+    gx, gy = _axis_grids_2d(L, M, dirichlet_left=tangent, dirichlet_right=False)
     basis = _TensorBasis(gx, gy)
 
     if callable(f):

@@ -75,6 +75,7 @@ from .geometry import (
     Point,
     Simplex,
     StratumId,
+    classify_point,
     embed_rows,
     face_column,
     face_distance_rows,
@@ -349,7 +350,9 @@ def _simulate_cohort(
     stop: "_CornerStop | None" = None,
 ) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
     """Run the paths ``path_ids`` from ``p0``; under a corner ``stop`` no
-    face is classified, absorbs or is tracked."""
+    face is classified, absorbs or is tracked.  A ``p0`` of the wrong
+    dimension or outside the domain raises :class:`PointOutsideDomain`."""
+    classify_point(p0, L.dom)
     if cfg.n_steps > _MAX_STEPS:
         raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
     k = len(path_ids)

@@ -1,16 +1,18 @@
 """Comparison-operator checks: barrier supersolutions and window growth.
 
-This module houses the two-variable comparison operator
+The comparison operator of the barrier and growth arguments,
 
-    A u = x₁ a₁₁ u_{x₁x₁} + x₂ a₂₂ u_{x₂x₂} + b₁ u_{x₁} + b₂ u_{x₂}
+    A u = x₁ a₁₁ u_{x₁x₁} + x₂ a₂₂ u_{x₂x₂} + b₁ u_{x₁} + b₂ u_{x₂},
 
-on the unit corner box, with face 1 ({x₁ = 0}) tangent and face 2
-({x₂ = 0}) transverse, together with the three explicit barrier functions
-used to compare against it, and the two-window growth ratio of its bounded
+is the :class:`AppendixOperator`: a Kimura operator on the unit corner box
+with face 1 ({x₁ = 0}) tangent and face 2 ({x₂ = 0}) transverse.  This
+module checks three explicit barrier functions against it (and against a
+1-D box operator), and measures the two-window growth ratio of its bounded
 solutions.  Each barrier check evaluates A(barrier) from *closed-form*
-derivatives of the barrier (they are explicit elementary functions), so the
-reported margins carry no finite-difference error; grids exclude the
-degenerate edge x₁ = 0, where the barriers' derivatives blow up.
+derivatives of the barrier (they are explicit elementary functions) and the
+operator's own coefficient fields, so the reported margins carry no
+finite-difference error; grids exclude the degenerate edge x₁ = 0, where
+the barriers' derivatives blow up.
 
 Search conventions: a w1/w2 barrier parameter passed as ``None`` is
 searched — geometric descent/doubling with a 40-iteration budget and a 1e−6
@@ -25,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -35,11 +38,10 @@ from .errors import (
     NoValidParams,
 )
 from .geometry import CornerBox
-from .operator import FuncField, KimuraOperator
+from .operator import CoefficientField, ConstField, FuncField, KimuraOperator
 
 __all__ = [
     "AppendixOperator",
-    "AppendixAssumptions",
     "BarrierReport",
     "GrowthEntry",
     "GrowthReport",
@@ -54,90 +56,53 @@ _PARAM_FLOOR = 1e-6
 _MAX_WITNESSES = 16
 
 
-def _as_xy_field(v) -> Callable[..., np.ndarray]:
-    """Normalize a scalar-or-callable coefficient to a broadcasting callable."""
-    if callable(v):
-        return lambda *coords: np.asarray(v(*coords), dtype=float) + 0.0 * coords[0]
-    c = float(v)
-    return lambda *coords: np.full_like(np.asarray(coords[0], dtype=float), c)
+def _corner_call(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``f(x1, x2)`` on a batch of corner-box rows, broadcast to shape (k,).
 
-
-@dataclass(frozen=True)
-class AppendixAssumptions:
-    """Sampled structural constants of an :class:`AppendixOperator`.
-
-    ``delta`` is the smallest diagonal coefficient a_ii over the sample,
-    ``bound`` the largest coefficient magnitude, ``b0`` the smallest drift
-    value seen on the transverse face.
+    A module-level function, so an operator built from a picklable ``f``
+    can be sent to worker processes.
     """
-
-    delta: float
-    bound: float
-    b0: float
-    tangent_ok: bool
-    transverse_ok: bool
-    tangent = frozenset({1})
-    transverse = frozenset({2})
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.delta > 0.0
-            and math.isfinite(self.bound)
-            and self.tangent_ok
-            and self.transverse_ok
-        )
+    return f(x[:, 0], x[:, 1]) + 0.0 * x[:, 0]
 
 
-class AppendixOperator:
+@dataclass(frozen=True, init=False)
+class AppendixOperator(KimuraOperator):
     """The comparison operator x₁a₁₁∂₁² + x₂a₂₂∂₂² + b₁∂₁ + b₂∂₂ on the unit box.
 
-    Each coefficient ``a11, a22, b1, b2`` is a float or a vectorized callable
-    of the corner coordinates ``(x1, x2)``.  Face 1 is the tangent face (b₁
-    should vanish there), face 2 the transverse face (b₂ should stay
-    positive there); ``nu`` is the default boundary level on the tangent face
-    for the growth solve.
+    A :class:`~kimura.operator.KimuraOperator` on ``CornerBox(2, 0, 1)`` with
+    leading coefficients ``(a11, a22)`` and drift ``(b1, b2)``.  Each is a
+    number (a constant field) or a vectorized callable ``f(x1, x2)`` of the
+    corner coordinates.  Face 1 ({x₁ = 0}) is meant tangent (b₁ vanishes
+    there) and face 2 ({x₂ = 0}) transverse (b₂ stays positive there); the
+    operator's own :meth:`classify_faces` and :meth:`check_assumptions`
+    check both.  ``nu`` is the default level on the tangent face for the w2
+    barrier and the growth solve.
     """
+
+    nu: float = 0.5
 
     def __init__(self, *, a11=1.0, a22=1.0, b1=0.0, b2=0.5, nu: float = 0.5):
         if not 0.0 <= nu < 1.0:
             raise ValueError(f"nu must lie in [0,1), got {nu}")
-        self.nu = float(nu)
-        self._a = (_as_xy_field(a11), _as_xy_field(a22))
-        self._b = (_as_xy_field(b1), _as_xy_field(b2))
 
-    # -- coefficient evaluation (vectorized over corner coordinates) --------
+        def field(v) -> CoefficientField:
+            if not callable(v):
+                return ConstField(float(v))
+            return FuncField(partial(_corner_call, v), vectorized=True)
 
-    def a_at(self, i: int, x1, x2) -> np.ndarray:
-        return self._a[i - 1](x1, x2)
-
-    def b_at(self, i: int, x1, x2) -> np.ndarray:
-        return self._b[i - 1](x1, x2)
-
-    def check_assumptions(self, samples: int = 512, seed: int = 0) -> AppendixAssumptions:
-        """Sample ellipticity, boundedness, and the face-drift sign pattern."""
-        rng = np.random.default_rng(seed)
-        x1, x2 = rng.random((samples, 2)).T
-        a = np.stack([self.a_at(i, x1, x2) for i in (1, 2)])
-        b = np.stack([self.b_at(i, x1, x2) for i in (1, 2)])
-        delta = float(np.min(a))
-        bound = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        face_pts = rng.random((64, 2))
-        corners = []
-        for other in range(2):
-            zeroed = face_pts[:8].copy()
-            zeroed[:, other] = 0.0
-            corners.append(zeroed)
-        face_pts = np.vstack([face_pts, *corners, np.zeros((1, 2))])
-        on_face = []
-        for i in (1, 2):
-            probe = face_pts.copy()
-            probe[:, i - 1] = 0.0
-            on_face.append(self.b_at(i, probe[:, 0], probe[:, 1]))
-        b0 = float(np.min(on_face[1]))
-        return AppendixAssumptions(
-            delta, bound, b0, bool(np.max(np.abs(on_face[0])) <= 1e-12), b0 > 0.0
+        super().__init__(
+            dom=CornerBox(2, 0, 1.0),
+            b=(field(b1), field(b2)),
+            lead=(field(a11), field(a22)),
+            name="appendix-A",
         )
+        object.__setattr__(self, "nu", float(nu))
+
+
+def _on_grid(f: CoefficientField, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """A field of the corner box at the points of a mesh grid (X1, X2)."""
+    x = np.column_stack((X1.ravel(), X2.ravel()))
+    return f.eval(x, np.empty((x.shape[0], 0))).reshape(X1.shape)
 
 
 # --------------------------------------------------------------------------
@@ -223,8 +188,9 @@ def _w2_margin(A: AppendixOperator, H: float, M: int):
     x1 = _graded_open(H, M)
     x2 = np.linspace(0.25, 0.75, M + 1)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    val = (2.0 * A.b_at(1, X1, X2) - A.a_at(1, X1, X2)) / (4.0 * np.sqrt(H * X1))
-    val += 32.0 * (X2 * A.a_at(2, X1, X2) + A.b_at(2, X1, X2) * (X2 - 0.5))
+    a1, a2, b1, b2 = (_on_grid(f, X1, X2) for f in (*A.lead, *A.b))
+    val = (2.0 * b1 - a1) / (4.0 * np.sqrt(H * X1))
+    val += 32.0 * (X2 * a2 + b2 * (X2 - 0.5))
     return [x1, x2], -val
 
 
@@ -246,8 +212,8 @@ def check_barrier_w2(
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie in (0,1), got {nu}")
     flags = []
-    face = A.check_assumptions(samples=64)
-    if not face.tangent_ok:
+    _, weight = A._weight_samples(A.weight(1), 1, 64)
+    if np.max(np.abs(weight)) > 1e-12:
         flags.append("drift does not vanish on the x1 face: sqrt-term sign logic off")
 
     def run(h: float) -> BarrierReport:
@@ -284,8 +250,9 @@ def _w1_margin(A: AppendixOperator, theta2: float, k: float, beta: float, M: int
     x1 = np.linspace(0.25, 0.75, M + 1)
     x2 = _graded_open(k, M)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    val = 32.0 * (X1 * A.a_at(1, X1, X2) + A.b_at(1, X1, X2) * (X1 - 0.5))
-    val -= beta * A.b_at(2, X1, X2)
+    a1, b1, b2 = (_on_grid(f, X1, X2) for f in (A.lead[0], *A.b))
+    val = 32.0 * (X1 * a1 + b1 * (X1 - 0.5))
+    val -= beta * b2
     return [x1, x2], -(1.0 - theta2) * val
 
 
@@ -311,7 +278,7 @@ def check_barrier_w1(
     def b2_min(height: float) -> float:
         x2 = np.concatenate(([0.0], _graded_open(height, 32)))
         X1, X2 = np.meshgrid(probe_x1, x2, indexing="ij")
-        return float(np.min(A.b_at(2, X1, X2)))
+        return float(np.min(_on_grid(A.b[1], X1, X2)))
 
     k0 = 0.5 if k is None else float(k)
     if k0 <= 0:
@@ -444,11 +411,6 @@ class GrowthReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _kimura_field(f) -> FuncField:
-    """A corner-coordinate coefficient as a batch field of the Kimura operator."""
-    return FuncField(lambda x, y: f(x[:, 0], x[:, 1]), vectorized=True)
-
-
 def growth_ratio(
     A: AppendixOperator,
     r_values: Sequence[float] = (0.5, 0.25, 0.125, 0.0625, 0.03125),
@@ -470,31 +432,10 @@ def growth_ratio(
     separable per coordinate (the probe of
     :func:`~kimura.pde.solve_backward_2d` rejects the rest).
     """
-    from .pde import Grid1D, _axis_callables_2d, solve_elliptic_2d
+    from .pde import _axis_grids_2d, solve_elliptic_2d
 
     nu = A.nu if nu is None else float(nu)
-    L = KimuraOperator(
-        dom=CornerBox(2, 0, 1.0),
-        b=tuple(_kimura_field(f) for f in A._b),
-        lead=tuple(_kimura_field(f) for f in A._a),
-    )
-    grids = []
-    for axis in (0, 1):
-        a_fn, b_fn, edge = _axis_callables_2d(L, axis)
-        grids.append(
-            Grid1D.from_coefficients(
-                a_fn,
-                b_fn,
-                edge,
-                M,
-                dirichlet_left=(axis == 0),
-                dirichlet_right=True,
-                face_left=axis + 1,
-                face_right=None,
-                logistic_possible=False,
-            )
-        )
-    gx, gy = grids
+    gx, gy = _axis_grids_2d(A, M, dirichlet_left=(True, False), dirichlet_right=True)
     boundary = np.zeros((gx.n_nodes, gy.n_nodes))
     boundary[-1, :] = outer
     boundary[:, -1] = outer

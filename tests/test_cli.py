@@ -262,3 +262,61 @@ def test_corner_rejects_faces_the_domain_lacks(tmp_path, capsys, faces):
     assert cli.main(["corner", "--config", _write(tmp_path, cfg)]) == 3
     assert "params.faces" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+APPENDIX = {"preset": "appendix-A"}
+
+
+@pytest.mark.parametrize(
+    "task, operator, params",
+    [
+        ("simulate", MODEL0, {"p0": [], "dt": 1e-3, "n_paths": 20, "T": 0.1}),
+        ("simulate", MODEL0, {"p0": [-0.5], "dt": 1e-3, "n_paths": 20, "T": 0.1}),
+        (
+            "decompose",
+            {"preset": "wright-fisher", "params": {"N": 2, "b": [0.0, 0.0, 0.0]}},
+            {"p0": [0.3], "dt": 1e-3, "n_paths": 20, "t": 0.1},
+        ),
+        ("crosscheck", MODEL0, {"p0": [], "dt": 1e-3, "n_paths": 20, "times": [0.1], "M": 50}),
+    ],
+    ids=["simulate-empty", "simulate-negative", "decompose-short", "crosscheck-empty"],
+)
+def test_start_point_outside_the_domain_exits_one(tmp_path, task, operator, params):
+    """A start point of the wrong dimension or outside the domain is a typed
+    error (exit 1, with a summary), not a traceback or a silent run."""
+    out = tmp_path / "out"
+    cfg = _base(task, out, operator=operator, params=params)
+    assert cli.main([task, "--config", _write(tmp_path, cfg)]) == 1
+    doc = _summary(out)
+    assert doc["status"] == "error"
+    assert doc["results"]["error"] == "PointOutsideDomain"
+
+
+def test_check_on_appendix_preset_classifies_its_faces(tmp_path):
+    out = tmp_path / "out"
+    cfg = _base("check", out, operator=APPENDIX)
+    assert cli.main(["check", "--config", _write(tmp_path, cfg)]) == 0
+    res = _summary(out)["results"]
+    assert res["tangent"] == [1]
+    assert res["transverse"] == [2]
+    assert res["beta0"] == 0.5
+
+
+def test_simulate_on_appendix_preset_exits_zero(tmp_path):
+    out = tmp_path / "out"
+    params = {"p0": [0.3, 0.3], "dt": 1e-3, "n_paths": 20, "T": 0.1}
+    cfg = _base("simulate", out, operator=APPENDIX, params=params)
+    assert cli.main(["simulate", "--config", _write(tmp_path, cfg)]) == 0
+    assert _summary(out)["results"]["n_paths"] == 20
+
+
+def test_kernel_on_appendix_preset_is_a_typed_error(tmp_path):
+    """The kernel takes 1-D operators only; the 2-D preset is refused with a
+    summary naming the error."""
+    out = tmp_path / "out"
+    params = {"p0": 0.3, "T": 0.1, "dt": 1e-3, "M": 50}
+    cfg = _base("kernel", out, operator=APPENDIX, params=params)
+    assert cli.main(["kernel", "--config", _write(tmp_path, cfg)]) == 1
+    doc = _summary(out)
+    assert doc["status"] == "error"
+    assert doc["results"]["error"] == "KimuraError"

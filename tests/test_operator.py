@@ -407,6 +407,21 @@ def test_registry_round_trip():
     assert L.dom.radius == 2.0
 
 
+_MINIMAL_PARAMS = {
+    "model1d": {"b": 0.0},
+    "wright-fisher": {"N": 1, "b": [0.0, 0.0]},
+    "product": {"factors": [model1d(0.0), model1d(0.5)]},
+    "remark-counterexample": {},
+    "appendix-A": {},
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_is_a_kimura_operator(name):
+    """Each preset serves every operator task, so each is one operator class."""
+    assert isinstance(make_preset(name, **_MINIMAL_PARAMS[name]), KimuraOperator)
+
+
 def test_registry_rejects_unknown_names():
     with pytest.raises(ValueError):
         make_preset("not-a-preset")

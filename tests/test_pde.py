@@ -348,7 +348,6 @@ def _axis_grid(b, M, tangent):
         M,
         dirichlet_left=tangent,
         dirichlet_right=True,
-        logistic_possible=False,
     )
 
 

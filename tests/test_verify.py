@@ -8,11 +8,12 @@ the grid reproduces the same number bit-for-bit.
 
 import json
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
 
-from kimura.errors import KimuraError, NoValidH, NoValidParams
+from kimura.errors import KimuraError, NotClean, NoValidH, NoValidParams
 from kimura.geometry import CornerBox
 from kimura.operator import KimuraOperator, make_preset, model1d
 from kimura.verify import (
@@ -41,18 +42,29 @@ def _const_op(b2=0.5, nu=0.5):
 
 
 def test_appendix_assumptions_pass_on_const_preset():
-    rep = _const_op().check_assumptions(samples=256)
-    assert rep.ok
-    assert rep.delta > 0
-    assert rep.tangent == frozenset({1})
-    assert rep.transverse == frozenset({2})
+    A = _const_op()
+    fc = A.classify_faces()
+    assert fc.tangent == frozenset({1})
+    assert fc.transverse == frozenset({2})
+    assert fc.beta0 == 0.5
+    assert A.check_assumptions(samples=256).elliptic_ok
 
 
 def test_appendix_assumptions_catch_corner_vanishing_drift():
     # b₂ = x₁ vanishes where the transverse face meets the corner
-    rep = _mixed_op().check_assumptions(samples=256)
-    assert not rep.transverse_ok
-    assert not rep.ok
+    with pytest.raises(NotClean) as exc:
+        _mixed_op().classify_faces()
+    assert exc.value.face == 2
+
+
+def test_appendix_operator_with_a_picklable_coefficient_pickles():
+    """Worker processes receive the operator pickled; a module-level
+    coefficient function must survive the trip."""
+    A = AppendixOperator(b2=np.hypot, nu=0.25)
+    B = pickle.loads(pickle.dumps(A))
+    x = np.array([[0.3, 0.4], [0.0, 0.5]])
+    assert np.array_equal(B.b[1].eval(x, np.empty((2, 0))), [0.5, 0.5])
+    assert B.nu == 0.25
 
 
 # ---------------------------------------------------------------------------
