@@ -20,7 +20,8 @@ used throughout the test-suite:
 Every time-dependent solve is one implicit-Euler march ``(I − Δt B) u⁺ = u``
 over ``⌈T/Δt⌉`` equal steps (there is no θ-scheme), so the kernel loses
 ``Δt·flux(tᵢ)`` through a face in step ``i``; absorbed mass is reported as
-that backward-rectangle sum.  One-dimensional steps are sparse LU solves.
+that backward-rectangle sum.  Each one-dimensional step is one symmetric
+positive-definite tridiagonal solve (LAPACK ``dpttrs``) in ``√μ·u``.
 
 Two-dimensional solves run on the tensor grid of two axes of a
 coordinate-separable operator, whose generator is the Kronecker sum
@@ -54,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import hyp2f1
 
 from .errors import (
@@ -437,32 +438,55 @@ def generator_matrix(grid: Grid1D) -> sparse.csr_matrix:
     Couplings *into* Dirichlet columns are kept — they carry boundary data
     for nonhomogeneous problems and the absorbed flux for the kernel.
     """
-    n = grid.n_nodes
-    mask = grid.dirichlet_mask()
-    rows, cols, vals = [], [], []
-    for k in range(n):
-        if mask[k]:
-            continue
-        diag = 0.0
-        if k > 0 and grid.inv_scale[k - 1] > 0.0:
-            c = grid.inv_scale[k - 1] / grid.cell_mass[k]
-            rows.append(k), cols.append(k - 1), vals.append(c)
-            diag -= c
-        if k < n - 1 and grid.inv_scale[k] > 0.0:
-            c = grid.inv_scale[k] / grid.cell_mass[k]
-            rows.append(k), cols.append(k + 1), vals.append(c)
-            diag -= c
-        rows.append(k), cols.append(k), vals.append(diag)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    live = ~grid.dirichlet_mask()
+    mu = np.where(live, grid.cell_mass, 1.0)
+    down = np.where(live[1:], grid.inv_scale / mu[1:], 0.0)  # row k, column k − 1
+    up = np.where(live[:-1], grid.inv_scale / mu[:-1], 0.0)  # row k, column k + 1
+    diag = -np.append(0.0, down) - np.append(up, 0.0)
+    return sparse.diags([down, diag, up], [-1, 0, 1], format="csr")
 
 
-def _lu_step(B: sparse.spmatrix, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The implicit-Euler step ``rhs ↦ (I − Δt B)⁻¹ rhs``, LU-factored once."""
-    eye = sparse.identity(B.shape[0], format="csc")
-    try:
-        return splu((eye - dt * B).tocsc()).solve
-    except RuntimeError as exc:  # singular factorization
-        raise LinearSolveFailure(f"step matrix factorization failed: {exc}") from exc
+def _live_block(grid: Grid1D) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+    """The generator's block ``D⁻¹K`` on the non-Dirichlet nodes, symmetrised.
+
+    Returns the ``live`` slice, ``root = √μ`` on it, and the diagonal
+    ``−(left + right)/μ`` and off-diagonal ``1/(S_k √(μ_k μ_{k+1}))`` of the
+    symmetric ``D^{-1/2} K D^{-1/2}`` (``D = diag(μ)``, ``K`` the flux matrix).
+    """
+    live = slice(int(grid.dirichlet_left), grid.n_nodes - int(grid.dirichlet_right))
+    mu = grid.cell_mass[live]
+    flux = np.concatenate(([0.0], grid.inv_scale, [0.0]))  # 1/S around each node
+    left, right = flux[:-1][live], flux[1:][live]
+    root = np.sqrt(mu)
+    return live, root, -(left + right) / mu, right[:-1] / (root[:-1] * root[1:])
+
+
+def _spd_step(grid: Grid1D, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The implicit-Euler step ``rhs ↦ (I − Δt B)⁻¹ rhs`` of a 1-D grid.
+
+    Dirichlet rows copy ``rhs``; a non-zero pinned value pulls its live
+    neighbour by ``Δt·(1/S)/μ·value``.  In ``v = √μ·u`` the live block is the
+    symmetric positive-definite ``I − Δt·D^{-1/2} K D^{-1/2}``
+    (:func:`_live_block`), factored once by LAPACK's ``dpttrf``.
+    """
+    live, root, diag, off = _live_block(grid)
+    d, e, info = dpttrf(1.0 - dt * diag, -dt * off)
+    if info != 0:
+        raise LinearSolveFailure(f"step matrix factorization failed: dpttrf info={info}")
+    w = dt * grid.inv_scale[[0, -1]] / root[[0, -1]]  # a pinned end's pull on v = √μ·u
+    pulls = [(0, w[0])] * grid.dirichlet_left + [(-1, w[1])] * grid.dirichlet_right
+
+    def step(rhs: np.ndarray) -> np.ndarray:
+        out = rhs.copy()
+        v = out[live]
+        v *= root
+        for end, weight in pulls:  # index 0 (−1): the end node in rhs, its neighbour in v
+            if rhs[end] != 0.0:
+                v[end] += weight * rhs[end]
+        np.divide(dpttrs(d, e, v, overwrite_b=1)[0], root, out=v)
+        return out
+
+    return step
 
 
 def _march(
@@ -481,7 +505,7 @@ def _march(
     """Implicit-Euler march ``(I − Δt B) u⁺ = u − Δt·source(t⁺)`` from ``u``.
 
     ``T`` is split into ``⌈T/dt⌉`` equal steps; ``stepper(Δt)`` builds the
-    step ``rhs ↦ u⁺`` once (``partial(_lu_step, B)`` on one axis,
+    step ``rhs ↦ u⁺`` once (``partial(_spd_step, grid)`` on one axis,
     :meth:`_TensorBasis.stepper` on a tensor grid).  ``pinned(t)`` gives the
     ``(rows, values)`` set on the right-hand side of the step ending at
     ``t``; ``view(u, t)`` is the quantity stored and minimised (the state
@@ -588,28 +612,12 @@ def solve_backward(
     if u.shape != grid.nodes.shape:
         raise ValueError(f"initial data shape {u.shape} != grid {grid.nodes.shape}")
     u[grid.dirichlet_mask()] = 0.0
-    stepper = partial(_lu_step, generator_matrix(grid))
-    return SolveResult(grid, *_march(stepper, u, T, dt, store_times, max_slices))
+    return SolveResult(grid, *_march(partial(_spd_step, grid), u, T, dt, store_times, max_slices))
 
 
 # --------------------------------------------------------------------------
 # forward kernel and caloric density
 # --------------------------------------------------------------------------
-
-
-def _forward_matrix(grid: Grid1D, B: sparse.csr_matrix) -> sparse.csr_matrix:
-    """dμ-adjoint of the generator, acting on densities against dμ.
-
-    ``F = D⁻¹ Bᵀ D`` with ``D = diag(μ)`` (unit weight on the massless
-    Dirichlet cells), rows at Dirichlet nodes cleared: mass that flows into
-    an absorbing cell leaves the system — that loss *is* the hitting flux.
-    """
-    mu = np.where(grid.cell_mass > 0.0, grid.cell_mass, 1.0)
-    F = sparse.diags(1.0 / mu) @ B.T.tocsr() @ sparse.diags(mu)
-    F = F.tolil()
-    for k in np.flatnonzero(grid.dirichlet_mask()):
-        F.rows[k], F.data[k] = [], []
-    return F.tocsr()
 
 
 def _one_sided_slope(d1: float, d2: float, v1: float, v2: float) -> float:
@@ -698,9 +706,10 @@ def dirichlet_kernel(
         for fid, left in faces:
             flux[fid].extend(_face_flux(grid, K, left).tolist())
 
-    B = _forward_matrix(grid, generator_matrix(grid))
+    # The forward matrix D⁻¹BᵀD, Dirichlet rows cleared (mass that flows into
+    # an absorbing cell is the hitting flux), is B on the live block, else 0.
     dt, times, slices, lowest = _march(
-        partial(_lu_step, B), k, T, dt, None, max_slices, on_block=account
+        partial(_spd_step, grid), k, T, dt, None, max_slices, on_block=account
     )
     if lowest < -_CLIP_TOL:
         raise KimuraError(f"kernel density fell below −{_CLIP_TOL}: {lowest}")
@@ -777,19 +786,18 @@ def caloric_density(ks: KernelSolution, face: int) -> CaloricDensity:
 # --------------------------------------------------------------------------
 
 
-def _boundary_data_setup(L, zeta, face, M, grid) -> tuple[Grid1D, int, np.ndarray]:
-    """The grid, the node carrying ζ (default: the left absorbing end) and
-    the Dirichlet rows of a boundary-data solve."""
+def _boundary_data_setup(L, zeta, face, M, grid) -> tuple[Grid1D, int]:
+    """The grid of a boundary-data solve and the node carrying ζ (default:
+    the left absorbing end)."""
     if abs(zeta(0.0)) > 1e-14:
         raise IncompatibleData(f"boundary data must vanish at t=0, got {zeta(0.0)}")
     grid = grid if grid is not None else Grid1D.for_operator(L, M)
-    dir_idx = np.flatnonzero(grid.dirichlet_mask())
     if face is None:
         face = grid.face_left if grid.dirichlet_left else grid.face_right
     if face == grid.face_left and grid.dirichlet_left:
-        return grid, 0, dir_idx
+        return grid, 0
     if face == grid.face_right and grid.dirichlet_right:
-        return grid, grid.n_nodes - 1, dir_idx
+        return grid, grid.n_nodes - 1
     raise FaceNotTangent(f"face {face!r} is not an absorbing end of this grid")
 
 
@@ -808,18 +816,12 @@ def solve_nonhomogeneous(
     """Direct march of ``u_t = Lu``, ``u(0)=0``, ``u = ζ(t)`` at one face.
 
     The Dirichlet row is pinned to ζ(t_{n+1}) each implicit step; the other
-    absorbing end (if any) stays homogeneous.
+    absorbing end (if any) stays homogeneous, as the step copies its zero.
     """
-    grid, j_data, dir_idx = _boundary_data_setup(L, zeta, face, M, grid)
-
-    def pinned(t: float) -> tuple:
-        return dir_idx, np.where(dir_idx == j_data, zeta(t), 0.0)
-
-    u = np.zeros(grid.n_nodes)
-    stepper = partial(_lu_step, generator_matrix(grid))
-    return SolveResult(
-        grid, *_march(stepper, u, T, dt, store_times, max_slices, pinned=pinned)
-    )
+    grid, j_data = _boundary_data_setup(L, zeta, face, M, grid)
+    u, pinned = np.zeros(grid.n_nodes), lambda t: (j_data, zeta(t))
+    march = _march(partial(_spd_step, grid), u, T, dt, store_times, max_slices, pinned=pinned)
+    return SolveResult(grid, *march)
 
 
 def duhamel_solve(
@@ -842,12 +844,11 @@ def duhamel_solve(
     evaluation of the superposition integral with the discrete semigroup.
     Agrees with :func:`solve_nonhomogeneous` to discretization order.
     """
-    grid, j_data, dir_idx = _boundary_data_setup(L, zeta, face, M, grid)
-    B = generator_matrix(grid)
+    grid, j_data = _boundary_data_setup(L, zeta, face, M, grid)
 
     x = grid.nodes
     phi = ((grid.edge - x) / grid.edge) ** 2 if j_data == 0 else (x / grid.edge) ** 2
-    Bphi = B @ phi
+    Bphi = generator_matrix(grid) @ phi
     delta = 1e-7 * max(1.0, T)
 
     def dzeta(t: float) -> float:
@@ -855,13 +856,13 @@ def duhamel_solve(
         return (zeta(t + delta) - zeta(lo)) / (t + delta - lo)
 
     march = _march(
-        partial(_lu_step, B),
+        partial(_spd_step, grid),
         np.zeros(grid.n_nodes),
         T,
         dt,
         store_times,
         max_slices,
-        pinned=lambda t: (dir_idx, 0.0),
+        pinned=lambda t: (j_data, 0.0),  # φ and Bφ vanish at the other end
         source=lambda t: dzeta(t) * phi - zeta(t) * Bphi,
         view=lambda v, t: v + zeta(t) * phi,
     )
@@ -990,9 +991,7 @@ def _axis_grids_2d(
 class _AxisBasis:
     """One axis's generator on its non-Dirichlet nodes, diagonalised in dμ.
 
-    That block is ``D⁻¹K``, with ``D = diag(μ)`` and ``K`` the symmetric
-    tridiagonal flux matrix, so ``D^{-1/2} K D^{-1/2}`` is symmetric, with
-    off-diagonal ``1/(S_k √(μ_k μ_{k+1}))``, and equals ``Q Λ Qᵀ``.  Then
+    Its symmetrised block (:func:`_live_block`) is ``Q Λ Qᵀ``, so
     ``D⁻¹K = from_eig · Λ · to_eig`` with ``to_eig = Qᵀ D^{1/2}`` and
     ``from_eig = D^{-1/2} Q`` its inverse.  A decoupled node (``1/S = 0`` on
     both sides) is a block of its own, with eigenvalue exactly zero.
@@ -1005,13 +1004,8 @@ class _AxisBasis:
 
     @classmethod
     def of(cls, grid: Grid1D) -> "_AxisBasis":
-        live = slice(int(grid.dirichlet_left), grid.n_nodes - int(grid.dirichlet_right))
-        mu = grid.cell_mass[live]
-        flux = np.concatenate(([0.0], grid.inv_scale, [0.0]))  # 1/S around each node
-        left, right = flux[:-1][live], flux[1:][live]
-        root = np.sqrt(mu)
-        off = right[:-1] / (root[:-1] * root[1:])
-        lam, q = eigh_tridiagonal(-(left + right) / mu, off)
+        live, root, diag, off = _live_block(grid)
+        lam, q = eigh_tridiagonal(diag, off)
         return cls(live, lam, q.T * root, q / root[:, None])
 
 

@@ -62,6 +62,7 @@ only ``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.
 from __future__ import annotations
 
 import math
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -701,6 +702,11 @@ def _run_chunked(fn, n_paths: int, workers: int, path_offset: int = 0, **kwargs)
     if workers > 1 and n_paths >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
+        try:  # fail before any process starts
+            pickle.dumps((fn, kwargs))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            msg = "build coefficients from module-level functions, or use workers=1"
+            raise KimuraError(f"cannot send the run to worker processes ({exc}); {msg}") from exc
         bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -17,6 +17,7 @@ from kimura.pde import (
     SpeedScale,
     _graded_nodes,
     _march,
+    _spd_step,
     caloric_density,
     dirichlet_kernel,
     duhamel_solve,
@@ -288,6 +289,71 @@ def test_incompatible_boundary_data_rejected():
     L = model1d(0.0)
     with pytest.raises(IncompatibleData):
         solve_nonhomogeneous(L, lambda t: 1.0 + t, 0.5, 1e-3, M=100)
+
+
+# ---------------------------------------------------------------------------
+# the 1D step against a sparse LU march
+# ---------------------------------------------------------------------------
+
+
+def _lu_march(A, u, T, dt, pinned=None):
+    """``T/dt`` implicit-Euler steps ``(I − Δt A) u⁺ = rhs`` by sparse LU from
+    ``u``; ``pinned(t)`` maps rows of ``rhs`` to the values set on them."""
+    lu = spla.splu((sp.identity(A.shape[0], format="csc") - dt * A).tocsc())
+    for i in range(1, round(T / dt) + 1):
+        rhs = u.copy()
+        for row, value in ({} if pinned is None else pinned(i * dt)).items():
+            rhs[row] = value
+        u = lu.solve(rhs)
+    return u
+
+
+def _rel(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+_STEP_CASES = {  # operator, (Dirichlet left, Dirichlet right, 1/S at the left end is 0)
+    "wf": (wright_fisher(1, [0.0, 0.0]), (True, True, False)),
+    "model1d_0": (model1d(0.0), (True, False, False)),
+    "model1d_1": (model1d(1.0), (False, False, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_CASES))
+def test_backward_step_matches_a_sparse_lu_march(case):
+    L, ends = _STEP_CASES[case]
+    grid = Grid1D.for_operator(L, M=200)
+    assert (grid.dirichlet_left, grid.dirichlet_right, grid.inv_scale[0] == 0.0) == ends
+    f = lambda x: 1.0 + np.sin(3.0 * x)
+    res = solve_backward(L, f, 0.2, 1e-3, grid=grid)
+    u0 = np.where(grid.dirichlet_mask(), 0.0, f(grid.nodes))
+    assert _rel(res.final, _lu_march(generator_matrix(grid), u0, 0.2, 1e-3)) <= 1e-12
+
+
+def test_kernel_step_matches_the_forward_matrix_march(wf):
+    grid = Grid1D.for_operator(wf, M=200)
+    ks = dirichlet_kernel(wf, 0.3, 0.2, 1e-3, grid=grid)
+    k0 = np.zeros(grid.n_nodes)
+    j0 = grid.nearest_interior(0.3)
+    k0[j0] = 1.0 / grid.cell_mass[j0]
+    assert _rel(ks.k[-1], _lu_march(_forward_matrix(grid), k0, 0.2, 1e-3)) <= 1e-12
+
+
+def test_nonhomogeneous_step_carries_the_pinned_value_s_pull():
+    """With ζ(t) = t² pinned at the left end, the live nodes move only through
+    the step's pull term."""
+    L = model1d(0.0)
+    grid = Grid1D.for_operator(L, M=200)
+    zeta = lambda t: t * t
+    res = solve_nonhomogeneous(L, zeta, 0.2, 1e-3, grid=grid)
+    ref = _lu_march(generator_matrix(grid), np.zeros(grid.n_nodes), 0.2, 1e-3, lambda t: {0: zeta(t)})
+    assert _rel(res.final, ref) <= 1e-12
+
+
+def test_step_that_is_not_positive_definite_raises_linear_solve_failure(wf):
+    grid = Grid1D.for_operator(wf, M=50)
+    with pytest.raises(LinearSolveFailure, match="factorization failed"):
+        _spd_step(grid, -1.0)  # I + B is indefinite
 
 
 # ---------------------------------------------------------------------------

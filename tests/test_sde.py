@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kimura import _rng
-from kimura.errors import MaxStepsExceeded, NonFinite
+from kimura.errors import KimuraError, MaxStepsExceeded, NonFinite
 from kimura.geometry import CornerBox, Point
 from kimura.operator import KimuraOperator, model1d, product_operator, wright_fisher
 from kimura.sde import (
@@ -42,6 +42,18 @@ def test_worker_count_does_not_change_results(wf, p03):
     b = simulate_ensemble(wf, p03, CFG, 300, workers=3)
     assert np.array_equal(a.terminal_xy, b.terminal_xy)
     assert np.array_equal(a.first_hit_face, b.first_hit_face)
+
+
+def test_unpicklable_operator_on_workers_is_a_typed_error():
+    """A lambda coefficient cannot reach a worker process: the run says so
+    before any process starts, and runs in one process."""
+    from kimura.verify import AppendixOperator
+
+    L = AppendixOperator(b2=lambda x1, x2: 0.5 + x1)
+    cfg = SimConfig(dt=1e-3, T=0.01)
+    with pytest.raises(KimuraError, match="workers=1"):
+        simulate_ensemble(L, Point([0.3, 0.3]), cfg, 8, workers=2)
+    assert simulate_ensemble(L, Point([0.3, 0.3]), cfg, 8, workers=1).n_paths == 8
 
 
 def test_single_path_matches_its_ensemble_slot(wf, p03):
