@@ -316,7 +316,29 @@ _STEP_CASES = {  # operator, (Dirichlet left, Dirichlet right, 1/S at the left e
     "wf": (wright_fisher(1, [0.0, 0.0]), (True, True, False)),
     "model1d_0": (model1d(0.0), (True, False, False)),
     "model1d_1": (model1d(1.0), (False, False, True)),
+    "model1d_half": (model1d(0.5), (False, False, False)),
 }
+
+
+def _generator_by_rows(grid):
+    """The generator row by row: [(u_{k+1} − u_k)/S_k − (u_k − u_{k−1})/S_{k−1}]/μ_k,
+    Dirichlet rows zero."""
+    n = grid.n_nodes
+    B = np.zeros((n, n))
+    for k in np.flatnonzero(~grid.dirichlet_mask()):
+        if k > 0 and grid.inv_scale[k - 1] > 0.0:
+            B[k, k - 1] = grid.inv_scale[k - 1] / grid.cell_mass[k]
+            B[k, k] -= B[k, k - 1]
+        if k < n - 1 and grid.inv_scale[k] > 0.0:
+            B[k, k + 1] = grid.inv_scale[k] / grid.cell_mass[k]
+            B[k, k] -= B[k, k + 1]
+    return B
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_CASES))
+def test_generator_matrix_equals_the_row_by_row_generator(case):
+    grid = Grid1D.for_operator(_STEP_CASES[case][0], M=60)
+    assert np.array_equal(generator_matrix(grid).toarray(), _generator_by_rows(grid))
 
 
 @pytest.mark.parametrize("case", sorted(_STEP_CASES))
