@@ -61,7 +61,6 @@ from .operator import (
     FuncField,
     KimuraOperator,
     PolyField,
-    PolynomialFunction,
     PRESET_NAMES,
     as_field,
     make_preset,
@@ -162,7 +161,6 @@ __all__ = [
     "PolyField",
     "FuncField",
     "as_field",
-    "PolynomialFunction",
     "AssumptionReport",
     "FaceClassification",
     "KimuraOperator",

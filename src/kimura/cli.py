@@ -269,8 +269,6 @@ def _build_operator(spec: dict) -> KimuraOperator:
     params = dict(spec.get("params", {}))
     if spec["preset"] == "product":
         params["factors"] = [_build_operator(f) for f in params["factors"]]
-    if spec["preset"] == "wright-fisher":
-        params["b"] = np.asarray(params["b"], dtype=float)
     return make_preset(spec["preset"], **params)
 
 

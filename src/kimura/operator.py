@@ -72,7 +72,6 @@ __all__ = [
     "PolyField",
     "FuncField",
     "as_field",
-    "PolynomialFunction",
     "AssumptionViolation",
     "AssumptionReport",
     "FaceClassification",
@@ -146,9 +145,11 @@ class ConstField(CoefficientField):
 class PolyField(CoefficientField):
     """A polynomial coefficient stored as an explicit term table.
 
-    ``terms`` is a tuple of ``(coeff, xpow, ypow)`` with integer exponent
-    tuples of lengths ``n`` and ``m``.  Supports exact restriction to a face
-    (substituting ``x_i = 0``) and zoom rescaling.
+    ``terms`` is a sequence of ``(coeff, xpow, ypow)`` with integer exponent
+    sequences of lengths ``n`` and ``m``, stored as tuples.  Supports exact
+    restriction to a face (substituting ``x_i = 0``), zoom rescaling and
+    differentiation, so a table also serves as the exact test function of
+    :meth:`KimuraOperator.apply`.
     """
 
     terms: tuple[tuple[float, tuple[int, ...], tuple[int, ...]], ...]
@@ -156,7 +157,9 @@ class PolyField(CoefficientField):
     m: int = 0
 
     def __post_init__(self):
-        for coeff, xp, yp in self.terms:
+        terms = tuple((float(c), tuple(xp), tuple(yp)) for c, xp, yp in self.terms)
+        object.__setattr__(self, "terms", terms)
+        for coeff, xp, yp in terms:
             if len(xp) != self.n or len(yp) != self.m:
                 raise ValueError(
                     f"term exponents {(xp, yp)} do not match dims (n={self.n}, m={self.m})"
@@ -221,6 +224,17 @@ class PolyField(CoefficientField):
             (c * outer * lam ** (sum(xp) + 0.5 * sum(yp)), xp, yp)
             for c, xp, yp in self.terms
         ]
+        return PolyField(tuple(new), self.n, self.m)
+
+    def diff(self, slot: int) -> "PolyField":
+        """The exact partial derivative in coordinate ``slot`` (the ``x``
+        slots first, then the ``y`` slots)."""
+        new = []
+        for c, xp, yp in self.terms:
+            pows = xp + yp
+            if pows[slot]:
+                e = pows[:slot] + (pows[slot] - 1,) + pows[slot + 1 :]
+                new.append((c * pows[slot], e[: self.n], e[self.n :]))
         return PolyField(tuple(new), self.n, self.m)
 
 
@@ -327,75 +341,6 @@ def as_field(obj) -> CoefficientField:
     if callable(obj):
         return FuncField(obj)
     raise TypeError(f"cannot interpret {obj!r} as a coefficient field")
-
-
-# --------------------------------------------------------------------------
-# polynomial test functions (arguments of L)
-# --------------------------------------------------------------------------
-
-
-class PolynomialFunction:
-    """A polynomial test function with exact gradient and hessian.
-
-    ``terms`` follows the :class:`PolyField` convention:
-    ``(coeff, xpow, ypow)`` tuples.  Every derivative is again a polynomial,
-    so :meth:`KimuraOperator.apply` evaluates ``L u`` with no discretisation
-    error.
-    """
-
-    def __init__(self, terms, n: int, m: int = 0):
-        self.terms = tuple((float(c), tuple(xp), tuple(yp)) for c, xp, yp in terms)
-        self.n, self.m = n, m
-
-    def value(self, p: Point) -> float:
-        out = 0.0
-        for c, xp, yp in self.terms:
-            t = c
-            for i, pw in enumerate(xp):
-                if pw:
-                    t *= p.x[i] ** pw
-            for l, pw in enumerate(yp):
-                if pw:
-                    t *= p.y[l] ** pw
-            out += t
-        return float(out)
-
-    def _diff(self, slot: int) -> "PolynomialFunction":
-        new = []
-        for c, xp, yp in self.terms:
-            if slot < self.n:
-                pw = xp[slot]
-                if pw:
-                    nxp = xp[:slot] + (pw - 1,) + xp[slot + 1 :]
-                    new.append((c * pw, nxp, yp))
-            else:
-                l = slot - self.n
-                pw = yp[l]
-                if pw:
-                    nyp = yp[:l] + (pw - 1,) + yp[l + 1 :]
-                    new.append((c * pw, xp, nyp))
-        return PolynomialFunction(new, self.n, self.m)
-
-    def gradient(self, p: Point) -> np.ndarray:
-        d = self.n + self.m
-        return np.array([self._diff(i).value(p) for i in range(d)])
-
-    def hessian(self, p: Point) -> np.ndarray:
-        d = self.n + self.m
-        H = np.empty((d, d))
-        for i in range(d):
-            di = self._diff(i)
-            for j in range(i, d):
-                H[i, j] = H[j, i] = di._diff(j).value(p)
-        return H
-
-    def rescaled_input(self, lam: float) -> "PolynomialFunction":
-        """The composition ``v(z′) = u(λ x′, √λ y′)`` as an exact polynomial."""
-        new = [
-            (c * lam ** (sum(xp) + 0.5 * sum(yp)), xp, yp)
-            for c, xp, yp in self.terms
-        ]
-        return PolynomialFunction(new, self.n, self.m)
 
 
 # --------------------------------------------------------------------------
@@ -583,10 +528,6 @@ class KimuraOperator:
         return all(f.is_zero for row in self.c for f in row)
 
     @cached_property
-    def _b_zero(self) -> bool:
-        return all(f.is_zero for f in self.b)
-
-    @cached_property
     def _e_zero(self) -> bool:
         return all(f.is_zero for f in self.e)
 
@@ -626,33 +567,19 @@ class KimuraOperator:
 
     # -- pointwise application ---------------------------------------------
 
-    def apply(self, u: PolynomialFunction, p: Point) -> float:
-        """Evaluate ``L u`` at ``p`` from the exact derivatives of ``u``.
+    def apply(self, u: PolyField, p: Point) -> float:
+        """Evaluate ``L u = Σ_ij M_ij ∂_i∂_j u + drift·∇u`` at ``p`` from the
+        exact derivatives of the polynomial ``u``, with ``M`` and the drift of
+        :meth:`diffusion_matrix_batch` and :meth:`drift_batch`.
 
         The formula is polynomial in ``x``, so boundary points are fine.
         """
-        g = u.gradient(p)
-        H = u.hessian(p)
-        n, m = self.n, self.m
-        x = p.x
-        val = 0.0
-        for i in range(n):
-            val += self.lead[i](p) * x[i] * H[i, i] + self.b[i](p) * g[i]
-            for j in range(n):
-                aij = self.a[i][j](p)
-                if aij:
-                    val += x[i] * x[j] * aij * H[i, j]
-            for l in range(m):
-                cil = self.c[i][l](p)
-                if cil:
-                    val += x[i] * cil * H[i, n + l]
-        for l in range(m):
-            val += self.e[l](p) * g[n + l]
-            for kk in range(m):
-                dlk = self.d[l][kk](p)
-                if dlk:
-                    val += dlk * H[n + l, n + kk]
-        return float(val)
+        x, y = p.x[None, :], p.y[None, :]
+        du = [u.diff(i) for i in range(self.dim)]
+        g = np.array([f(p) for f in du])
+        H = np.array([[f.diff(j)(p) for j in range(self.dim)] for f in du])
+        M = self.diffusion_matrix_batch(x, y)[0]
+        return float(np.sum(M * H) + self.drift_batch(x, y)[0] @ g)
 
     # -- structural checks ---------------------------------------------------
 
@@ -714,27 +641,34 @@ class KimuraOperator:
         second-order part in the variables ``√x_i ∂_i`` and ``∂_y``,
         ``Q = [[ℓ_i δ_ij + √(x_i x_j) a_ij, ½√x_i c_il], [·, d_lk]]``, so that
         ``D Q D = diffusion_matrix_batch`` with ``D = diag(√x, 1)``."""
+        return self._second_order(x, y, np.sqrt(x), None)
+
+    def _second_order(self, x, y, r, diag) -> np.ndarray:
+        """The symmetric matrices ``[[ℓ_i δ_ij·diag_i + r_i r_j a_ij,
+        ½ r_i c_il], [·, d_lk]]`` at a batch of states (``diag`` None reads
+        as 1), shape ``(k, dim, dim)``: the generator's second-order part
+        with ``r = diag = x``, its reduced form with ``r = √x``."""
         k, n, m = x.shape[0], self.n, self.m
-        Q = np.zeros((k, self.dim, self.dim))
-        r = np.sqrt(x)
+        M = np.zeros((k, self.dim, self.dim))
         for i in range(n):
-            Q[:, i, i] = self.lead[i].eval(x, y)
+            lead = self.lead[i].eval(x, y)
+            M[:, i, i] = lead if diag is None else lead * diag[:, i]
             for j in range(n):
                 aij = self.a[i][j]
                 if not aij.is_zero:
-                    Q[:, i, j] += r[:, i] * r[:, j] * aij.eval(x, y)
+                    M[:, i, j] += r[:, i] * r[:, j] * aij.eval(x, y)
             for l in range(m):
                 cil = self.c[i][l]
                 if not cil.is_zero:
                     half = 0.5 * r[:, i] * cil.eval(x, y)
-                    Q[:, i, n + l] += half
-                    Q[:, n + l, i] += half
+                    M[:, i, n + l] += half
+                    M[:, n + l, i] += half
         for l in range(m):
             for kk in range(m):
                 dlk = self.d[l][kk]
                 if not dlk.is_zero:
-                    Q[:, n + l, n + kk] += dlk.eval(x, y)
-        return 0.5 * (Q + np.swapaxes(Q, 1, 2))
+                    M[:, n + l, n + kk] += dlk.eval(x, y)
+        return 0.5 * (M + np.swapaxes(M, 1, 2))
 
     # -- weights, cleanness, restriction -------------------------------------
 
@@ -949,43 +883,16 @@ class KimuraOperator:
 
     def drift_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Drift vectors ``(b_1..b_n, e_1..e_m)`` at a batch of states."""
-        k = x.shape[0]
-        out = np.zeros((k, self.dim))
-        if not self._b_zero:
-            if self._b_const is not None:
-                out[:, : self.n] = self._b_const
-            else:
-                for i in range(self.n):
-                    out[:, i] = self.b[i].eval(x, y)
-        if self.m and not self._e_zero:
-            for l in range(self.m):
-                out[:, self.n + l] = self.e[l].eval(x, y)
+        out = np.empty((x.shape[0], self.dim))
+        for i, f in enumerate((*self.b, *self.e)):
+            out[:, i] = f.eval(x, y)
         return out
 
     def diffusion_matrix_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The generator's second-order coefficient matrices ``M(z)``, shape
         ``(k, dim, dim)`` (symmetric positive semidefinite for operators
         passing the structural checks).  The SDE covariance is ``2·M``."""
-        k, n, m = x.shape[0], self.n, self.m
-        M = np.zeros((k, self.dim, self.dim))
-        for i in range(n):
-            M[:, i, i] = self.lead[i].eval(x, y) * x[:, i]
-            for j in range(n):
-                aij = self.a[i][j]
-                if not aij.is_zero:
-                    M[:, i, j] += x[:, i] * x[:, j] * aij.eval(x, y)
-            for l in range(m):
-                cil = self.c[i][l]
-                if not cil.is_zero:
-                    half = 0.5 * x[:, i] * cil.eval(x, y)
-                    M[:, i, n + l] += half
-                    M[:, n + l, i] += half
-        for l in range(m):
-            for kk in range(m):
-                dlk = self.d[l][kk]
-                if not dlk.is_zero:
-                    M[:, n + l, n + kk] += dlk.eval(x, y)
-        return 0.5 * (M + np.swapaxes(M, 1, 2))
+        return self._second_order(x, y, x, x)
 
     @cached_property
     def _noise_strategy(self) -> str:
@@ -1075,10 +982,10 @@ class _EulerUpdate:
     bit for bit at every finite state with no ``−0.0`` coordinate; those two
     stay as the reference.  ``drift`` is chosen from the coefficients after
     their zero polynomial terms are dropped: ``zero`` (skipped), ``constant``
-    (``b·dt`` precomputed), ``polynomial`` or ``callable``.  ``noise`` is the
-    strategy of :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the
-    ``y`` factor precomputed where constant; ``wf`` in one coordinate is
-    ``√(x(1−x))·η``.
+    (``b·dt`` precomputed) or ``varying`` (each field evaluated at ``x⁺``,
+    whether a table or a closure).  ``noise`` is the strategy of
+    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
+    precomputed where constant; ``wf`` in one coordinate is ``√(x(1−x))·η``.
     """
 
     def __init__(self, op: KimuraOperator, dt: float, raw: bool = False):
@@ -1088,10 +995,8 @@ class _EulerUpdate:
         if all(c is not None for c in consts):
             self.drift = "constant" if any(consts) else "zero"
             self._bdt = np.array(consts) * dt
-        elif all(isinstance(f, (ConstField, PolyField)) for f in self._fields):
-            self.drift = "polynomial"
         else:
-            self.drift = "callable"
+            self.drift = "varying"
         self.noise = op._noise_strategy
         self._op = op
         if self.noise in ("diag", "diag+chol"):

@@ -39,10 +39,10 @@ or chart edge — is natural, i.e. the half-cell at the end simply has no
 outer flux term.  Entrance-type ends (weight ≥ 1, infinite scale) decouple
 automatically because ``1/S = 0`` there.
 
-Closed-form speed/scale data is used when the coefficients match one of the
-two families every preset lives in (``A = ℓx`` with constant drift, and the
-logistic family ``A = g·x(1−x)`` with affine drift); anything else falls
-back to adaptive quadrature.
+Speed/scale data is closed-form: an axis's coefficients must match one of
+the two families every preset lives in (``A = ℓx`` with constant drift, and
+the logistic family ``A = g·x(1−x)`` with affine drift); any other axis
+raises :class:`~kimura.errors.KimuraError`.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def _gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float
 def _gauss_graded(f, lo: float, hi: float, levels: int = 40) -> float:
     """Quadrature on (lo, hi) with a geometric split toward lo.
 
-    Handles integrable power singularities at ``lo`` (the cell that touches
-    a degenerate endpoint in the generic-coefficient fallback).
+    Handles an integrand that grows like a power toward ``lo``: the Beta
+    integrand with a non-positive exponent, on a cell near but not touching
+    its singular end (:func:`_int_beta`).
     """
     if lo > 0 and hi / lo < 4.0:
         return _gauss(f, lo, hi)
@@ -181,8 +182,7 @@ class SpeedScale:
       m = x^{B−1}/lead with weight ``B = b/lead``；
     * ``"beta"``   — ``A = g·x(edge−x)/edge``, drift affine:  the logistic
       family, s′ = u^{−p}(1−u)^{−q} in u = x/edge with the two face
-      weights p, q;
-    * ``"numeric"``— adaptive quadrature of exp(−∫ b/A) (fallback).
+      weights p, q.
     """
 
     kind: str
@@ -190,59 +190,23 @@ class SpeedScale:
     lead: float = 1.0
     weight_left: float = 0.0
     weight_right: float = 0.0
-    a_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    b_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def scale_increment(self, lo: float, hi: float) -> float:
         """∫_lo^hi s′ dx (``inf`` marks an entrance end: no flux)."""
         if self.kind == "power":
             return _int_power(1.0 - self.weight_left, lo, hi)
-        if self.kind == "beta":
-            e = self.edge
-            p, q = self.weight_left, self.weight_right
-            return e * _int_beta(1.0 - p, 1.0 - q, lo / e, hi / e)
-        return self._numeric_integral(lo, hi, speed=False)
+        e = self.edge
+        p, q = self.weight_left, self.weight_right
+        return e * _int_beta(1.0 - p, 1.0 - q, lo / e, hi / e)
 
     def cell_mass(self, lo: float, hi: float) -> float:
         """∫_lo^hi m dx (the cell's dμ mass)."""
         if self.kind == "power":
             return _int_power(self.weight_left, lo, hi) / self.lead
-        if self.kind == "beta":  # m = 1/(A s′) = u^{p−1}(1−u)^{q−1}/(lead·edge)
-            e = self.edge
-            p, q = self.weight_left, self.weight_right
-            return _int_beta(p, q, lo / e, hi / e) / self.lead
-        return self._numeric_integral(lo, hi, speed=True)
-
-    # -- generic fallback ----------------------------------------------------
-
-    def _log_scale(self, x: np.ndarray) -> np.ndarray:
-        """−∫_{edge/2}^{x} b/A, elementwise (geometric split toward the
-        nearer end, where ``b/A`` may blow up)."""
+        # beta: m = 1/(A s′) = u^{p−1}(1−u)^{q−1}/(lead·edge)
         e = self.edge
-        ref = 0.5 * e
-        out = np.empty_like(x, dtype=float)
-        ratio = lambda t: np.asarray(self.b_fn(t)) / np.asarray(self.a_fn(t))
-        for i, xi in enumerate(np.atleast_1d(x)):
-            if xi >= ref:
-                out[i] = -_gauss_graded(lambda s: ratio(e - s), e - float(xi), e - ref)
-            else:
-                out[i] = _gauss_graded(ratio, float(xi), ref)
-        return out
-
-    def _numeric_integral(self, lo: float, hi: float, speed: bool) -> float:
-        e = self.edge
-        if speed:
-            f = lambda t: np.exp(-self._log_scale(t)) / np.asarray(self.a_fn(t))
-        else:
-            f = lambda t: np.exp(self._log_scale(t))
-        lo, hi = max(lo, 0.0), min(hi, e)
-        if lo <= 0.0 and hi >= e:  # one graded half toward each end
-            return sum(self._numeric_integral(a, b, speed) for a, b in ((lo, e / 2), (e / 2, hi)))
-        if hi >= e:  # graded toward the right end, in s = e − t
-            val = _gauss_graded(lambda s: f(e - s), 0.0, e - lo)
-        else:
-            val = _gauss_graded(f, lo, hi) if lo <= 0.0 else _gauss(f, lo, hi)
-        return val if math.isfinite(val) else math.inf
+        p, q = self.weight_left, self.weight_right
+        return _int_beta(p, q, lo / e, hi / e) / self.lead
 
 
 def _probe_speed_scale(
@@ -250,7 +214,8 @@ def _probe_speed_scale(
     b_fn: Callable[[np.ndarray], np.ndarray],
     edge: float,
 ) -> SpeedScale:
-    """Match the axis coefficients against the two closed-form families."""
+    """Match the axis coefficients against the two closed-form families;
+    an axis in neither raises :class:`KimuraError`."""
     t = edge * np.array([0.11, 0.239, 0.413, 0.587, 0.761, 0.917])
     av, bv = np.asarray(a_fn(t), float), np.asarray(b_fn(t), float)
     tol = 1e-11 * max(1.0, float(np.max(np.abs(av))), float(np.max(np.abs(bv))))
@@ -275,7 +240,10 @@ def _probe_speed_scale(
         q = -(alpha + beta * edge) / ge
         return SpeedScale("beta", edge, ge, float(p), float(q))
 
-    return SpeedScale("numeric", edge, a_fn=a_fn, b_fn=b_fn)
+    raise KimuraError(
+        "axis coefficients fit neither closed speed/scale family: "
+        "A = ℓ·x with constant drift, or A = g·x(edge − x)/edge with affine drift"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -904,15 +872,11 @@ def stochastic_rep_check(
     from .geometry import Point
     from .sde import SimConfig, simulate_ensemble
 
-    sol = solve_nonhomogeneous(
-        L, zeta, t, dt_pde, face=face, M=M, store_times=(t,)
-    )
-    grid = sol.grid
+    grid, j_data = _boundary_data_setup(L, zeta, face, M, None)
+    face_id = grid.face_left if j_data == 0 else grid.face_right
+    sol = solve_nonhomogeneous(L, zeta, t, dt_pde, face=face_id, grid=grid, store_times=(t,))
     j0 = grid.nearest_interior(float(np.atleast_1d(p0)[0]))
     pde_value = float(sol.at(t)[j0])
-    face_id = grid.face_left if face is None and grid.dirichlet_left else face
-    if face_id is None:
-        face_id = grid.face_right
 
     x0 = np.atleast_1d(np.asarray(p0, float))
     cfg = SimConfig(dt=dt_mc, T=t, seed=seed, stop_at_first_tangent_hit=True)

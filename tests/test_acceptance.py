@@ -28,7 +28,6 @@ from kimura.geometry import CornerBox, Point
 from kimura.operator import (
     KimuraOperator,
     PolyField,
-    PolynomialFunction,
     make_preset,
     model1d,
     product_operator,
@@ -425,10 +424,10 @@ def test_A12_rescaling_identity(capsys):
             )
             for _ in range(4)
         ]
-        u = PolynomialFunction(terms, n=2, m=1)
+        u = PolyField(terms, n=2, m=1)
         for lam in (1.0, 0.5, 0.25):
             Lp = L.rescale(lam)
-            v = u.rescaled_input(lam)
+            v = u.rescaled(lam, 1.0)
             for x, y in zip(xs, ys):
                 lhs = lam * L.apply(u, Point(lam * x, math.sqrt(lam) * y))
                 rhs = Lp.apply(v, Point(x, y))

@@ -10,7 +10,6 @@ from kimura.operator import (
     FuncField,
     KimuraOperator,
     PolyField,
-    PolynomialFunction,
     make_preset,
     model1d,
     product_operator,
@@ -31,7 +30,7 @@ from kimura.operator import (
 def test_apply_1d_model_on_quadratic():
     # L u = x u'' + b u'  on  u = x²:  L u = 2x + 2bx
     L = model1d(0.7)
-    u = PolynomialFunction([(1.0, (2,), ())], n=1)
+    u = PolyField([(1.0, (2,), ())], n=1)
     p = Point([0.3])
     assert L.apply(u, p) == pytest.approx(2 * 0.3 + 2 * 0.7 * 0.3)
 
@@ -40,16 +39,42 @@ def test_apply_wright_fisher_on_quadratic():
     # The preset carries the conventional ½:  L u = ½x(1-x) u'', so u = x²
     # gives x(1-x).
     W = wright_fisher(1, np.array([0.0, 0.0]))
-    u = PolynomialFunction([(1.0, (2,), ())], n=1)
+    u = PolyField([(1.0, (2,), ())], n=1)
     assert W.apply(u, Point([0.25])) == pytest.approx(0.25 * 0.75)
 
 
 def test_apply_mixed_terms_2d():
     # b=(1, 2) constant drift, unit leads: L(x₁x₂) = x₂ + 2x₁ (+ a-term 0)
     L = KimuraOperator(dom=CornerBox(2, 0), b=(1.0, 2.0))
-    u = PolynomialFunction([(1.0, (1, 1), ())], n=2)
+    u = PolyField([(1.0, (1, 1), ())], n=2)
     p = Point([0.2, 0.5])
     assert L.apply(u, p) == pytest.approx(0.5 + 2 * 0.2)
+
+
+def test_apply_on_every_block_matches_the_hand_expanded_formula():
+    """On ``CornerBox(1, 1)`` with varying ``ℓ, b, a, c, d, e`` and
+    ``u = x²y + y²`` (``u_x = 2xy``, ``u_xx = 2y``, ``u_xy = 2x``,
+    ``u_y = x² + 2y``, ``u_yy = 2``), the Kimura form gives
+    ``Lu = ℓ·x·2y + b·2xy + x²a·2y + x·c·2x + d·2 + e·(x² + 2y)``."""
+    P = lambda *terms: PolyField(terms, 1, 1)
+    L = KimuraOperator(
+        dom=CornerBox(1, 1),
+        lead=(P((1.0, (0,), (0,)), (0.5, (1,), (0,))),),
+        b=(P((0.3, (0,), (0,)), (0.2, (0,), (1,))),),
+        a=((P((0.2, (0,), (0,)), (0.1, (1,), (0,))),),),
+        c=((P((0.15, (0,), (0,)), (0.25, (0,), (1,))),),),
+        d=((P((1.0, (0,), (0,)), (0.5, (2,), (0,))),),),
+        e=(P((0.2, (0,), (1,))),),
+    )
+    u = P((1.0, (2,), (1,)), (1.0, (0,), (2,)))
+    for x, y in ((0.0, 0.4), (0.3, -0.7), (0.8, 0.5)):
+        ell, b, a = 1 + 0.5 * x, 0.3 + 0.2 * y, 0.2 + 0.1 * x
+        c, d, e = 0.15 + 0.25 * y, 1 + 0.5 * x**2, 0.2 * y
+        want = (
+            ell * x * 2 * y + b * 2 * x * y + x * x * a * 2 * y
+            + x * c * 2 * x + d * 2 + e * (x * x + 2 * y)
+        )
+        assert L.apply(u, Point([x], [y])) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +317,19 @@ def test_check_assumptions_flags_negative_drift():
     assert rep.violations
 
 
+def test_check_assumptions_flags_an_indefinite_reduced_form():
+    """``a₁₂ = −3`` with unit leads: the reduced form ``[[1, −3r], [−3r, 1]]``
+    (``r = √(x₁x₂)``) is indefinite wherever ``r > 1/3``; the report gives
+    one ellipticity violation, its least eigenvalue ``1 − 3r`` at the
+    witness."""
+    L = KimuraOperator(dom=CornerBox(2, 0, 1.0), a=((0, -3), (-3, 0)))
+    rep = L.check_assumptions()
+    assert rep.nonneg_ok and not rep.elliptic_ok
+    (v,) = rep.violations
+    assert v.condition == "ellipticity" and v.value == rep.lambda_estimate < -1.9
+    assert v.value == pytest.approx(1.0 - 3.0 * np.sqrt(v.point.x[0] * v.point.x[1]), abs=1e-14)
+
+
 def test_hand_built_wright_fisher_noise_is_the_presets():
     """ℓ ≡ ½ and a ≡ −½ on a simplex select the closed-form genetic-drift
     factor without a preset: the increments equal the preset's bit for bit."""
@@ -482,10 +520,10 @@ def test_noise_factor_squares_to_the_covariance(L, strategy):
 def test_rescale_identity_on_polynomials(lam):
     L = _poly_operator()
     Lp = L.rescale(lam)
-    u = PolynomialFunction(
+    u = PolyField(
         [(0.7, (2, 0), (0,)), (0.3, (1, 1), (1,)), (-0.2, (0, 0), (2,))], n=2, m=1
     )
-    v = u.rescaled_input(lam)
+    v = u.rescaled(lam, 1.0)
     xs, ys = sample_domain(L.dom, 32, seed=5)
     for x, y in zip(xs, ys):
         zp = Point(x, y)
@@ -493,6 +531,13 @@ def test_rescale_identity_on_polynomials(lam):
         lhs = lam * L.apply(u, z)
         rhs = Lp.apply(v, zp)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_rescale_returns_a_scale_invariant_operator_unchanged():
+    """Constant ``ℓ``, ``b`` and ``d`` with no ``a``, ``c`` or ``e`` terms:
+    the zoom leaves the operator as it is."""
+    L = model1d(0.5)
+    assert L.rescale(0.5) is L
 
 
 def test_rescale_rejects_simplex_and_bad_lambda(wf):
@@ -538,8 +583,8 @@ def test_rescale_of_a_point_callable_drift_matches_the_polynomial_route(lam):
 @settings(max_examples=60, deadline=None)
 def test_apply_is_linear_in_u(b, x, coef):
     L = model1d(b)
-    u = PolynomialFunction([(1.0, (2,), ()), (0.5, (1,), ())], n=1)
-    w = PolynomialFunction(
+    u = PolyField([(1.0, (2,), ()), (0.5, (1,), ())], n=1)
+    w = PolyField(
         [(coef * 1.0, (2,), ()), (coef * 0.5, (1,), ())], n=1
     )
     p = Point([x])

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kimura.errors import GridTooCoarse, IncompatibleData, KimuraError, LinearSolveFailure
-from kimura.geometry import Point
-from kimura.operator import model1d, product_operator, wright_fisher
+from kimura.geometry import CornerBox, Point
+from kimura.operator import KimuraOperator, PolyField, model1d, product_operator, wright_fisher
 from kimura.pde import (
     _MARCH_BLOCK,
     Grid1D,
@@ -27,6 +27,7 @@ from kimura.pde import (
     solve_backward_2d,
     solve_elliptic_2d,
     solve_nonhomogeneous,
+    stochastic_rep_check,
 )
 
 
@@ -69,23 +70,33 @@ def test_beta_family_cell_mass_matches_quadrature():
         )
 
 
-def test_beta_family_on_edge_two_matches_the_numeric_fallback():
-    """``A = ½x(2−x)/2`` and ``b = 0.2 − 0.275x`` on edge 2: in ``u = x/2``
-    the face weights are ``p = 0.4`` and ``q = 0.7``.  The fallback normalises
-    ``s′`` at ``edge/2``, so the closed form's cell masses are its own times
-    one constant, and, since ``m·s′ = 1/A`` in both, its scale increments are
-    the fallback's over that same constant."""
+def test_beta_family_on_edge_two_matches_quadrature():
+    """``A = ½x(2−x)/2`` and ``b = 0.2 − 0.275x`` on edge 2: ``b/A = 0.4/x −
+    0.7/(2−x)``, so ``s′ ∝ x^{−0.4}(2−x)^{−0.7}`` and ``m = 1/(A s′) ∝
+    x^{−0.6}(2−x)^{−0.3}``, and in ``u = x/2`` the face weights are
+    ``p = 0.4`` and ``q = 0.7``.  The closed form's cell masses are the
+    quadrature of ``m`` times one constant and, since ``m·s′ = 1/A`` in both,
+    its scale increments are the quadrature of ``s′`` over that constant."""
     a_fn = lambda t: 0.5 * t * (2.0 - t) / 2.0
     b_fn = lambda t: 0.2 - 0.275 * t
     closed = Grid1D.from_coefficients(a_fn, b_fn, 2.0, 16, False, False).ss
     assert closed.kind == "beta"
     assert (closed.weight_left, closed.weight_right) == pytest.approx((0.4, 0.7), rel=1e-12)
-    numeric = SpeedScale("numeric", 2.0, a_fn=a_fn, b_fn=b_fn)
+    m = lambda x: 4.0 * x**-0.6 * (2.0 - x) ** -0.3
+    s_prime = lambda x: x**-0.4 * (2.0 - x) ** -0.7
     cells = ((0.2, 0.6), (0.6, 1.0), (1.0, 1.8))
-    mass = [closed.cell_mass(lo, hi) / numeric.cell_mass(lo, hi) for lo, hi in cells]
-    scale = [numeric.scale_increment(lo, hi) / closed.scale_increment(lo, hi) for lo, hi in cells]
+    mass = [closed.cell_mass(lo, hi) / scipy.integrate.quad(m, lo, hi)[0] for lo, hi in cells]
+    scale = [scipy.integrate.quad(s_prime, lo, hi)[0] / closed.scale_increment(lo, hi) for lo, hi in cells]
     assert mass == pytest.approx([mass[0]] * 3, rel=1e-9)
     assert scale == pytest.approx([mass[0]] * 3, rel=1e-9)
+
+
+def _quadrature_speed_scale(a_fn, b_fn, edge):
+    """``s′(x) = exp(−∫_{edge/2}^x b/A)`` and ``m = 1/(A s′)``, each by
+    adaptive quadrature of the coefficients."""
+    log_s = lambda x: -scipy.integrate.quad(lambda t: b_fn(t) / a_fn(t), 0.5 * edge, x)[0]
+    s_prime = lambda x: math.exp(log_s(x))
+    return s_prime, lambda x: 1.0 / (a_fn(x) * s_prime(x))
 
 
 @pytest.mark.parametrize(
@@ -104,24 +115,33 @@ def test_beta_family_on_edge_two_matches_the_numeric_fallback():
     ],
 )
 def test_numeric_speed_scale_matches_the_closed_forms(a_fn, b_fn, edge, closed):
-    """The quadrature fallback normalises ``s′`` to 1 at ``edge/2``, where the
-    closed form has ``s′ = c``; so its scale increments are the closed ones
-    over ``c`` and its cell masses (``m = 1/(A s′)``) the closed ones times
-    ``c``.  Interior cells agree to rounding; a cell that reaches an end where
-    ``s′`` or ``m`` has a power singularity leaves the last 2⁻⁴⁰ of its length
-    to a plain Gauss rule, which costs up to ≈4e-5 relative."""
-    numeric = SpeedScale("numeric", edge, a_fn=a_fn, b_fn=b_fn)
+    """Quadrature of ``s′`` normalised to 1 at ``edge/2``, where the closed
+    form has ``s′ = c``: its scale increments are the closed ones over ``c``
+    and its cell masses (``m = 1/(A s′)``) the closed ones times ``c``, on
+    interior cells and on the cells that reach an end where ``s′`` or ``m``
+    has a power singularity."""
+    s_prime, m = _quadrature_speed_scale(a_fn, b_fn, edge)
     u = 0.5
     if closed.kind == "power":
         c = (u * edge) ** -closed.weight_left
     else:
         c = u**-closed.weight_left * (1.0 - u) ** -closed.weight_right
-    for lo, hi, rel in ((0.0, 0.1, 1e-4), (0.1, 0.3, 1e-10), (0.45, 0.55, 1e-10), (0.7, 1.0, 1e-4)):
+    for lo, hi in ((0.0, 0.1), (0.1, 0.3), (0.45, 0.55), (0.7, 1.0)):
         lo, hi = lo * edge, hi * edge
-        assert numeric.scale_increment(lo, hi) * c == pytest.approx(
-            closed.scale_increment(lo, hi), rel=rel
+        assert scipy.integrate.quad(s_prime, lo, hi)[0] * c == pytest.approx(
+            closed.scale_increment(lo, hi), rel=1e-9
         )
-        assert numeric.cell_mass(lo, hi) == pytest.approx(c * closed.cell_mass(lo, hi), rel=rel)
+        assert scipy.integrate.quad(m, lo, hi)[0] == pytest.approx(
+            c * closed.cell_mass(lo, hi), rel=1e-9
+        )
+
+
+def test_axis_outside_both_closed_families_raises():
+    """Lead ``x`` with drift ``0.5 + x`` is neither the power family
+    (constant drift) nor the logistic one (``A`` not ``g·x(edge − x)``)."""
+    L = KimuraOperator(dom=CornerBox(1, 0, 1.0), b=(PolyField(((0.5, (0,), ()), (1.0, (1,), ())), 1),))
+    with pytest.raises(KimuraError, match="neither closed speed/scale family"):
+        Grid1D.for_operator(L, M=16)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +303,19 @@ def test_duhamel_agrees_with_direct_solve():
     direct = solve_nonhomogeneous(L, zeta, 1.0, 1e-3, M=300)
     via = duhamel_solve(L, zeta, 1.0, 1e-3, M=300)
     assert np.max(np.abs(direct.final - via.final)) < 1e-3
+
+
+def test_boundary_data_on_the_right_face_matches_paths():
+    """WF(1) with both faces absorbing and ζ on face 2 (``x = 1``): the data
+    sits on the last node, and the PDE value at 0.7 matches the paths'
+    ``E[ζ(t − τ); face 2 first, τ ≤ t]`` within A8's bound."""
+    W = wright_fisher(1, (0.0, 0.0))
+    zeta = lambda t: math.sin(1.3 * t) ** 2
+    sol = solve_nonhomogeneous(W, zeta, 1.0, 1e-3, face=2, M=200)
+    assert sol.final[-1] == zeta(1.0) and sol.final[0] == 0.0
+    rep = stochastic_rep_check(W, zeta, 0.7, 1.0, 2000, face=2, M=200, seed=1)
+    assert rep.pde_value == sol.final[sol.grid.nearest_interior(0.7)]
+    assert rep.discrepancy <= 3 * rep.mc_stderr + 1e-3
 
 
 def test_incompatible_boundary_data_rejected():

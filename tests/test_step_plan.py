@@ -144,7 +144,7 @@ def _generic_operator():
 CASES = {
     "wf1-zero": (wright_fisher(1, (0.0, 0.0)), "zero", "wf"),
     "wf2-zero": (wright_fisher(2, (0.0, 0.0, 0.0)), "zero", "wf"),
-    "wf3-polynomial": (wright_fisher(3, (0.1, 0.2, 0.3, 0.4)), "polynomial", "wf"),
+    "wf3-polynomial": (wright_fisher(3, (0.1, 0.2, 0.3, 0.4)), "varying", "wf"),
     "model1d-zero": (model1d(0.0, radius=2.0), "zero", "diag"),
     "product-constant": (
         product_operator(model1d(0.0, radius=4.0), model1d(1.0, radius=4.0)), "constant", "diag"
@@ -156,9 +156,9 @@ CASES = {
         "diag+chol",
     ),
     "lead-varying": (_varying_lead_operator(), "constant", "diag"),
-    "callable": (_callable_operator(), "callable", "diag"),
-    "crossfed-polynomial": (remark_counterexample(radius=2.0), "polynomial", "diag"),
-    "generic-polynomial": (_generic_operator(), "polynomial", "generic"),
+    "callable": (_callable_operator(), "varying", "diag"),
+    "crossfed-polynomial": (remark_counterexample(radius=2.0), "varying", "diag"),
+    "generic-polynomial": (_generic_operator(), "varying", "generic"),
 }
 
 
