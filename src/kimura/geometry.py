@@ -45,6 +45,7 @@ __all__ = [
     "embed_rows",
     "face_column",
     "face_distance_rows",
+    "row_sums",
     "weighted_density",
 ]
 
@@ -237,7 +238,7 @@ def embed_rows(x: np.ndarray, face: int, parent: DomainSpec) -> np.ndarray:
     inserts ``x_face = 0``; the simplex slack face appends
     ``max(1 − Σx, 0)``."""
     if _is_slack(parent, face):
-        last = np.maximum(1.0 - x.sum(axis=-1), 0.0)
+        last = np.maximum(1.0 - row_sums(x), 0.0)
         return np.concatenate([x, last[..., None]], axis=-1)
     i = face - 1
     out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
@@ -257,11 +258,28 @@ def face_column(face: int, dom: DomainSpec) -> int | None:
 def face_distance_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
     """Chart distance of rows of corner coordinates to a face, on the last
     axis: ``x_face`` for a coordinate face, ``1 − Σx`` for the simplex slack
-    face (the coordinate the chart swap gives it; one column needs no sum)."""
+    face (the coordinate the chart swap gives it)."""
     col = face_column(face, dom)
     if col is None:
-        return 1.0 - (x[..., 0] if x.shape[-1] == 1 else x.sum(axis=-1))
+        return 1.0 - row_sums(x)
     return x[..., col]
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)``, bit for bit, added column by column.
+
+    numpy adds a row of one to seven entries left to right from ``+0.0``,
+    and over a batch of short rows one column add costs a small fraction of
+    the reduction.  It adds eight or more entries pairwise, so wider rows,
+    and empty ones, take ``x.sum(axis=-1)`` itself.
+    """
+    w = x.shape[-1]
+    if not 1 <= w <= 7:
+        return x.sum(axis=-1)
+    s = x[..., 0] + 0.0
+    for j in range(1, w):
+        s += x[..., j]
+    return s
 
 
 def restrict_point(

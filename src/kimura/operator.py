@@ -164,19 +164,25 @@ class PolyField(CoefficientField):
                 raise ValueError(
                     f"term exponents {(xp, yp)} do not match dims (n={self.n}, m={self.m})"
                 )
+        # each term's coefficient (None for 1) and its non-zero factors
+        # ``(block, column, power)``, x block 0 before y block 1
+        factors = tuple(
+            (None if c == 1.0 else c,
+             tuple((z, i, p) for z, pows in enumerate((xp, yp)) for i, p in enumerate(pows) if p))
+            for c, xp, yp in terms
+        )
+        object.__setattr__(self, "_factors", factors)
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Each term is ``coeff·x^xp·y^yp`` multiplied left to right from its
         first factor, and the terms are summed from +0.0 in table order."""
         k = x.shape[0] if x.ndim == 2 else y.shape[0]
+        xy = (x, y)
         out = None
-        for coeff, xp, yp in self.terms:
-            t = None if coeff == 1.0 else float(coeff)
-            for z, pows in ((x, xp), (y, yp)):
-                for i, p in enumerate(pows):
-                    if p:
-                        f = z[:, i] if p == 1 else z[:, i] ** p
-                        t = f if t is None else t * f
+        for t, factors in self._factors:
+            for z, i, p in factors:
+                f = xy[z][:, i] if p == 1 else xy[z][:, i] ** p
+                t = f if t is None else t * f
             t = 1.0 if t is None else t
             if out is None:
                 out = np.full(k, t + 0.0) if np.ndim(t) == 0 else t + 0.0
@@ -945,21 +951,25 @@ def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     ``L_jj = √(x_j q_j / q_{j−1})`` and ``L_ij = −x_i √(x_j / (q_{j−1} q_j))``
     for ``i > j``, with ``q_j = 1 − x_1 − … − x_j``; degenerate pivots give
-    zero columns (the clamped states on faces).
+    zero columns (the clamped states on faces).  ``x⁺`` is formed once, and
+    at ``j = 0`` the division by ``q_{−1} = 1`` and the product with it are
+    left out; neither changes a bit.
     """
     k, N = x.shape
     tiny = 1e-300
     out = np.zeros((k, N))
-    q_prev = np.ones(k)
+    xp = np.maximum(x, 0.0)
+    q_prev = 1.0
     for j in range(N):
-        xj = np.maximum(x[:, j], 0.0)
+        xj = xp[:, j]
         qj = np.maximum(q_prev - xj, 0.0)
-        pivot = np.sqrt(xj * qj / np.maximum(q_prev, tiny))
+        num = xj * qj
+        pivot = np.sqrt(num if j == 0 else num / np.maximum(q_prev, tiny))
         out[:, j] += pivot * xi[:, j]
         if j + 1 < N:
-            f = np.sqrt(xj / np.maximum(q_prev * qj, tiny))
+            f = np.sqrt(xj / np.maximum(qj if j == 0 else q_prev * qj, tiny))
             f[qj <= 0.0] = 0.0
-            out[:, j + 1 :] += -np.maximum(x[:, j + 1 :], 0.0) * (f * xi[:, j])[:, None]
+            out[:, j + 1 :] -= xp[:, j + 1 :] * (f * xi[:, j])[:, None]
         q_prev = qj
     return out
 
@@ -999,13 +1009,23 @@ class _EulerUpdate:
             self.drift = "varying"
         self.noise = op._noise_strategy
         self._op = op
+        noise: tuple = ()  # what the noise reads besides the state
         if self.noise in ("diag", "diag+chol"):
             lead = op._lead_const
             self._two_lead = None if lead is None else 2.0 * lead
+            noise = (op.lead if lead is None else self._two_lead.tobytes(),)
             if op.m:
                 self._y_factor = (
                     np.sqrt(2.0 * op._d_diag_const) if self.noise == "diag" else op._yy_chol_const.T
                 )
+                noise += (self._y_factor.tobytes(),)
+        elif self.noise == "generic":
+            noise = (op.lead, op.a, op.c, op.d)
+        drift = tuple(self._fields) if self.drift == "varying" else self._bdt.tobytes()
+        #: equal keys give equal updates, bit for bit, on the same rows:
+        #: fields compare as frozen dataclasses (a closure by identity) and
+        #: precomputed arrays by their bits
+        self.key = (self.n, dt, raw, self.drift, drift, self.noise, noise)
 
     def __call__(self, x: np.ndarray, y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(x′, y′)`` for rows ``(x, y)`` and scaled normals ``η``; the

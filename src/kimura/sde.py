@@ -37,18 +37,23 @@ no path joins a block midway.
 No path's output depends on its row, so the engine reorders rows freely:
 it compacts by tail-fill (``_tail_fill``), counts occupation in steps
 (``_count_seconds``) and routes hits once per level (``_route_hits``).
-Each level's Euler step is built once, as a step plan (``_StepPlan``).
-Every recorded state is checked for non-finite values before a run returns,
-however short the run.
+Each level's Euler step is built once, when the level is queued, as a step
+plan (``_StepPlan``), and one cohort runs per distinct plan: the queued
+levels whose plans have equal keys (sibling faces alike in coefficients and
+shape, such as the edges of neutral Wright–Fisher) step together, each row
+keeping its own level for its noise slots, its terminal record and its
+hits.  Every recorded state is checked for non-finite values before a run
+returns, however short the run.
 
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
-chart artifacts, not faces; paths reflect there.  Acceptance-scale runs are
+chart artifacts, not faces; paths reflect there, and a step with no row past
+them skips the reflection.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
 
 Operators whose faces do not classify cleanly raise ``NotClean``; there is
-no opt-in.  Hits and occupation read face distances through
-:mod:`~kimura.geometry` (:func:`~kimura.geometry.face_column` and
-:func:`~kimura.geometry.face_distance_rows`), the slack face included.
+no opt-in.  Hits and occupation read each face's distance directly: its
+column (:func:`~kimura.geometry.face_column`), or ``1 − Σx`` for the slack
+face, summed by columns (:func:`~kimura.geometry.row_sums`).
 
 The cross-fed-drift system (:func:`counterexample_ensemble`), whose corner
 is reached although neither face absorbs, runs through the same loop on an
@@ -79,9 +84,9 @@ from .geometry import (
     classify_point,
     embed_rows,
     face_column,
-    face_distance_rows,
     restrict_domain,
     restrict_rows,
+    row_sums,
 )
 from .operator import FaceClassification, KimuraOperator, PolyField, _EulerUpdate, remark_counterexample
 
@@ -228,19 +233,19 @@ def _simplex_clamp(x: np.ndarray) -> np.ndarray:
 
     Returns the pre-clamp slack overshoot ``max(Σx − 1, 0)`` per row.
     """
-    over = np.maximum(x.sum(axis=1) - 1.0, 0.0)
-    fired = np.flatnonzero(over > 0)
+    over = np.maximum(row_sums(x) - 1.0, 0.0)
+    fired = (over > 0).nonzero()[0]
     if not fired.size:
         return over
     xf = x[fired]
     for j in range(x.shape[1] - 1, -1, -1):
-        s = xf.sum(axis=1) - 1.0
+        s = row_sums(xf) - 1.0
         bad = s > 0
         if not bad.any():
             break
         adj = np.minimum(xf[:, j], np.where(bad, s, 0.0))
         xf[:, j] -= np.maximum(adj, 0.0)
-    xf[:, -1] = np.maximum(1.0 - xf[:, :-1].sum(axis=1), 0.0)  # land exactly on the slack face
+    xf[:, -1] = np.maximum(1.0 - row_sums(xf[:, :-1]), 0.0)  # land exactly on the slack face
     x[fired] = xf
     return over
 
@@ -372,12 +377,14 @@ def _simulate_cohort(
     )
     x0 = np.tile(np.asarray(p0.x, dtype=float), (k, 1))
     y0 = np.tile(np.asarray(p0.y, dtype=float), (k, 1))
-    queue: list[tuple[_Level, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = [
-        (root, x0, y0, np.zeros(k, dtype=np.int64), np.arange(k))
+    queue: list[tuple[_StepPlan, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = [
+        (_StepPlan(root, cfg.dt, raw=stop is not None), x0, y0, np.zeros(k, dtype=np.int64), np.arange(k))
     ]
-    while queue:
-        level, x, y, steps, rows = queue.pop()
-        _advance(level, x, y, steps, rows, path_ids, res, cfg, dim, queue, stop)
+    while queue:  # the last entry, with every queued entry whose plan steps alike
+        key = queue[-1][0].key
+        group = [e for e in queue if e[0].key == key]
+        queue[:] = [e for e in queue if e[0].key != key]
+        _advance(group, path_ids, res, cfg, dim, queue, stop)
     if np.any(np.isnan(res.term_time)):
         raise KimuraError("internal: some paths finished without a terminal record")
     hit = res.first_face[:, None] > 0
@@ -408,8 +415,8 @@ def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
 
 
 class _StepPlan:
-    """One level's Euler step at one ``dt``, built once when the level's
-    cohort starts, from the coefficients and the domain.
+    """One level's Euler step at one ``dt``, built once, when the level is
+    queued, from the coefficients and the domain.
 
     ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
     (drift and noise at ``x⁺``).  :meth:`step` adds the domain step: the
@@ -419,21 +426,32 @@ class _StepPlan:
     tests the level's tangent faces through their distance columns.  The
     overshoots that break ties between faces a path lies on at once are kept
     only where two tangent faces meet, so not on ``Simplex(1)``.
+
+    ``key`` holds all that the step, the hit test and the occupation count
+    read: the update's key, the domain, the tangent faces as ``(id, column,
+    tol)``, ``ties`` and the tracked faces as ``(id, column, occupation
+    row)``.  Levels whose plans have equal keys step the same rows to the
+    same bits, so they run as one cohort.
     """
 
     def __init__(self, level: _Level, dt: float, raw: bool = False):
         op, dom = level.op, level.dom
+        self.level = level
         self.update = _EulerUpdate(op, dt, raw)
         self.dom = dom
         self.n_faces = len(dom.face_ids)
         self.tangent = tuple((f, face_column(f, dom), tol) for f, tol in level.tangent)
+        self.tracked = tuple((f, face_column(f, dom), row) for f, row in level.tracked)
         self.ties = len(self.tangent) > 1 and op.dim > 1
         self.clamp = not raw
+        self.slots = np.concatenate([level.x_slots, level.y_slots])
+        self.key = (self.update.key, dom, self.tangent, self.ties, self.tracked)
 
     def step(self, x, y, eta):
         """``(x′, y′, ov)`` one step on from rows ``(x, y)`` with the scaled
         normals ``η``: ``ov`` row ``f − 1`` is each path's overshoot past face
-        ``f``, or None when no tie needs it."""
+        ``f``, or None when no tie needs it.  A box reflects only when some
+        row is past its outer edge: for ``x ≤ r``, ``2r − x ≥ r ≥ x``."""
         x, y = self.update(x, y, eta)
         dom, nx = self.dom, x.shape[1]
         ov = None
@@ -450,12 +468,20 @@ class _StepPlan:
                 if ov is not None:
                     ov[nx] = over
         else:
-            if nx:
-                np.minimum(x, np.maximum(2.0 * dom.radius - x, 0.0), out=x)
-            if y.shape[1]:
-                ry = dom.y_radius
+            r, ry = dom.radius, dom.y_radius
+            if nx and r != math.inf and not x.max() <= r:
+                np.minimum(x, np.maximum(2.0 * r - x, 0.0), out=x)
+            if y.shape[1] and ry != math.inf and not (y.max() <= ry and y.min() >= -ry):
                 y = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
         return x, y, ov
+
+    @staticmethod
+    def distance(x, col):
+        """Rows' chart distance to a face: its column ``col``, or ``1 − Σx``
+        for the simplex slack face (``col`` None)."""
+        if col is not None:
+            return x[:, col]
+        return 1.0 - (x[:, 0] if x.shape[1] == 1 else row_sums(x))
 
     def hits(self, x, ov) -> np.ndarray | None:
         """Per-path hit face id (0 = none), or None when no path lies on a
@@ -464,8 +490,8 @@ class _StepPlan:
         face order on a tie."""
         face = best = None
         for f, col, tol in self.tangent:
-            on = (x[:, col] if col is not None else face_distance_rows(x, f, self.dom)) <= tol
-            if not np.count_nonzero(on):
+            on = (self.distance(x, col) <= tol).nonzero()[0]
+            if not on.size:
                 continue
             if face is None:
                 face = np.zeros(x.shape[0], dtype=np.int64)
@@ -474,25 +500,38 @@ class _StepPlan:
                 continue
             if best is None:
                 best = np.full(x.shape[0], -np.inf)
-            sc = np.where(on, 0.0 if ov is None else ov[f - 1], -np.inf)
-            upd = sc > best
-            face[upd] = f
-            best[upd] = sc[upd]
+            sc = np.zeros(on.size) if ov is None else ov[f - 1, on]
+            deeper = sc > best[on]
+            face[on[deeper]] = f
+            best[on[deeper]] = sc[deeper]
         return face
 
 
-def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=None):
-    """Step the cohort ``(x, y)`` on ``level`` until each path hits a tangent
+def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
+    """Step the queue entries ``group``, each ``(plan, x, y, steps, rows)``
+    with plans of one key, as one cohort, until each path hits a tangent
     face, meets the corner ``stop`` or reaches the horizon.  ``steps`` holds
     each path's step count on entry; every live path takes the same steps
-    here, so the count is that plus ``ran``.  Arrays are compacted in place."""
+    here, so the count is that plus ``ran``.  Arrays are compacted in place.
+
+    Each row keeps its level: ``lvs`` holds one array of each row's index in
+    ``group``, or nothing for a group of one, which runs as it was queued.
+    Noise keys are built per level, and terminal records and hits are made
+    per level."""
     dt, T = cfg.dt, cfg.T
     n_total = cfg.n_steps
-    plan = _StepPlan(level, dt, raw=stop is not None)
-    slots = np.concatenate([level.x_slots, level.y_slots])
-    keys = _rng.stream_keys(cfg.seed, path_ids[rows], steps, slots, stride)
+    plan = group[0][0]
+    levels = [p.level for p, *_ in group]
+    keys = [_rng.stream_keys(cfg.seed, path_ids[r], s, p.slots, stride) for p, _, _, s, r in group]
+    if len(group) == 1:
+        (_, x, y, steps, rows), = group
+        keys, lvs = keys[0], []
+    else:
+        x, y, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
+        keys = np.concatenate(keys)
+        lvs = [np.repeat(np.arange(len(group)), [e[4].size for e in group])]
     eps = np.asarray(cfg.occupation_eps)[:, None]
-    occ_rows = np.array([row for _, row in level.tracked], dtype=np.intp)
+    occ_rows = np.array([row for *_, row in plan.tracked], dtype=np.intp)
     # steps each live path ended within each threshold of each tracked face
     cnt = np.zeros((occ_rows.size, eps.size, x.shape[0]), dtype=np.int32)
     ov = None  # each path's overshoot past each face in the last step
@@ -500,10 +539,10 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=N
     pos = np.arange(x.shape[0])  # row in eta_blk of each live path
     ran = 0
     s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
-    # copies of (x, y, steps, rows, face) of the paths that hit, in hit order:
-    # each path hits at most once per level
+    # copies of (x, y, steps, rows, face, *lvs) of the paths that hit, in hit
+    # order: each path hits at most once per level
     hits = (np.empty_like(x), np.empty_like(y), np.empty_like(steps), np.empty_like(rows),
-            np.empty(x.shape[0], dtype=np.int64))
+            np.empty(x.shape[0], dtype=np.int64), *(np.empty_like(a) for a in lvs))
     n_hit = 0
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
@@ -511,15 +550,16 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=N
         gone = None  # the rows that leave the level at this state
         if hit_face is not None:
             gone = hit_face != 0
-            h = np.flatnonzero(gone)
-            for buf, rec in zip(hits, (x[h], y[h], steps[h] + ran, rows[h], hit_face[h])):
+            h = gone.nonzero()[0]
+            recs = (x[h], y[h], steps[h] + ran, rows[h], hit_face[h], *(a[h] for a in lvs))
+            for buf, rec in zip(hits, recs):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
         if stop is not None:  # its level has no tangent face, so no hit
             left = stop.passed(x, steps, ran, rows, res.below)
             if np.count_nonzero(left):
-                idx = np.flatnonzero(left)
-                _set_terminal(res, level, rows[idx], np.minimum((steps[idx] + ran) * dt, T), x[idx], y[idx])
+                for lvl, i in _per_level(levels, lvs, np.flatnonzero(left)):
+                    _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), x[i], y[i])
                 gone = left
         # --- horizon ------------------------------------------------------
         horizon = s_max + ran >= n_total
@@ -528,14 +568,14 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=N
             if gone is not None:
                 done &= ~gone
             if np.count_nonzero(done):
-                idx = np.flatnonzero(done)
-                _set_terminal(res, level, rows[idx], T, x[idx], y[idx])
+                for lvl, i in _per_level(levels, lvs, np.flatnonzero(done)):
+                    _set_terminal(res, lvl, rows[i], T, x[i], y[i])
                 gone = done if gone is None else gone | done
         if gone is not None:
-            out = np.flatnonzero(gone)
+            out = gone.nonzero()[0]
             if cnt.size:
                 res.occ_steps[rows[out, None], occ_rows] += cnt[..., out].transpose(2, 0, 1)
-            cnt, x, y, steps, rows, pos, keys = _tail_fill(out, cnt, x, y, steps, rows, pos, keys)
+            cnt, x, y, steps, rows, pos, keys, *lvs = _tail_fill(out, cnt, x, y, steps, rows, pos, keys, *lvs)
             if not x.shape[0]:
                 break
         if horizon:
@@ -544,7 +584,7 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=N
         if k_blk == len(eta_blk):
             n_blk = max(
                 1,
-                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (slots.size * x.shape[0])),
+                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (plan.slots.size * x.shape[0])),
             )
             eta_blk = _rng.next_normals(keys, n_blk, stride)
             eta_blk *= math.sqrt(dt)
@@ -556,10 +596,22 @@ def _advance(level, x, y, steps, rows, path_ids, res, cfg, stride, queue, stop=N
         x, y, ov = plan.step(x, y, eta)
         ran += 1
         # --- occupation: count the steps ending near each tracked face -----
-        for i, (face, _) in enumerate(level.tracked):
-            cnt[i] += face_distance_rows(x, face, level.dom) < eps
+        for i, (_, col, _) in enumerate(plan.tracked):
+            cnt[i] += plan.distance(x, col) < eps
     if n_hit:
-        _route_hits(level, *(buf[:n_hit] for buf in hits), res, cfg, queue)
+        bufs = [buf[:n_hit] for buf in hits]
+        for lvl, i in _per_level(levels, bufs[5:], np.arange(n_hit) if lvs else slice(None)):
+            _route_hits(lvl, *(buf[i] for buf in bufs[:5]), res, cfg, queue)
+
+
+def _per_level(levels, lvs, idx):
+    """The rows ``idx`` of a group split by level: ``(level, idx)`` for a
+    group of one (no level column in ``lvs``), else ``(level, the rows of
+    idx on it)`` for each level among them."""
+    if not lvs:
+        return [(levels[0], idx)]
+    g = lvs[0][idx]
+    return [(levels[k], idx[g == k]) for k in np.unique(g)]
 
 
 def _set_terminal(res, level, r, t, x, y) -> None:
@@ -590,7 +642,7 @@ def _tail_fill(out: np.ndarray, cnt: np.ndarray, *arrays: np.ndarray) -> list[np
     if j:  # holes below m, filled from the rows at or above m that stay
         stay = np.ones(n - m, dtype=bool)
         stay[out[j:] - m] = False
-        holes, fill = out[:j], np.flatnonzero(stay) + m
+        holes, fill = out[:j], stay.nonzero()[0] + m
         for a in arrays:
             if a.size:
                 a[holes] = a[fill]
@@ -634,7 +686,7 @@ def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
             res.term_bits[rows[idx]] = bits
             continue
         child = _child_level(level, f, res.tracked_rows)
-        queue.append((child, xc, yh, steps[idx], rows[idx]))
+        queue.append((_StepPlan(child, dt), xc, yh, steps[idx], rows[idx]))
 
 
 # ---------------------------------------------------------------------------

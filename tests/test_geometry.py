@@ -16,6 +16,7 @@ from kimura.geometry import (
     restrict_domain,
     restrict_point,
     restrict_rows,
+    row_sums,
     weighted_density,
 )
 
@@ -156,6 +157,31 @@ def test_face_distance_rows_agrees_with_classify_point(dom):
         for row, dist in zip(x, d):
             p = Point(row, np.zeros(dom.m))
             assert (face in classify_point(p, dom, tol)) == (dist <= tol)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_row_sums_equal_numpy_sums_bit_for_bit(width):
+    """Column adds give ``x.sum(axis=-1)``'s bits on rows that cancel, hold
+    signed zeros (all ``−0.0`` rows too) or subnormals, or mix magnitudes
+    from 1e-300 to 1e300; on one row, on a batch and on a stack of batches,
+    and on a column slice that is not contiguous."""
+    rng = np.random.default_rng(width)
+    k = 4000
+    x = rng.standard_normal((k, width)) * 10.0 ** rng.integers(-300, 300, (k, width))
+    x[:500] = rng.choice([0.0, -0.0], size=(500, width))
+    x[500:600] = -0.0
+    x[600:1000] = rng.choice([5e-324, -5e-324, 2.2e-308, -1e-310, 0.0, -0.0], size=(400, width))
+    x[1000:1500] = rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 1e16, -1e16], size=(500, width))
+    x[1500:2000] = rng.random((500, width))  # simplex-like rows, the engine's case
+
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+    for a in (x, x.reshape(2, k // 2, width), x[7], np.hstack([x, x])[:, ::2]):
+        got, want = row_sums(a), a.sum(axis=-1)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(bits(got), bits(want))
+    assert not np.signbit(row_sums(x[500:600])).any()  # from +0.0, like numpy
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Path simulation: determinism, absorption cascade, boundary policies."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from kimura import _rng
+from kimura import _rng, sde
 from kimura.errors import KimuraError, MaxStepsExceeded, NonFinite
 from kimura.geometry import CornerBox, Point
-from kimura.operator import KimuraOperator, model1d, product_operator, wright_fisher
+from kimura.operator import KimuraOperator, PolyField, model1d, product_operator, wright_fisher
 from kimura.sde import (
     _OCC_CHUNK,
     SimConfig,
@@ -110,6 +111,84 @@ def test_product_occupation_is_pinned(workers):
     ens = simulate_ensemble(P, Point([0.15, 0.3]), cfg, 400, workers=workers)
     assert ens.occupation.sum() > 0
     assert _ensemble_sha(ens) == "9aea4007c90727a2b186a45a3bab0d1d54e231dbf9aadf788248880a7ce512d0"
+
+
+def _count_cohorts(monkeypatch) -> list:
+    """Count the engine's cohort loops: one ``_advance`` call per cohort."""
+    calls = []
+    real = sde._advance
+
+    def counted(group, *args, **kwargs):
+        calls.append(len(group))
+        return real(group, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "_advance", counted)
+    return calls
+
+
+def test_sibling_faces_step_as_one_cohort(monkeypatch):
+    """Neutral WF(3) absorbs interior → four triangles → twelve (triangle,
+    edge) levels → vertices.  The triangles share one step plan and so do
+    the edges, so three cohorts run, not seventeen.  The merged run equals
+    its two-worker run and each path's own ``simulate``, bit for bit; the
+    paths compared include two that end on one edge stratum, reached
+    through its two faces in opposite orders."""
+    W = wright_fisher(3, (0.0, 0.0, 0.0, 0.0))
+    p0 = Point([0.25, 0.25, 0.25])
+    cfg = SimConfig(dt=1e-3, T=3.0, seed=21)
+    calls = _count_cohorts(monkeypatch)
+    ens = simulate_ensemble(W, p0, cfg, 300, collect_events=True)
+    assert calls == [1, 4, 12]
+    assert _ensemble_sha(ens) == _ensemble_sha(simulate_ensemble(W, p0, cfg, 300, workers=2, collect_events=True))
+    # per edge stratum, its paths by the face they hit first
+    picks = []
+    for bits in np.unique(ens.strata_bits):
+        on = ens.strata_bits == bits
+        firsts = np.unique(ens.first_hit_face[on])
+        if bin(int(bits)).count("1") == 2 and firsts.size == 2:
+            picks += [int(np.flatnonzero(on & (ens.first_hit_face == f))[0]) for f in firsts]
+    assert len(picks) >= 4
+    picks += [int(i) for i in np.flatnonzero(np.isin(ens.strata_bits, [0, 7, 11]))[:8]]
+    assert len(picks) >= 10
+    for i in picks:
+        rec = simulate(W, p0, cfg, path_index=i)
+        t, pt, stratum = rec.terminal
+        assert t == ens.terminal_time[i] and stratum == ens.strata()[i]
+        assert np.concatenate([pt.x, pt.y]).tobytes() == ens.terminal_xy[i].tobytes()
+        assert _event_rows([rec.events]) == _event_rows([ens.events[i]])
+
+
+def _selection(s1: float, s2: float) -> KimuraOperator:
+    """Three-allele genetic drift with selection ``(s1, s2, 0)`` and no
+    mutation: ``b_i = x_i (s_i − s̄)``.  Every face is tangent, and each edge
+    carries ``c·x(1 − x)``, with ``c = s2``, ``s1`` and ``s1 − s2`` in turn."""
+    b = (
+        PolyField(((s1, (1, 0), ()), (-s1, (2, 0), ()), (-s2, (1, 1), ())), 2),
+        PolyField(((s2, (0, 1), ()), (-s1, (1, 1), ()), (-s2, (0, 2), ())), 2),
+    )
+    return dataclasses.replace(wright_fisher(2, (0.0, 0.0, 0.0)), b=b)
+
+
+@pytest.mark.parametrize(
+    "W, seed, cohorts, sha",
+    [
+        (wright_fisher(2, (0.0, 0.5, 0.0)), 22, [1, 1, 1],
+         "20be1f46008995eed3c8a3044faa959a2605d0b0d1020379cccedcd4684c8bef"),
+        (_selection(0.3, 0.1), 23, [1, 1, 1, 1],
+         "22de42e83194e5265935a2107ee4f9b1658c84c9113e5fa5acdb2f811a055379"),
+    ],
+    ids=["rate_on_face_2", "selection"],
+)
+def test_siblings_that_step_differently_do_not_merge(monkeypatch, W, seed, cohorts, sha):
+    """Sibling edges whose steps differ run as cohorts of their own.  A rate
+    on face 2 leaves faces 1 and 3 tangent, and their edges differ in their
+    tangent faces; under selection the three edges differ in their drift
+    tables alone.  Pinned at the engine that ran every level as its own
+    cohort."""
+    calls = _count_cohorts(monkeypatch)
+    ens = simulate_ensemble(W, Point([0.3, 0.3]), SimConfig(dt=1e-3, T=3.0, seed=seed), 300, collect_events=True)
+    assert calls == cohorts
+    assert _ensemble_sha(ens) == sha
 
 
 # The configurations of the pins above, as (operator, start, config, paths,

@@ -23,6 +23,7 @@ from kimura.operator import (
     KimuraOperator,
     PolyField,
     _EulerUpdate,
+    _wf_noise,
     model1d,
     product_operator,
     remark_counterexample,
@@ -268,6 +269,41 @@ def test_the_reference_cases_reach_ties_and_clamps():
     P = CASES["product-constant"][0]
     px, _, _ = _ref_step(_levels(P)[0], *_states(P, 400, seed=7), eta, 0.05, raw=True)
     assert np.any(px < 0.0)
+
+
+def _ref_wf_noise(x, xi):
+    """The genetic-drift factor applied to ξ as first written: ``x⁺`` per
+    column, ``q₋₁`` an array of ones, and the off-diagonal part added with
+    its sign."""
+    k, N = x.shape
+    tiny = 1e-300
+    out = np.zeros((k, N))
+    q_prev = np.ones(k)
+    for j in range(N):
+        xj = np.maximum(x[:, j], 0.0)
+        qj = np.maximum(q_prev - xj, 0.0)
+        out[:, j] += np.sqrt(xj * qj / np.maximum(q_prev, tiny)) * xi[:, j]
+        if j + 1 < N:
+            f = np.sqrt(xj / np.maximum(q_prev * qj, tiny))
+            f[qj <= 0.0] = 0.0
+            out[:, j + 1 :] += -np.maximum(x[:, j + 1 :], 0.0) * (f * xi[:, j])[:, None]
+        q_prev = qj
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_wf_noise_equals_its_first_form(N):
+    """Inside the simplex, on its faces and vertices, past the slack face
+    and below 0 (a raw state), with signed zeros in the state and in ξ."""
+    x, _ = sample_domain(Simplex(N), 400, seed=N)
+    x[:8] = 0.0
+    x[8 : 8 + N] = np.eye(N)
+    x[20:40] *= 1.5
+    x[40:60] -= 0.3
+    x[60:70] = -0.0
+    xi = np.random.default_rng(N).standard_normal(x.shape)
+    xi[::7] = -0.0
+    assert _same(_wf_noise(x, xi), _ref_wf_noise(x, xi))
 
 
 def test_simplex_one_clamp_is_min_one():
