@@ -45,6 +45,7 @@ __all__ = [
     "embed_rows",
     "face_column",
     "face_distance_rows",
+    "column_distance_rows",
     "row_sums",
     "weighted_density",
 ]
@@ -259,7 +260,12 @@ def face_distance_rows(x: np.ndarray, face: int, dom: DomainSpec) -> np.ndarray:
     """Chart distance of rows of corner coordinates to a face, on the last
     axis: ``x_face`` for a coordinate face, ``1 − Σx`` for the simplex slack
     face (the coordinate the chart swap gives it)."""
-    col = face_column(face, dom)
+    return column_distance_rows(x, face_column(face, dom))
+
+
+def column_distance_rows(x: np.ndarray, col: int | None) -> np.ndarray:
+    """:func:`face_distance_rows` for the face whose :func:`face_column` is
+    ``col``: that column, or ``1 − Σx`` when ``col`` is None."""
     if col is None:
         return 1.0 - row_sums(x)
     return x[..., col]

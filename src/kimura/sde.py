@@ -51,9 +51,10 @@ them skips the reflection.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
 
 Operators whose faces do not classify cleanly raise ``NotClean``; there is
-no opt-in.  Hits and occupation read each face's distance directly: its
-column (:func:`~kimura.geometry.face_column`), or ``1 − Σx`` for the slack
-face, summed by columns (:func:`~kimura.geometry.row_sums`).
+no opt-in.  Hits and occupation read each face's distance from its column
+(:func:`~kimura.geometry.column_distance_rows`), found once per plan: the
+column itself, or ``1 − Σx`` for the slack face, summed by columns
+(:func:`~kimura.geometry.row_sums`).
 
 The cross-fed-drift system (:func:`counterexample_ensemble`), whose corner
 is reached although neither face absorbs, runs through the same loop on an
@@ -82,6 +83,7 @@ from .geometry import (
     Simplex,
     StratumId,
     classify_point,
+    column_distance_rows,
     embed_rows,
     face_column,
     restrict_domain,
@@ -475,14 +477,6 @@ class _StepPlan:
                 y = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
         return x, y, ov
 
-    @staticmethod
-    def distance(x, col):
-        """Rows' chart distance to a face: its column ``col``, or ``1 − Σx``
-        for the simplex slack face (``col`` None)."""
-        if col is not None:
-            return x[:, col]
-        return 1.0 - (x[:, 0] if x.shape[1] == 1 else row_sums(x))
-
     def hits(self, x, ov) -> np.ndarray | None:
         """Per-path hit face id (0 = none), or None when no path lies on a
         tangent face: of the tangent faces a path lies on, the one it
@@ -490,7 +484,7 @@ class _StepPlan:
         face order on a tie."""
         face = best = None
         for f, col, tol in self.tangent:
-            on = (self.distance(x, col) <= tol).nonzero()[0]
+            on = (column_distance_rows(x, col) <= tol).nonzero()[0]
             if not on.size:
                 continue
             if face is None:
@@ -514,22 +508,18 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
     each path's step count on entry; every live path takes the same steps
     here, so the count is that plus ``ran``.  Arrays are compacted in place.
 
-    Each row keeps its level: ``lvs`` holds one array of each row's index in
-    ``group``, or nothing for a group of one, which runs as it was queued.
+    Each row keeps its level: ``lv`` holds each row's index in ``group``.
     Noise keys are built per level, and terminal records and hits are made
     per level."""
     dt, T = cfg.dt, cfg.T
     n_total = cfg.n_steps
     plan = group[0][0]
     levels = [p.level for p, *_ in group]
-    keys = [_rng.stream_keys(cfg.seed, path_ids[r], s, p.slots, stride) for p, _, _, s, r in group]
-    if len(group) == 1:
-        (_, x, y, steps, rows), = group
-        keys, lvs = keys[0], []
-    else:
-        x, y, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
-        keys = np.concatenate(keys)
-        lvs = [np.repeat(np.arange(len(group)), [e[4].size for e in group])]
+    keys = np.concatenate(
+        [_rng.stream_keys(cfg.seed, path_ids[r], s, p.slots, stride) for p, _, _, s, r in group]
+    )
+    x, y, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
+    lv = np.repeat(np.arange(len(group)), [e[4].size for e in group])
     eps = np.asarray(cfg.occupation_eps)[:, None]
     occ_rows = np.array([row for *_, row in plan.tracked], dtype=np.intp)
     # steps each live path ended within each threshold of each tracked face
@@ -539,10 +529,10 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
     pos = np.arange(x.shape[0])  # row in eta_blk of each live path
     ran = 0
     s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
-    # copies of (x, y, steps, rows, face, *lvs) of the paths that hit, in hit
+    # copies of (x, y, steps, rows, face, lv) of the paths that hit, in hit
     # order: each path hits at most once per level
     hits = (np.empty_like(x), np.empty_like(y), np.empty_like(steps), np.empty_like(rows),
-            np.empty(x.shape[0], dtype=np.int64), *(np.empty_like(a) for a in lvs))
+            np.empty(x.shape[0], dtype=np.int64), np.empty_like(lv))
     n_hit = 0
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
@@ -551,14 +541,14 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
         if hit_face is not None:
             gone = hit_face != 0
             h = gone.nonzero()[0]
-            recs = (x[h], y[h], steps[h] + ran, rows[h], hit_face[h], *(a[h] for a in lvs))
+            recs = (x[h], y[h], steps[h] + ran, rows[h], hit_face[h], lv[h])
             for buf, rec in zip(hits, recs):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
         if stop is not None:  # its level has no tangent face, so no hit
             left = stop.passed(x, steps, ran, rows, res.below)
             if np.count_nonzero(left):
-                for lvl, i in _per_level(levels, lvs, np.flatnonzero(left)):
+                for lvl, i in _per_level(levels, lv, left.nonzero()[0]):
                     _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), x[i], y[i])
                 gone = left
         # --- horizon ------------------------------------------------------
@@ -568,14 +558,14 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
             if gone is not None:
                 done &= ~gone
             if np.count_nonzero(done):
-                for lvl, i in _per_level(levels, lvs, np.flatnonzero(done)):
+                for lvl, i in _per_level(levels, lv, done.nonzero()[0]):
                     _set_terminal(res, lvl, rows[i], T, x[i], y[i])
                 gone = done if gone is None else gone | done
         if gone is not None:
             out = gone.nonzero()[0]
             if cnt.size:
                 res.occ_steps[rows[out, None], occ_rows] += cnt[..., out].transpose(2, 0, 1)
-            cnt, x, y, steps, rows, pos, keys, *lvs = _tail_fill(out, cnt, x, y, steps, rows, pos, keys, *lvs)
+            cnt, x, y, steps, rows, pos, keys, lv = _tail_fill(out, cnt, x, y, steps, rows, pos, keys, lv)
             if not x.shape[0]:
                 break
         if horizon:
@@ -597,21 +587,19 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
         ran += 1
         # --- occupation: count the steps ending near each tracked face -----
         for i, (_, col, _) in enumerate(plan.tracked):
-            cnt[i] += plan.distance(x, col) < eps
+            cnt[i] += column_distance_rows(x, col) < eps
     if n_hit:
         bufs = [buf[:n_hit] for buf in hits]
-        for lvl, i in _per_level(levels, bufs[5:], np.arange(n_hit) if lvs else slice(None)):
+        for lvl, i in _per_level(levels, bufs[5], np.arange(n_hit)):
             _route_hits(lvl, *(buf[i] for buf in bufs[:5]), res, cfg, queue)
 
 
-def _per_level(levels, lvs, idx):
-    """The rows ``idx`` of a group split by level: ``(level, idx)`` for a
-    group of one (no level column in ``lvs``), else ``(level, the rows of
-    idx on it)`` for each level among them."""
-    if not lvs:
-        return [(levels[0], idx)]
-    g = lvs[0][idx]
-    return [(levels[k], idx[g == k]) for k in np.unique(g)]
+def _per_level(levels, lv, idx):
+    """The rows ``idx`` of a group split by level: ``(level, the rows of idx
+    on it)`` for each level among them, ``lv`` holding each row's level."""
+    g = lv[idx]
+    parts = ((level, idx[g == k]) for k, level in enumerate(levels))
+    return [(level, i) for level, i in parts if i.size]
 
 
 def _set_terminal(res, level, r, t, x, y) -> None:
@@ -660,7 +648,7 @@ def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
     collect = res.events is not None
     first = level.stratum_bits == 0
     for f in np.unique(face):
-        idx = np.flatnonzero(face == f)
+        idx = (face == f).nonzero()[0]
         f = int(f)
         xc = restrict_rows(x[idx], f, level.dom)
         xh = embed_rows(xc, f, level.dom)  # the hit point, exactly on the face
