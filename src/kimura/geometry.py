@@ -78,10 +78,6 @@ class Point:
     def m(self) -> int:
         return self.y.size
 
-    def coords(self) -> np.ndarray:
-        """All coordinates concatenated, x first."""
-        return np.concatenate([self.x, self.y])
-
     def __repr__(self) -> str:  # compact, for witnesses in error messages
         if self.m:
             return f"Point(x={self.x.tolist()}, y={self.y.tolist()})"

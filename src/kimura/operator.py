@@ -1035,12 +1035,15 @@ class _EulerUpdate:
         gx, gy = self._noise(xp, y, eta)
         if self.drift == "zero":
             return np.add(x, gx, out=gx), (y if gy is None else np.add(y, gy, out=gy))
-        dd = self._bdt if self.drift == "constant" else self._drift_dt(xp, y)
-        xn = x + dd[..., :n]
+        if self.drift == "constant":
+            xn = _by_columns(np.add, x, self._bdt[:n])
+        else:
+            dd = self._drift_dt(xp, y)
+            xn = x + dd[:, :n]
         xn += gx
         if gy is None:
             return xn, y
-        yn = y + dd[..., n:]
+        yn = _by_columns(np.add, y, self._bdt[n:]) if self.drift == "constant" else y + dd[:, n:]
         yn += gy
         return xn, yn
 
@@ -1066,7 +1069,7 @@ class _EulerUpdate:
             g = op.noise_increment(x, y, eta)
             return g[:, :n], (g[:, n:] if op.m else None)
         if self._two_lead is not None:
-            gx = x * self._two_lead
+            gx = _by_columns(np.multiply, x, self._two_lead)
         else:
             gx = x * (2.0 * np.column_stack([f.eval(x, y) for f in op.lead]))
         np.sqrt(gx, out=gx)
@@ -1076,6 +1079,16 @@ class _EulerUpdate:
         if self.noise == "diag":
             return gx, self._y_factor * eta[:, n:]
         return gx, eta[:, n:] @ self._y_factor
+
+
+def _by_columns(ufunc, a: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``ufunc(a, row)`` for rows ``a`` and one short ``row``, one column at
+    a time: numpy broadcasts a short row as an inner loop of its length,
+    several times slower than one call per column."""
+    out = np.empty(a.shape)
+    for j in range(a.shape[1]):
+        ufunc(a[:, j], row[j], out=out[:, j])
+    return out
 
 
 # --------------------------------------------------------------------------

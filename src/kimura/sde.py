@@ -37,13 +37,15 @@ no path joins a block midway.
 No path's output depends on its row, so the engine reorders rows freely:
 it compacts by tail-fill (``_tail_fill``), counts occupation in steps
 (``_count_seconds``) and routes hits once per level (``_route_hits``).
-Each level's Euler step is built once, when the level is queued, as a step
-plan (``_StepPlan``), and one cohort runs per distinct plan: the queued
-levels whose plans have equal keys (sibling faces alike in coefficients and
-shape, such as the edges of neutral Wright–Fisher) step together, each row
-keeping its own level for its noise slots, its terminal record and its
-hits.  Every recorded state is checked for non-finite values before a run
-returns, however short the run.
+Each stratum a path runs in is one level (``_Level``): its operator, its
+faces and noise slots in original terms, and its Euler step, built once,
+when the level is queued.  One cohort runs per distinct step: the queued
+levels whose keys are equal (sibling faces alike in coefficients and shape,
+such as the edges of neutral Wright–Fisher) step together, each row keeping
+its own level for its noise slots, its terminal record and its hits.  The
+queue alone holds a queued cohort's arrays, and they are released once the
+cohort's loop has joined them.  Every recorded state is checked for
+non-finite values before a run returns, however short the run.
 
 The outer edges of a box chart (``x_i = radius``, ``|y_l| = y_radius``) are
 chart artifacts, not faces; paths reflect there, and a step with no row past
@@ -52,7 +54,7 @@ parameterized so paths essentially never reach them.
 
 Operators whose faces do not classify cleanly raise ``NotClean``; there is
 no opt-in.  Hits and occupation read each face's distance from its column
-(:func:`~kimura.geometry.column_distance_rows`), found once per plan: the
+(:func:`~kimura.geometry.column_distance_rows`), found once per level: the
 column itself, or ``1 − Σx`` for the slack face, summed by columns
 (:func:`~kimura.geometry.row_sums`).
 
@@ -62,7 +64,9 @@ unbounded box with no face classified, under a private corner stop
 (``_CornerStop``) on ``S = X₁⁺ + X₂⁺``; so does its one-dimensional oracle
 :func:`sum_process_ensemble`.  There no coordinate clamps: the state is
 stepped by full truncation (Lord, Koekkoek & van Dijk 2010), left raw with
-only ``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.
+only ``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.  The
+stop owns each path's first step below each threshold, which it records
+as the loop meets them and the corner estimate reads from it.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from . import _rng
 from .errors import KimuraError, MaxStepsExceeded, NonFinite
 from .geometry import (
     CornerBox,
-    DomainSpec,
     Point,
     Simplex,
     StratumId,
@@ -253,201 +256,77 @@ def _simplex_clamp(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# level bookkeeping for hierarchical absorption
+# absorption levels
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Level:
-    op: KimuraOperator
-    stratum_bits: int
-    x_slots: np.ndarray          # original noise slot per current x coord
-    y_slots: np.ndarray
-    face_orig: dict[int, int]    # current face id -> original face id
-    tangent: tuple[tuple[int, float], ...]  # (face id, largest distance on it) per absorbing face
-    tracked: tuple[tuple[int, int], ...]    # (face id, occupation row) per tracked face
-    parent: "_Level | None" = None
-    via_face: int | None = None
+    """One absorption level: the stratum its paths run in, and its Euler
+    step at one ``dt``, built once, when the level is queued.
 
-    @property
-    def dom(self) -> DomainSpec:
-        return self.op.dom
-
-
-def _make_level(
-    op: KimuraOperator,
-    fc: FaceClassification,
-    face_orig: dict[int, int],
-    tracked_rows: dict[int, int],
-    **fields,
-) -> _Level:
-    """A level of ``op``: its tangent faces absorb, and its transverse faces
-    whose original face has an occupation row are tracked."""
-    return _Level(
-        op=op,
-        face_orig=face_orig,
-        tangent=tuple((f, _SLACK_TOL if f > op.n else 0.0) for f in sorted(fc.tangent)),
-        tracked=tuple(
-            (f, tracked_rows[face_orig[f]])
-            for f in sorted(fc.transverse)
-            if face_orig[f] in tracked_rows
-        ),
-        **fields,
-    )
-
-
-def _child_level(level: _Level, face: int, tracked_rows: dict[int, int]) -> _Level:
-    sub_op = level.op.restrict(face)
-    _, fmap = restrict_domain(level.dom, face)
-    return _make_level(
-        sub_op,
-        sub_op.classify_faces(),
-        {new: level.face_orig[old] for new, old in fmap.items()},
-        tracked_rows,
-        stratum_bits=level.stratum_bits | (1 << (level.face_orig[face] - 1)),
-        x_slots=restrict_rows(level.x_slots, face, level.dom),
-        y_slots=level.y_slots,
-        parent=level,
-        via_face=face,
-    )
-
-
-def _embed_to_root(level: _Level, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows of current-level coordinates → original-domain (x, y) rows."""
-    lvl = level
-    while lvl.parent is not None:
-        x = embed_rows(x, lvl.via_face, lvl.parent.dom)
-        lvl = lvl.parent
-    return np.concatenate([x, y], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# the cohort engine
-# ---------------------------------------------------------------------------
-
-
-class _Collector:
-    def __init__(self, k: int, dim: int, cfg: SimConfig, tracked_ids, collect_events: bool, n_below: int):
-        self.term_time = np.full(k, np.nan)
-        self.term_xy = np.full((k, dim), np.nan)
-        self.term_bits = np.zeros(k, dtype=np.uint32)
-        self.first_time = np.full(k, np.nan)
-        self.first_face = np.zeros(k, dtype=np.int32)
-        self.first_xy = np.full((k, dim), np.nan)
-        n_eps = len(cfg.occupation_eps)
-        self.tracked_rows = {f: i for i, f in enumerate(tracked_ids)}
-        # steps each path ended within each threshold of each tracked face,
-        # over all its levels; ``occ`` is these in seconds, set at the end
-        self.occ_steps = (
-            np.zeros((k, len(tracked_ids), n_eps), dtype=np.int64) if n_eps and tracked_ids else None
-        )
-        self.occ: np.ndarray | None = None
-        self.events: list[list[HitEvent]] | None = (
-            [[] for _ in range(k)] if collect_events else None
-        )
-        # each path's first step at or below each corner-stop threshold, or −1
-        self.below = np.full((k, n_below), -1, dtype=np.int64)
-
-
-def _simulate_cohort(
-    L: KimuraOperator,
-    p0: Point,
-    cfg: SimConfig,
-    path_ids: np.ndarray,
-    collect_events: bool,
-    stop: "_CornerStop | None" = None,
-) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
-    """Run the paths ``path_ids`` from ``p0``; under a corner ``stop`` no
-    face is classified, absorbs or is tracked.  A ``p0`` of the wrong
-    dimension or outside the domain raises :class:`PointOutsideDomain`."""
-    classify_point(p0, L.dom)
-    if cfg.n_steps > _MAX_STEPS:
-        raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
-    k = len(path_ids)
-    dim = L.dim
-    fc = L.classify_faces() if stop is None else FaceClassification(frozenset(), frozenset(), {}, math.inf)
-    tracked_ids = tuple(sorted(fc.transverse)) if cfg.occupation_eps else ()
-    res = _Collector(k, dim, cfg, tracked_ids, collect_events, 0 if stop is None else stop.eps.size)
-    root = _make_level(
-        L,
-        fc,
-        {f: f for f in L.dom.face_ids},
-        res.tracked_rows,
-        stratum_bits=0,
-        x_slots=np.arange(L.n, dtype=np.uint64),
-        y_slots=np.arange(L.n, dim, dtype=np.uint64),
-    )
-    x0 = np.tile(np.asarray(p0.x, dtype=float), (k, 1))
-    y0 = np.tile(np.asarray(p0.y, dtype=float), (k, 1))
-    queue: list[tuple[_StepPlan, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = [
-        (_StepPlan(root, cfg.dt, raw=stop is not None), x0, y0, np.zeros(k, dtype=np.int64), np.arange(k))
-    ]
-    while queue:  # the last entry, with every queued entry whose plan steps alike
-        key = queue[-1][0].key
-        group = [e for e in queue if e[0].key == key]
-        queue[:] = [e for e in queue if e[0].key != key]
-        _advance(group, path_ids, res, cfg, dim, queue, stop)
-    if np.any(np.isnan(res.term_time)):
-        raise KimuraError("internal: some paths finished without a terminal record")
-    hit = res.first_face[:, None] > 0
-    _check_finite(np.concatenate([res.term_xy, np.where(hit, res.first_xy, 0.0)], axis=1), path_ids)
-    if res.occ_steps is not None:
-        res.occ = _count_seconds(res.occ_steps, cfg.dt)
-    return res, tracked_ids, fc
-
-
-def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
-    """Each count ``k`` as ``k`` sequential additions ``s += dt`` from 0.0,
-    the float an accumulator of ``dt`` per step would hold.
-
-    ``np.cumsum`` adds in order.  The table is built ``_OCC_CHUNK`` counts at
-    a time, each chunk starting from the last one's running sum, so its memory
-    does not grow with the step count.
-    """
-    out = np.empty(counts.shape)
-    carry = 0.0
-    for lo in range(0, int(counts.max(initial=0)) + 1, _OCC_CHUNK):
-        run = np.full(_OCC_CHUNK + 1, dt)
-        run[0] = carry
-        run = np.cumsum(run)  # run[j]: lo + j additions
-        here = (counts >= lo) & (counts < lo + _OCC_CHUNK)
-        out[here] = run[counts[here] - lo]
-        carry = run[-1]
-    return out
-
-
-class _StepPlan:
-    """One level's Euler step at one ``dt``, built once, when the level is
-    queued, from the coefficients and the domain.
+    The constructor builds the root level of ``op``, each face its own
+    original face; :meth:`child` builds the level inside a tangent face.
+    ``face_orig`` maps the level's faces to the original faces, ``slots``
+    gives each coordinate's original noise slot (x first) and
+    ``stratum_bits`` the original faces its paths were absorbed on.  The
+    tangent faces absorb, held as ``(id, column, tol)``: a path lies on one
+    when its distance from that column
+    (:func:`~kimura.geometry.column_distance_rows`) is at most ``tol``.  The
+    transverse faces whose original face has a row in ``tracked_rows`` are
+    tracked, held as ``(id, column, occupation row)``.
 
     ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
     (drift and noise at ``x⁺``).  :meth:`step` adds the domain step: the
     clamp of every coordinate to 0 (none when ``raw``, full truncation), then
     box reflection, or the simplex chart-swap clamp, which on ``Simplex(1)``
-    is ``min(x, 1)`` because the swap lands exactly on 1.  :meth:`hits`
-    tests the level's tangent faces through their distance columns.  The
-    overshoots that break ties between faces a path lies on at once are kept
-    only where two tangent faces meet, so not on ``Simplex(1)``.
+    is ``min(x, 1)`` because the swap lands exactly on 1.  The overshoots
+    that break ties between faces a path lies on at once are kept only where
+    two tangent faces meet, so not on ``Simplex(1)``.
 
     ``key`` holds all that the step, the hit test and the occupation count
-    read: the update's key, the domain, the tangent faces as ``(id, column,
-    tol)``, ``ties`` and the tracked faces as ``(id, column, occupation
-    row)``.  Levels whose plans have equal keys step the same rows to the
-    same bits, so they run as one cohort.
+    read: the update's key, the domain, the tangent faces, ``ties`` and the
+    tracked faces.  Levels with equal keys step the same rows to the same
+    bits, so they run as one cohort.
     """
 
-    def __init__(self, level: _Level, dt: float, raw: bool = False):
-        op, dom = level.op, level.dom
-        self.level = level
+    def __init__(self, op: KimuraOperator, fc: FaceClassification, dt: float, tracked_rows: dict[int, int],
+                 raw: bool = False, parent: "_Level | None" = None, via_face: int | None = None):
+        dom = self.dom = op.dom
+        self.op, self.parent, self.via_face = op, parent, via_face
+        if parent is None:
+            self.face_orig = {f: f for f in dom.face_ids}
+            self.stratum_bits, self.slots = 0, np.arange(op.dim, dtype=np.uint64)
+        else:  # parent's child through via_face
+            _, fmap = restrict_domain(parent.dom, via_face)
+            self.face_orig = {new: parent.face_orig[old] for new, old in fmap.items()}
+            self.stratum_bits = parent.stratum_bits | (1 << (parent.face_orig[via_face] - 1))
+            self.slots = restrict_rows(parent.slots, via_face, parent.dom)  # a simplex has no y slots
         self.update = _EulerUpdate(op, dt, raw)
-        self.dom = dom
         self.n_faces = len(dom.face_ids)
-        self.tangent = tuple((f, face_column(f, dom), tol) for f, tol in level.tangent)
-        self.tracked = tuple((f, face_column(f, dom), row) for f, row in level.tracked)
+        self.tangent = tuple(
+            (f, face_column(f, dom), _SLACK_TOL if f > op.n else 0.0) for f in sorted(fc.tangent)
+        )
+        self.tracked = tuple(
+            (f, face_column(f, dom), tracked_rows[self.face_orig[f]])
+            for f in sorted(fc.transverse)
+            if self.face_orig[f] in tracked_rows
+        )
         self.ties = len(self.tangent) > 1 and op.dim > 1
-        self.clamp = not raw
-        self.slots = np.concatenate([level.x_slots, level.y_slots])
         self.key = (self.update.key, dom, self.tangent, self.ties, self.tracked)
+
+    def child(self, face: int, tracked_rows: dict[int, int]) -> "_Level":
+        """The level inside the tangent face ``face``, at this level's ``dt``
+        and scheme."""
+        op = self.op.restrict(face)
+        return _Level(op, op.classify_faces(), self.update.dt, tracked_rows, self.update.raw, self, face)
+
+    def to_root(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows of this level's coordinates → original-domain (x, y) rows."""
+        lvl = self
+        while lvl.parent is not None:
+            x = embed_rows(x, lvl.via_face, lvl.parent.dom)
+            lvl = lvl.parent
+        return np.concatenate([x, y], axis=1)
 
     def step(self, x, y, eta):
         """``(x′, y′, ov)`` one step on from rows ``(x, y)`` with the scaled
@@ -460,7 +339,7 @@ class _StepPlan:
         if self.ties:
             ov = np.empty((self.n_faces, x.shape[0]))
             np.maximum(-x.T, 0.0, out=ov[:nx])
-        if self.clamp:
+        if not self.update.raw:
             np.maximum(x, 0.0, out=x)
         if isinstance(dom, Simplex):  # the slack face N+1 takes the last row
             if nx == 1:
@@ -501,27 +380,117 @@ class _StepPlan:
         return face
 
 
+# ---------------------------------------------------------------------------
+# the cohort engine
+# ---------------------------------------------------------------------------
+
+
+class _Collector:
+    def __init__(self, k: int, dim: int, cfg: SimConfig, tracked_ids, collect_events: bool):
+        self.term_time = np.full(k, np.nan)
+        self.term_xy = np.full((k, dim), np.nan)
+        self.term_bits = np.zeros(k, dtype=np.uint32)
+        self.first_time = np.full(k, np.nan)
+        self.first_face = np.zeros(k, dtype=np.int32)
+        self.first_xy = np.full((k, dim), np.nan)
+        n_eps = len(cfg.occupation_eps)
+        self.tracked_rows = {f: i for i, f in enumerate(tracked_ids)}
+        # steps each path ended within each threshold of each tracked face,
+        # over all its levels; ``occ`` is these in seconds, set at the end
+        self.occ_steps = (
+            np.zeros((k, len(tracked_ids), n_eps), dtype=np.int64) if n_eps and tracked_ids else None
+        )
+        self.occ: np.ndarray | None = None
+        self.events: list[list[HitEvent]] | None = (
+            [[] for _ in range(k)] if collect_events else None
+        )
+
+
+def _simulate_cohort(
+    L: KimuraOperator,
+    p0: Point,
+    cfg: SimConfig,
+    path_ids: np.ndarray,
+    collect_events: bool,
+    stop: "_CornerStop | None" = None,
+) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
+    """Run the paths ``path_ids`` from ``p0``; under a corner ``stop`` no
+    face is classified, absorbs or is tracked.  A ``p0`` of the wrong
+    dimension or outside the domain raises :class:`PointOutsideDomain`."""
+    classify_point(p0, L.dom)
+    if cfg.n_steps > _MAX_STEPS:
+        raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
+    k = len(path_ids)
+    dim = L.dim
+    fc = L.classify_faces() if stop is None else FaceClassification(frozenset(), frozenset(), {}, math.inf)
+    tracked_ids = tuple(sorted(fc.transverse)) if cfg.occupation_eps else ()
+    res = _Collector(k, dim, cfg, tracked_ids, collect_events)
+    # the queue alone holds each cohort's arrays, so _advance can release them
+    queue: list[tuple[_Level, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = [(
+        _Level(L, fc, cfg.dt, res.tracked_rows, raw=stop is not None),
+        np.tile(np.asarray(p0.x, dtype=float), (k, 1)),
+        np.tile(np.asarray(p0.y, dtype=float), (k, 1)),
+        np.zeros(k, dtype=np.int64),
+        np.arange(k),
+    )]
+    while queue:  # the last entry, with every queued entry whose level steps alike
+        key = queue[-1][0].key
+        group = [e for e in queue if e[0].key == key]
+        queue[:] = [e for e in queue if e[0].key != key]
+        _advance(group, path_ids, res, cfg, dim, queue, stop)
+    if np.any(np.isnan(res.term_time)):
+        raise KimuraError("internal: some paths finished without a terminal record")
+    hit = res.first_face[:, None] > 0
+    _check_finite(np.concatenate([res.term_xy, np.where(hit, res.first_xy, 0.0)], axis=1), path_ids)
+    if res.occ_steps is not None:
+        res.occ = _count_seconds(res.occ_steps, cfg.dt)
+    return res, tracked_ids, fc
+
+
+def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
+    """Each count ``k`` as ``k`` sequential additions ``s += dt`` from 0.0,
+    the float an accumulator of ``dt`` per step would hold.
+
+    ``np.cumsum`` adds in order.  The table is built ``_OCC_CHUNK`` counts at
+    a time, each chunk starting from the last one's running sum, so its memory
+    does not grow with the step count.
+    """
+    out = np.empty(counts.shape)
+    carry = 0.0
+    for lo in range(0, int(counts.max(initial=0)) + 1, _OCC_CHUNK):
+        run = np.full(_OCC_CHUNK + 1, dt)
+        run[0] = carry
+        run = np.cumsum(run)  # run[j]: lo + j additions
+        here = (counts >= lo) & (counts < lo + _OCC_CHUNK)
+        out[here] = run[counts[here] - lo]
+        carry = run[-1]
+    return out
+
+
 def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
-    """Step the queue entries ``group``, each ``(plan, x, y, steps, rows)``
-    with plans of one key, as one cohort, until each path hits a tangent
+    """Step the queue entries ``group``, each ``(level, x, y, steps, rows)``
+    with levels of one key, as one cohort, until each path hits a tangent
     face, meets the corner ``stop`` or reaches the horizon.  ``steps`` holds
     each path's step count on entry; every live path takes the same steps
-    here, so the count is that plus ``ran``.  Arrays are compacted in place.
+    here, so the count is that plus ``ran``.  The entries' arrays are joined
+    and ``group`` is emptied, so the cohort's state is held once; the joined
+    arrays are compacted in place.
 
     Each row keeps its level: ``lv`` holds each row's index in ``group``.
     Noise keys are built per level, and terminal records and hits are made
     per level."""
     dt, T = cfg.dt, cfg.T
     n_total = cfg.n_steps
-    plan = group[0][0]
-    levels = [p.level for p, *_ in group]
+    levels = [e[0] for e in group]
+    level = levels[0]  # every level of the group steps alike
     keys = np.concatenate(
-        [_rng.stream_keys(cfg.seed, path_ids[r], s, p.slots, stride) for p, _, _, s, r in group]
+        [_rng.stream_keys(cfg.seed, path_ids[r], s, lvl.slots, stride) for lvl, _, _, s, r in group]
     )
     x, y, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
     lv = np.repeat(np.arange(len(group)), [e[4].size for e in group])
+    group.clear()
     eps = np.asarray(cfg.occupation_eps)[:, None]
-    occ_rows = np.array([row for *_, row in plan.tracked], dtype=np.intp)
+    occ_rows = np.array([row for *_, row in level.tracked], dtype=np.intp)
     # steps each live path ended within each threshold of each tracked face
     cnt = np.zeros((occ_rows.size, eps.size, x.shape[0]), dtype=np.int32)
     ov = None  # each path's overshoot past each face in the last step
@@ -536,7 +505,7 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
     n_hit = 0
     while x.shape[0]:
         # --- absorption detection on the current states -------------------
-        hit_face = plan.hits(x, ov)
+        hit_face = level.hits(x, ov)
         gone = None  # the rows that leave the level at this state
         if hit_face is not None:
             gone = hit_face != 0
@@ -546,7 +515,7 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
         if stop is not None:  # its level has no tangent face, so no hit
-            left = stop.passed(x, steps, ran, rows, res.below)
+            left = stop.passed(x, steps, ran, rows)
             if np.count_nonzero(left):
                 for lvl, i in _per_level(levels, lv, left.nonzero()[0]):
                     _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), x[i], y[i])
@@ -574,7 +543,7 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
         if k_blk == len(eta_blk):
             n_blk = max(
                 1,
-                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (plan.slots.size * x.shape[0])),
+                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (level.slots.size * x.shape[0])),
             )
             eta_blk = _rng.next_normals(keys, n_blk, stride)
             eta_blk *= math.sqrt(dt)
@@ -583,11 +552,11 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
         k_blk += 1
         if pos.size < eta.shape[0]:
             eta = eta.take(pos, 0)
-        x, y, ov = plan.step(x, y, eta)
+        x, y, ov = level.step(x, y, eta)
         ran += 1
         # --- occupation: count the steps ending near each tracked face -----
-        for i, (_, col, _) in enumerate(plan.tracked):
-            cnt[i] += column_distance_rows(x, col) < eps
+        for i, (_, col, _) in enumerate(level.tracked):  # a copied column compares faster
+            cnt[i] += np.ascontiguousarray(column_distance_rows(x, col)) < eps
     if n_hit:
         bufs = [buf[:n_hit] for buf in hits]
         for lvl, i in _per_level(levels, bufs[5], np.arange(n_hit)):
@@ -605,7 +574,7 @@ def _per_level(levels, lv, idx):
 def _set_terminal(res, level, r, t, x, y) -> None:
     """Paths ``r`` end at time ``t`` on ``level`` in rows ``(x, y)``, kept as ``(x⁺, y)``."""
     res.term_time[r] = t
-    res.term_xy[r] = _embed_to_root(level, np.maximum(x, 0.0), y)
+    res.term_xy[r] = level.to_root(np.maximum(x, 0.0), y)
     res.term_bits[r] = level.stratum_bits
 
 
@@ -658,7 +627,7 @@ def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
         bits = level.stratum_bits | (1 << (orig - 1))
         terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if first or terminal_here:
-            emb = _embed_to_root(level, xh, yh)
+            emb = level.to_root(xh, yh)
         if first:
             res.first_time[rows[idx]] = t_hit
             res.first_face[rows[idx]] = orig
@@ -673,8 +642,7 @@ def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
             res.term_xy[rows[idx]] = emb
             res.term_bits[rows[idx]] = bits
             continue
-        child = _child_level(level, f, res.tracked_rows)
-        queue.append((_StepPlan(child, dt), xc, yh, steps[idx], rows[idx]))
+        queue.append((level.child(f, res.tracked_rows), xc, yh, steps[idx], rows[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -824,17 +792,18 @@ def _is_cross_fed(L: KimuraOperator) -> bool:
 
 
 class _CornerStop:
-    """A stop on the corner sum ``S = Σx⁺``: each path's first step at or
-    below each of ``eps`` is recorded, and it leaves at ``S ≤ min eps`` or
-    ``S ≥ s_freeze``."""
+    """A stop on the corner sum ``S = Σx⁺`` of ``k`` paths: ``below`` holds
+    each path's first step at or below each of ``eps``, or −1, and a path
+    leaves at ``S ≤ min eps`` or ``S ≥ s_freeze``."""
 
-    def __init__(self, eps: np.ndarray, s_freeze: float):
+    def __init__(self, eps: np.ndarray, s_freeze: float, k: int):
         self.eps, self.s_freeze = eps, s_freeze
         self.lo, self.hi = eps.min(), eps.max()
+        self.below = np.full((k, eps.size), -1, dtype=np.int64)
 
-    def passed(self, x, steps, ran, rows, below) -> np.ndarray:
-        """Record the first passages of the rows ``x`` (at step ``steps +
-        ran``) in ``below``; return the rows that leave."""
+    def passed(self, x, steps, ran, rows) -> np.ndarray:
+        """Record the first passages of the rows ``x`` of paths ``rows`` (at
+        step ``steps + ran``) in ``below``; return the rows that leave."""
         xp = np.maximum(x, 0.0)
         S = xp[:, 0]
         for j in range(1, xp.shape[1]):  # by columns: a sum along short rows is far slower
@@ -843,8 +812,8 @@ class _CornerStop:
         if low.size:
             for j, e in enumerate(self.eps):
                 new = low[S[low] <= e]
-                new = new[below[rows[new], j] < 0]
-                below[rows[new], j] = steps[new] + ran
+                new = new[self.below[rows[new], j] < 0]
+                self.below[rows[new], j] = steps[new] + ran
         return (S <= self.lo) | (S >= self.s_freeze)
 
 
@@ -918,7 +887,8 @@ def _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset):
     if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
         raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
     ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    res, _, _ = _simulate_cohort(L, p0, cfg, ids, False, _CornerStop(eps, float(s_freeze)))
-    hit = res.below >= 0
-    hit_time = np.where(hit, np.minimum(res.below * cfg.dt, cfg.T), np.nan)
+    stop = _CornerStop(eps, float(s_freeze), n_paths)
+    res, _, _ = _simulate_cohort(L, p0, cfg, ids, False, stop)
+    hit = stop.below >= 0
+    hit_time = np.where(hit, np.minimum(stop.below * cfg.dt, cfg.T), np.nan)
     return hit, hit_time, res.term_xy.sum(axis=1)

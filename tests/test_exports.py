@@ -93,3 +93,31 @@ def test_one_euler_loop_draws_the_noise():
                     if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "next_normals":
                         callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["sde._advance"], callers
+
+
+def test_every_definition_is_referenced():
+    """Every function, method and class defined in the package is read by
+    name (a name or an attribute) somewhere in the package or the tests
+    outside its own definition, so a deletion cannot leave dead code.
+    Dunder methods, which Python calls itself, are exempt."""
+    here = Path(__file__).parent
+    package = sorted(Path(kimura.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in package + sorted(here.glob("*.py"))}
+    refs = {}  # name -> [(file, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(name, str):
+                refs.setdefault(name, []).append((path, node.lineno))
+    unused = []
+    for path in package:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and ln in inside for p, ln in refs.get(name, ())):
+                unused.append(f"{path.stem}.{name} (line {node.lineno})")
+    assert not unused, f"defined but never referenced: {unused}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -189,6 +190,30 @@ def test_siblings_that_step_differently_do_not_merge(monkeypatch, W, seed, cohor
     ens = simulate_ensemble(W, Point([0.3, 0.3]), SimConfig(dt=1e-3, T=3.0, seed=seed), 300, collect_events=True)
     assert calls == cohorts
     assert _ensemble_sha(ens) == sha
+
+
+def test_a_queued_cohort_is_released_once_its_loop_starts(monkeypatch):
+    """A cohort's loop joins its queued arrays and then drops them: at the
+    first step of neutral WF(2)'s edge cohort, the ``x`` arrays that its
+    three edges were queued with are already gone, so the cohort's state is
+    held once."""
+    refs, dead = [], []
+    advance, step = sde._advance, sde._Level.step
+
+    def spy_advance(group, *args, **kwargs):
+        if group[0][0].parent is not None:  # the edge cohort
+            refs[:] = [weakref.ref(e[1]) for e in group]
+        return advance(group, *args, **kwargs)
+
+    def spy_step(level, x, y, eta):
+        if refs and not dead:
+            dead.append([r() is None for r in refs])
+        return step(level, x, y, eta)
+
+    monkeypatch.setattr(sde, "_advance", spy_advance)
+    monkeypatch.setattr(sde._Level, "step", spy_step)
+    simulate_ensemble(wright_fisher(2, (0.0, 0.0, 0.0)), Point([0.3, 0.3]), SimConfig(dt=1e-3, T=3.0, seed=11), 300)
+    assert len(refs) == 3 and dead == [[True] * 3]
 
 
 # The configurations of the pins above, as (operator, start, config, paths,

@@ -1,11 +1,11 @@
-"""The engine's step plan against the reference, bit for bit.
+"""The engine's level step against the reference, bit for bit.
 
-The plan (``sde._StepPlan``, with ``operator._EulerUpdate``) must give the
+A level's step (``sde._Level``, with ``operator._EulerUpdate``) must give the
 same states, overshoots and hits as ``drift_batch`` + ``noise_increment``
 followed by the domain step and the hit test below.  The reference evaluates
 drift and noise at ``x⁺ = max(x, 0)`` with the normals scaled by ``√dt``
 first, adds the increment to ``x``, and clamps every coordinate to 0, or
-none in a raw plan (full truncation, the corner stop's).  Nothing here is
+none in a raw level (full truncation, the corner stop's).  Nothing here is
 timed.
 """
 
@@ -81,7 +81,7 @@ def _ref_step(level, x, y, eta, dt, raw=False):
 def _ref_hits(level, x, ov):
     face = np.zeros(x.shape[0], dtype=np.int64)
     best = np.full(x.shape[0], -np.inf)
-    for f, tol in level.tangent:
+    for f, _, tol in level.tangent:
         on = face_distance_rows(x, f, level.dom) <= tol
         if not on.any():
             continue
@@ -181,7 +181,7 @@ def _states(L, k, seed):
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("dt", [1e-3, 0.05])
 def test_update_equals_drift_batch_and_noise_increment(name, dt):
-    """A raw update meets states below 0; a clamped plan never hands its
+    """A raw update meets states below 0; a clamped level never hands its
     update one, so the clamped update sees the states clamped."""
     L, drift, noise = CASES[name]
     x, y = _states(L, 300, seed=3)
@@ -197,48 +197,44 @@ def test_update_equals_drift_batch_and_noise_increment(name, dt):
         assert _same(z, z0) and _same(y, y0)  # the inputs are left as they are
 
 
-def _levels(L):
-    """The root level of ``L`` and, through each tangent face, its child; an
-    operator that does not classify gets the corner stop's level, with no
-    face classified."""
+def _levels(L, dt, raw=False):
+    """The root level of ``L`` at ``dt`` and, through each tangent face, its
+    child; an operator that does not classify gets the corner stop's level,
+    with no face classified."""
     try:
         fc = L.classify_faces()
     except NotClean:
         fc = FaceClassification(frozenset(), frozenset(), {}, math.inf)
-    root = sde._make_level(
-        L, fc, {f: f for f in L.dom.face_ids}, {},
-        stratum_bits=0, x_slots=np.arange(L.n, dtype=np.uint64),
-        y_slots=np.arange(L.n, L.dim, dtype=np.uint64),
-    )
-    kids = [sde._child_level(root, f, {}) for f in sorted(fc.tangent) if L.dim > 1]
+    root = sde._Level(L, fc, dt, {}, raw)
+    kids = [root.child(f, {}) for f in sorted(fc.tangent) if L.dim > 1]
     return [root, *kids]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_step_and_hits_equal_the_reference(name):
     """A large ``dt`` pushes many rows past one face or two at once, so the
-    clamp, the reflection and the tie rule all run.  Only the raw plan
-    starts from states below 0; a clamped plan never holds one."""
+    clamp, the reflection and the tie rule all run.  Only the raw level
+    starts from states below 0; a clamped level never holds one."""
     dt = 0.05
-    for level in _levels(CASES[name][0]):
+    L0 = CASES[name][0]
+    for level, raw_level in zip(_levels(L0, dt), _levels(L0, dt, raw=True)):
         L = level.op
-        plan = sde._StepPlan(level, dt)
         xr, y = _states(L, 400, seed=7)
         x = np.maximum(xr, 0.0)
         eta = np.random.default_rng(9).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
         rx, ry, rov = _ref_step(level, x, y, eta, dt)
-        px, py, pov = plan.step(x, y, eta)
+        px, py, pov = level.step(x, y, eta)
         assert _same(px, rx) and _same(py, ry)
         want = _ref_hits(level, rx, rov)
-        got = plan.hits(px, pov)
+        got = level.hits(px, pov)
         assert _same(np.zeros_like(want) if got is None else got, want)
         # the first test of a level sees no overshoot: face order breaks ties
         want0 = _ref_hits(level, x, np.zeros_like(rov))
-        got0 = plan.hits(x, None)
+        got0 = level.hits(x, None)
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
-        if isinstance(level.dom, CornerBox):  # a raw plan leaves x below 0
+        if isinstance(level.dom, CornerBox):  # a raw level leaves x below 0
             rx, ry, _ = _ref_step(level, xr, y, eta, dt, raw=True)
-            px, py, _ = sde._StepPlan(level, dt, raw=True).step(xr, y, eta)
+            px, py, _ = raw_level.step(xr, y, eta)
             assert _same(px, rx) and _same(py, ry)
 
 
@@ -252,13 +248,13 @@ def _raw_step(L, x, y, dt):
 def test_the_reference_cases_reach_ties_and_clamps():
     """The step test above meets rows on two tangent faces at once, rows
     past the slack face, rows past a box's outer edges in x and y, and rows
-    that a raw plan leaves below 0."""
+    that a raw level leaves below 0."""
     L = CASES["wf2-zero"][0]
-    level = _levels(L)[0]
+    level = _levels(L, 0.05)[0]
     x, y = _states(L, 400, seed=7)
     eta = np.random.default_rng(9).standard_normal((400, 2)) * math.sqrt(0.05)
     rx, _, rov = _ref_step(level, x, y, eta, 0.05)
-    on = np.stack([face_distance_rows(rx, f, L.dom) <= tol for f, tol in level.tangent])
+    on = np.stack([face_distance_rows(rx, f, L.dom) <= tol for f, _, tol in level.tangent])
     assert np.any(on.sum(axis=0) >= 2)
     assert np.any(rov[L.n] > 0)
     for name in ("product-constant", "diag-y-constant"):
@@ -267,7 +263,7 @@ def test_the_reference_cases_reach_ties_and_clamps():
         assert np.any(z[:, : B.n] > B.dom.radius)
         assert not B.m or (np.any(z[:, B.n :] > B.dom.y_radius) and np.any(z[:, B.n :] < -B.dom.y_radius))
     P = CASES["product-constant"][0]
-    px, _, _ = _ref_step(_levels(P)[0], *_states(P, 400, seed=7), eta, 0.05, raw=True)
+    px, _, _ = _ref_step(_levels(P, 0.05)[0], *_states(P, 400, seed=7), eta, 0.05, raw=True)
     assert np.any(px < 0.0)
 
 
