@@ -91,7 +91,6 @@ from .estimators import (
     decompose_ensemble,
     doubling_ratio,
     hitting_histogram,
-    stratum_key,
     transverse_occupation,
 )
 from .pde import (
@@ -185,7 +184,6 @@ __all__ = [
     "TransitionDecomposition",
     "HittingHistogram",
     "OccupationCurve",
-    "stratum_key",
     "decompose",
     "decompose_ensemble",
     "hitting_histogram",

@@ -65,8 +65,6 @@ def _type_ok(value, kind: str) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
     if kind == "string":
         return isinstance(value, str)
-    if kind == "bool":
-        return isinstance(value, bool)
     if kind == "list[number]":
         return isinstance(value, list) and all(_type_ok(v, "number") for v in value)
     if kind == "list[int]":
@@ -116,87 +114,6 @@ _COMMON_SIM = {
     "n_paths": ("int", True, True),
 }
 
-TASKS: dict = {
-    "check": {"samples": ("int", False, True)},
-    "simulate": {**_COMMON_SIM, "T": ("number", True, True)},
-    "decompose": {
-        **_COMMON_SIM,
-        "t": ("number", True, True),
-        "bins": ("int", False, True),
-    },
-    "hitting": {
-        **_COMMON_SIM,
-        "T": ("number", True, True),
-        "face": ("int", True, True),
-        "time_bins": ("int", False, True),
-        "loc_bins": ("int", False, True),
-    },
-    "occupation": {
-        **_COMMON_SIM,
-        "T": ("number", True, True),
-        "eps": ("list[number]", True, True),
-    },
-    "kernel": {
-        "p0": ("number", True, True),
-        "T": ("number", True, True),
-        "dt": ("number", True, True),
-        "M": ("int", False, True),
-    },
-    "duhamel": {
-        "T": ("number", True, True),
-        "dt": ("number", True, True),
-        "M": ("int", False, True),
-        "omega": ("number", False, True),
-        "p0": ("number", False, True),
-        "n_paths": ("int", False, True),
-        "dt_mc": ("number", False, True),
-    },
-    "crosscheck": {
-        **_COMMON_SIM,
-        "times": ("list[number]", True, True),
-        "dt_pde": ("number", False, True),
-        "M": ("int", False, True),
-    },
-    "corner": {
-        **_COMMON_SIM,
-        "T": ("number", True, True),
-        "faces": ("list[int]", True, True),
-        "eps": ("list[number]", True, True),
-    },
-    "counterexample": {
-        **_COMMON_SIM,
-        "T": ("number", True, True),
-        "eps_abs": ("number", False, True),
-        "s_freeze": ("number", False, True),
-    },
-    "doubling": {
-        **_COMMON_SIM,
-        "T": ("number", True, True),
-        "face": ("int", True, True),
-        "t": ("number", True, True),
-        "q": ("number", True, False),
-        "r_max": ("number", True, True),
-        "levels": ("int", True, True),
-    },
-    "barriers": {
-        "theta2": ("number", False, True),
-        "rho": ("number", False, True),
-        "H": ("number", False, True),
-        "nu": ("number", False, True),
-        "M": ("int", False, True),
-    },
-    "growth": {
-        "nu": ("number", False, False),
-        "outer": ("number", False, False),
-        "M": ("int", False, True),
-        "r_values": ("list[number]", False, True),
-        "a11": ("number", False, True),
-        "a22": ("number", False, True),
-        "b1": ("number", False, False),
-        "b2": ("number", False, False),
-    },
-}
-
 _TOP_SPEC = {
     "version": ("string", True, False),
     "task": ("string", False, False),
@@ -207,19 +124,8 @@ _TOP_SPEC = {
     "out": ("string", False, False),
 }
 
-_NEEDS_OPERATOR = {
-    "check",
-    "simulate",
-    "decompose",
-    "hitting",
-    "occupation",
-    "kernel",
-    "duhamel",
-    "crosscheck",
-    "corner",
-    "counterexample",
-    "doubling",
-}
+# the tasks that build their own comparison operator and read no ``operator``
+_OWN_OPERATOR = ("barriers", "growth")
 
 
 def _validate_operator(spec: dict, path: str) -> None:
@@ -258,11 +164,11 @@ def validate_config(cfg: dict, task: str) -> None:
         )
     if cfg.get("seed", 0) < 0:
         raise ConfigInvalid("seed must be non-negative", field="seed")
-    if task in _NEEDS_OPERATOR:
+    if task not in _OWN_OPERATOR:
         if "operator" not in cfg:
             raise ConfigInvalid("this task needs an operator", field="operator")
         _validate_operator(cfg["operator"], "operator.")
-    _check_fields(cfg.get("params", {}), TASKS[task], "params.")
+    _check_fields(cfg.get("params", {}), TASKS[task][0], "params.")
 
 
 def _build_operator(spec: dict) -> KimuraOperator:
@@ -310,8 +216,13 @@ def _stratum_label(stratum) -> str:
     return "{" + ",".join(str(f) for f in sorted(stratum)) + "}"
 
 
-def _sim_config(params: dict, seed: int, T: float, **extra) -> SimConfig:
-    return SimConfig(dt=params["dt"], T=T, seed=seed, **extra)
+def _sim_config(params: dict, seed: int, T: float) -> SimConfig:
+    return SimConfig(dt=params["dt"], T=T, seed=seed)
+
+
+def _given(params: dict, *keys: str) -> dict:
+    """The optional settings the config gives; the library keeps the rest."""
+    return {k: params[k] for k in keys if k in params}
 
 
 def _point(params: dict) -> Point:
@@ -323,14 +234,11 @@ def _point(params: dict) -> Point:
 # --------------------------------------------------------------------------
 
 
-def _point_json(pt) -> dict:
-    if hasattr(pt, "x"):
-        return {"x": _jsonable(pt.x), "y": _jsonable(pt.y)}
-    return {"x": _jsonable(np.asarray(pt)), "y": []}
+def _point_json(pt: Point) -> dict:
+    return {"x": _jsonable(pt.x), "y": _jsonable(pt.y)}
 
 
 def _task_check(L, params, seed, workers, out: Path) -> dict:
-    samples = params.get("samples", 4096)
     try:
         fc = L.classify_faces()
     except NotClean as exc:
@@ -346,7 +254,7 @@ def _task_check(L, params, seed, workers, out: Path) -> dict:
             "message": str(exc),
         }
         raise _CheckFailed(results) from exc
-    report = L.check_assumptions(samples=samples, seed=seed)
+    report = L.check_assumptions(seed=seed, **_given(params, "samples"))
     return {
         "cleanness": "ok",
         "tangent": sorted(fc.tangent),
@@ -403,15 +311,14 @@ def _task_simulate(L, params, seed, workers, out: Path) -> dict:
 def _task_decompose(L, params, seed, workers, out: Path) -> dict:
     from .estimators import decompose
 
-    cfg = SimConfig(dt=params["dt"], seed=seed)
     dec = decompose(
         L,
         _point(params),
         params["t"],
         params["n_paths"],
-        cfg=cfg,
-        bins=params.get("bins", 20),
+        cfg=_sim_config(params, seed, params["t"]),
         workers=workers,
+        **_given(params, "bins"),
     )
     rows = [
         [_stratum_label(s), dec.counts[s], est, se]
@@ -437,10 +344,9 @@ def _task_hitting(L, params, seed, workers, out: Path) -> dict:
         _point(params),
         params["face"],
         params["n_paths"],
-        time_bins=params.get("time_bins", 40),
-        loc_bins=params.get("loc_bins", 20),
         cfg=cfg,
         workers=workers,
+        **_given(params, "time_bins", "loc_bins"),
     )
     n_loc = len(hist.loc_edges)
     header = ["t_lo", "t_hi"]
@@ -479,14 +385,13 @@ def _task_hitting(L, params, seed, workers, out: Path) -> dict:
 def _task_occupation(L, params, seed, workers, out: Path) -> dict:
     from .estimators import transverse_occupation
 
-    cfg = SimConfig(dt=params["dt"], seed=seed)
     occ = transverse_occupation(
         L,
         _point(params),
         params["T"],
         params["n_paths"],
         params["eps"],
-        cfg=cfg,
+        cfg=_sim_config(params, seed, params["T"]),
         workers=workers,
     )
     rows = []
@@ -510,7 +415,7 @@ def _task_kernel(L, params, seed, workers, out: Path) -> dict:
     from .pde import dirichlet_kernel
 
     ks = dirichlet_kernel(
-        L, params["p0"], params["T"], params["dt"], M=params.get("M", 400)
+        L, params["p0"], params["T"], params["dt"], **_given(params, "M")
     )
     _write_csv(
         out / "kernel.csv",
@@ -544,9 +449,9 @@ def _zeta(omega: float):
 def _task_duhamel(L, params, seed, workers, out: Path) -> dict:
     from .pde import duhamel_solve, solve_nonhomogeneous, stochastic_rep_check
 
-    T, dt, M = params["T"], params["dt"], params.get("M", 400)
-    zeta = _zeta(params.get("omega", 1.0))
-    direct = solve_nonhomogeneous(L, zeta, T, dt, M=M, store_times=(T,))
+    T, dt, M = params["T"], params["dt"], _given(params, "M")
+    zeta = _zeta(params.get("omega", 1.0))  # the library takes any ζ, so the CLI picks one
+    direct = solve_nonhomogeneous(L, zeta, T, dt, store_times=(T,), **M)
     via = duhamel_solve(L, zeta, T, dt, grid=direct.grid, store_times=(T,))
     ud, uv = direct.at(T), via.at(T)
     _write_csv(
@@ -559,14 +464,14 @@ def _task_duhamel(L, params, seed, workers, out: Path) -> dict:
         rep = stochastic_rep_check(
             L,
             zeta,
-            params.get("p0", 0.3),
+            params.get("p0", 0.3),  # the library has no default start
             T,
             params["n_paths"],
             dt_pde=dt,
-            dt_mc=params.get("dt_mc", dt),
-            M=M,
+            dt_mc=params.get("dt_mc", dt),  # the paths step like the solve unless split
             seed=seed,
             workers=workers,
+            **M,
         )
         results["stochastic_rep"] = {
             "pde_value": rep.pde_value,
@@ -582,8 +487,8 @@ def _task_crosscheck(L, params, seed, workers, out: Path) -> dict:
     from .pde import Grid1D, dirichlet_kernel
 
     times = sorted(params["times"])
-    M = params.get("M", 800)
-    dt_pde = params.get("dt_pde", params["dt"])
+    M = params.get("M", 800)  # finer than the kernel default: the M/2 grid bounds its error
+    dt_pde = params.get("dt_pde", params["dt"])  # one step for paths and solve unless split
     horizon = max(times)
     grid_f = Grid1D.for_operator(L, M)
     grid_h = Grid1D.for_operator(L, M // 2)
@@ -593,7 +498,7 @@ def _task_crosscheck(L, params, seed, workers, out: Path) -> dict:
     ks_h = dirichlet_kernel(L, float(p0.x[0]), horizon, dt_pde, grid=grid_h)
     rows, worst = [], {}
     for t in times:
-        cfg = SimConfig(dt=params["dt"], seed=seed)
+        cfg = _sim_config(params, seed, t)
         dec = decompose(L, p0, t, params["n_paths"], cfg=cfg, workers=workers)
         mc, se = dec.mass(frozenset())
         pde = ks_f.survival_at(t)
@@ -663,8 +568,7 @@ def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
         workers,
         p0=_point(params),
         cfg=cfg,
-        eps_abs=params.get("eps_abs", 1e-6),
-        s_freeze=params.get("s_freeze", 16.0),
+        **_given(params, "eps_abs", "s_freeze"),
     )
     hit, hit_time = (np.concatenate(a) for a in zip(*parts))
     _write_csv(
@@ -719,12 +623,12 @@ def _task_barriers(L, params, seed, workers, out: Path) -> dict:
         check_barrier_w2,
     )
 
-    M = params.get("M", 64)
-    nu = params.get("nu", 0.5)
-    A2 = AppendixOperator(a11=1.0, a22=1.0, b1=0.0, b2=lambda x1, x2: x1, nu=nu)
-    r_w2 = check_barrier_w2(A2, nu=nu, H=params.get("H"), M=M)
-    A1 = AppendixOperator(a11=1.0, a22=1.0, b1=0.0, b2=0.5, nu=nu)
-    r_w1 = check_barrier_w1(A1, theta2=params.get("theta2", 0.5), M=M)
+    M = params.get("M", 64)  # also sets the regularity grid below
+    nu = _given(params, "nu")
+    A2 = AppendixOperator(b2=lambda x1, x2: x1, **nu)
+    r_w2 = check_barrier_w2(A2, M=M, **_given(params, "H"))
+    r_w1 = check_barrier_w1(AppendixOperator(**nu), M=M, **_given(params, "theta2"))
+    # the library has no default window for the regularity barrier
     r_reg = check_barrier_regularity(
         model1d(0.0), rho=params.get("rho", 0.25), M=max(32, M // 2)
     )
@@ -751,20 +655,11 @@ def _task_barriers(L, params, seed, workers, out: Path) -> dict:
 def _task_growth(L, params, seed, workers, out: Path) -> dict:
     from .verify import AppendixOperator, growth_ratio
 
+    # tangent-face data 0 unless the config sets it (the operator's own ν is ½)
     A = AppendixOperator(
-        a11=params.get("a11", 1.0),
-        a22=params.get("a22", 1.0),
-        b1=params.get("b1", 0.0),
-        b2=params.get("b2", 0.5),
-        nu=params.get("nu", 0.0),
+        nu=params.get("nu", 0.0), **_given(params, "a11", "a22", "b1", "b2")
     )
-    rep = growth_ratio(
-        A,
-        params.get("r_values", (0.5, 0.25, 0.125, 0.0625, 0.03125)),
-        nu=params.get("nu", 0.0),
-        outer=params.get("outer", 1.0),
-        M=params.get("M", 256),
-    )
+    rep = growth_ratio(A, **_given(params, "r_values", "outer", "M"))
     _write_csv(
         out / "growth.csv",
         ["r", "m_half", "m_one", "ratio"],
@@ -773,20 +668,86 @@ def _task_growth(L, params, seed, workers, out: Path) -> dict:
     return json.loads(rep.to_json())
 
 
-_IMPLS = {
-    "check": _task_check,
-    "simulate": _task_simulate,
-    "decompose": _task_decompose,
-    "hitting": _task_hitting,
-    "occupation": _task_occupation,
-    "kernel": _task_kernel,
-    "duhamel": _task_duhamel,
-    "crosscheck": _task_crosscheck,
-    "corner": _task_corner,
-    "counterexample": _task_counterexample,
-    "doubling": _task_doubling,
-    "barriers": _task_barriers,
-    "growth": _task_growth,
+# each task's params schema and runner: (kind, required, positive) per key
+TASKS: dict = {
+    "check": ({"samples": ("int", False, True)}, _task_check),
+    "simulate": ({**_COMMON_SIM, "T": ("number", True, True)}, _task_simulate),
+    "decompose": ({
+        **_COMMON_SIM,
+        "t": ("number", True, True),
+        "bins": ("int", False, True),
+    }, _task_decompose),
+    "hitting": ({
+        **_COMMON_SIM,
+        "T": ("number", True, True),
+        "face": ("int", True, True),
+        "time_bins": ("int", False, True),
+        "loc_bins": ("int", False, True),
+    }, _task_hitting),
+    "occupation": ({
+        **_COMMON_SIM,
+        "T": ("number", True, True),
+        "eps": ("list[number]", True, True),
+    }, _task_occupation),
+    "kernel": ({
+        "p0": ("number", True, True),
+        "T": ("number", True, True),
+        "dt": ("number", True, True),
+        "M": ("int", False, True),
+    }, _task_kernel),
+    "duhamel": ({
+        "T": ("number", True, True),
+        "dt": ("number", True, True),
+        "M": ("int", False, True),
+        "omega": ("number", False, True),
+        "p0": ("number", False, True),
+        "n_paths": ("int", False, True),
+        "dt_mc": ("number", False, True),
+    }, _task_duhamel),
+    "crosscheck": ({
+        **_COMMON_SIM,
+        "times": ("list[number]", True, True),
+        "dt_pde": ("number", False, True),
+        "M": ("int", False, True),
+    }, _task_crosscheck),
+    "corner": ({
+        **_COMMON_SIM,
+        "T": ("number", True, True),
+        "faces": ("list[int]", True, True),
+        "eps": ("list[number]", True, True),
+    }, _task_corner),
+    "counterexample": ({
+        **_COMMON_SIM,
+        "T": ("number", True, True),
+        "eps_abs": ("number", False, True),
+        "s_freeze": ("number", False, True),
+    }, _task_counterexample),
+    "doubling": ({
+        **_COMMON_SIM,
+        "T": ("number", True, True),
+        "face": ("int", True, True),
+        "t": ("number", True, True),
+        "q": ("number", True, False),
+        "r_max": ("number", True, True),
+        "levels": ("int", True, True),
+    }, _task_doubling),
+    "barriers": ({
+        "theta2": ("number", False, True),
+        "rho": ("number", False, True),
+        "H": ("number", False, True),
+        "nu": ("number", False, True),
+        "M": ("int", False, True),
+    }, _task_barriers),
+    "growth": ({
+        "nu": ("number", False, False),
+        "outer": ("number", False, False),
+        "M": ("int", False, True),
+        "r_values": ("list[number]", False, True),
+        "a11": ("number", False, True),
+        "a22": ("number", False, True),
+        "b1": ("number", False, False),
+        "b2": ("number", False, False),
+    }, _task_growth),
 }
 
 
@@ -830,34 +791,26 @@ def run_config(
     eff_workers = workers if workers is not None else cfg.get("workers", 1)
     out_dir = Path(out if out is not None else cfg.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    L = None
     try:
-        if task in _NEEDS_OPERATOR:
-            L = _build_operator(cfg["operator"])
-        results = _IMPLS[task](L, cfg.get("params", {}), eff_seed, eff_workers, out_dir)
-    except _CheckFailed as exc:
-        _write_summary(out_dir, task, cfg, eff_seed, eff_workers, exc.results, "assumption-failure")
-        print(f"{task}: assumption check failed", file=sys.stderr)
-        return 2
+        L = None if task in _OWN_OPERATOR else _build_operator(cfg["operator"])
+        results = TASKS[task][1](L, cfg.get("params", {}), eff_seed, eff_workers, out_dir)
+        code, status, line = 0, "ok", None
     except ConfigInvalid as exc:
         print(f"config invalid at {exc.field or '<root>'}: {exc}", file=sys.stderr)
         return 3
+    except _CheckFailed as exc:
+        code, status, line = 2, "assumption-failure", "assumption check failed"
+        results = exc.results
     except _ASSUMPTION_ERRORS as exc:
-        _write_summary(
-            out_dir, task, cfg, eff_seed, eff_workers,
-            {"error": type(exc).__name__, "message": str(exc)}, "assumption-failure",
-        )
-        print(f"{task}: {exc}", file=sys.stderr)
-        return 2
+        code, status, line = 2, "assumption-failure", str(exc)
+        results = {"error": type(exc).__name__, "message": str(exc)}
     except (KimuraError, ValueError, OSError, KeyError) as exc:
-        _write_summary(
-            out_dir, task, cfg, eff_seed, eff_workers,
-            {"error": type(exc).__name__, "message": str(exc)}, "error",
-        )
-        print(f"{task}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    _write_summary(out_dir, task, cfg, eff_seed, eff_workers, results, "ok")
-    return 0
+        code, status, line = 1, "error", f"{type(exc).__name__}: {exc}"
+        results = {"error": type(exc).__name__, "message": str(exc)}
+    _write_summary(out_dir, task, cfg, eff_seed, eff_workers, results, status)
+    if line is not None:
+        print(f"{task}: {line}", file=sys.stderr)
+    return code
 
 
 def main(argv: list | None = None) -> int:
@@ -866,7 +819,7 @@ def main(argv: list | None = None) -> int:
         description="Corner-domain degenerate diffusions: simulation, solves, checks.",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    for name in _IMPLS:
+    for name in TASKS:
         p = sub.add_parser(name, help=f"run the {name} task")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

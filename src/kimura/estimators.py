@@ -40,15 +40,7 @@ __all__ = [
     "corner_hit_probability",
     "transverse_occupation",
     "doubling_ratio",
-    "stratum_key",
 ]
-
-
-def stratum_key(stratum: StratumId) -> str:
-    """Canonical string form of a stratum: ``"interior"`` or ``"1+3"``."""
-    if not stratum:
-        return "interior"
-    return "+".join(str(f) for f in sorted(stratum))
 
 
 def _domain_extent(dom) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:

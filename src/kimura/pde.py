@@ -251,14 +251,9 @@ def _probe_speed_scale(
 # --------------------------------------------------------------------------
 
 
-def _graded_nodes(edge: float, M: int, grade_left: bool, grade_right: bool) -> np.ndarray:
+def _graded_nodes(edge: float, M: int, grade_right: bool) -> np.ndarray:
     u = np.linspace(0.0, 1.0, M + 1)
-    if grade_left and grade_right:
-        u = u * u * (3.0 - 2.0 * u)
-    elif grade_left:
-        u = u * u
-    elif grade_right:
-        u = u * (2.0 - u)
+    u = u * u * (3.0 - 2.0 * u) if grade_right else u * u
     return edge * u
 
 
@@ -321,7 +316,7 @@ class Grid1D:
         if M < 8:
             raise GridTooCoarse(f"need at least 8 cells, got {M}")
         ss = _probe_speed_scale(a_fn, b_fn, edge)
-        nodes = _graded_nodes(edge, M, grade_left=True, grade_right=ss.kind == "beta")
+        nodes = _graded_nodes(edge, M, grade_right=ss.kind == "beta")
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         lo = np.concatenate(([nodes[0]], mid))
         hi = np.concatenate((mid, [nodes[-1]]))

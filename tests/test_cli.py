@@ -113,6 +113,27 @@ def test_runtime_error_exits_one(tmp_path):
     assert _summary(out)["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "task, operator, params",
+    [
+        ("decompose", WF, {"p0": [0.3], "dt": 2.0, "n_paths": 8, "t": 8.0}),
+        (
+            "occupation",
+            {"preset": "wright-fisher", "params": {"N": 2, "b": [0.0, 0.0, 0.5]}},
+            {"p0": [0.3, 0.3], "dt": 2.0, "n_paths": 20, "T": 8.0, "eps": [0.2, 0.5]},
+        ),
+    ],
+    ids=["decompose", "occupation"],
+)
+def test_a_step_longer_than_one_runs_at_the_task_horizon(tmp_path, task, operator, params):
+    """The simulation horizon is the task's own, so ``dt > 1`` is a valid step
+    whenever it does not exceed that horizon."""
+    out = tmp_path / "out"
+    cfg = _base(task, out, operator=operator, params=params)
+    assert cli.main([task, "--config", _write(tmp_path, cfg)]) == 0
+    assert _summary(out)["status"] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------

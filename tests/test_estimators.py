@@ -14,7 +14,6 @@ from kimura.estimators import (
     decompose_ensemble,
     doubling_ratio,
     hitting_histogram,
-    stratum_key,
     transverse_occupation,
 )
 from kimura.geometry import CornerBox, Point, Simplex
@@ -31,11 +30,6 @@ from kimura import pde, sde
 
 
 CFG = SimConfig(dt=1e-3, T=1.0, seed=9)
-
-
-def test_stratum_key_canonical_form():
-    assert stratum_key(frozenset()) == "interior"
-    assert stratum_key(frozenset({3, 1})) == "1+3"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from kimura.pde import (
     _MARCH_BLOCK,
     Grid1D,
     SpeedScale,
-    _graded_nodes,
     _march,
     _spd_step,
     caloric_density,
@@ -276,15 +275,6 @@ def test_backward_march_is_positivity_preserving(wf):
     f = lambda x: np.maximum(0.0, 0.25 - np.abs(x - 0.5))
     res = solve_backward(wf, f, 0.5, 1e-3, M=200)
     assert res.min_value >= -1e-12
-
-
-def test_right_grading_refines_toward_the_right_end_only():
-    nodes = _graded_nodes(2.0, 40, grade_left=False, grade_right=True)
-    widths = np.diff(nodes)
-    assert nodes[0] == 0.0 and nodes[-1] == 2.0
-    assert np.all(widths > 0.0)
-    assert np.all(np.diff(widths) < 0.0)  # every cell finer than the one before
-    assert widths[-1] == widths.min() < widths[0]
 
 
 def test_grid_too_coarse():
