@@ -114,6 +114,30 @@ def test_product_occupation_is_pinned(workers):
     assert _ensemble_sha(ens) == "9aea4007c90727a2b186a45a3bab0d1d54e231dbf9aadf788248880a7ce512d0"
 
 
+@pytest.mark.parametrize(
+    "strategy, L, sha",
+    [
+        ("diag", KimuraOperator(dom=CornerBox(3, 1, 3.0, 1.5), b=(0.0, PolyField(((0.5, (0, 1, 0), (0,)),), 3, 1), 0.8),
+                        d=((0.7,),), e=(0.3,)),
+         "1d6edbaafd7357070420b98748f1bdcc7c01acdb6c4394c2a486e7466317dad5"),
+        ("diag+chol", KimuraOperator(dom=CornerBox(2, 2, 3.0, 1.5), b=(0.0, 0.6), d=((1.0, 0.3), (0.3, 0.5))),
+         "053e4a92b8579a2fb5ea1ccd0de5a527cd6c40f7b7f3561a2a272235dac0df9a"),
+        ("generic", KimuraOperator(dom=CornerBox(2, 1, 3.0, 1.5), b=(0.0, 0.7), c=((0.2,), (0.0,))),
+         "aa36b8afb7c1d14e26b9a6638ff887f529c0cae9bf7ea57798990b32750729c0"),
+    ],
+    ids=["diag", "diag+chol", "generic"],
+)
+def test_y_coordinates_are_pinned(strategy, L, sha):
+    """One ensemble with ``y`` coordinates per y-noise strategy: tangent
+    hits, occupation of the transverse face and, under ``diag`` and
+    ``diag+chol``, ``y`` reflected at the outer edge 1.5."""
+    cfg = SimConfig(dt=2e-3, T=1.5, seed=5, occupation_eps=(0.05, 0.2))
+    ens = simulate_ensemble(L, Point([0.2] * L.n, [0.1] * L.m), cfg, 300, collect_events=True)
+    assert L._noise_strategy == strategy
+    assert ens.first_hit_face.any() and ens.occupation.sum() > 0
+    assert _ensemble_sha(ens) == sha
+
+
 def _count_cohorts(monkeypatch) -> list:
     """Count the engine's cohort loops: one ``_advance`` call per cohort."""
     calls = []
