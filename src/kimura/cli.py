@@ -151,6 +151,8 @@ def validate_config(cfg: dict, task: str) -> None:
     """Strict-schema validation; raises :class:`ConfigInvalid` on any drift."""
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config root must be an object", field="")
+    if task not in TASKS:
+        raise ConfigInvalid(f"unknown task {task!r}; known: {', '.join(sorted(TASKS))}", field="task")
     _check_fields(cfg, _TOP_SPEC, "")
     if cfg["version"] != _SCHEMA_VERSION:
         raise ConfigInvalid(

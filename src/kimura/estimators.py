@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyBin, FaceNotTangent, KimuraError
-from .geometry import Point, Simplex, StratumId, face_distance_rows, restrict_rows
+from .geometry import Point, Simplex, StratumId, face_column, face_distance_rows, restrict_rows
 from .operator import KimuraOperator
 from . import sde
 
@@ -43,14 +43,11 @@ __all__ = [
 ]
 
 
-def _domain_extent(dom) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+def _domain_extent(dom) -> list[tuple[float, float]]:
     """Per-coordinate (lo, hi) ranges for histogram bins, x then y."""
     if isinstance(dom, Simplex):
-        return [(0.0, 1.0)] * dom.N, []
-    return (
-        [(0.0, dom.radius)] * dom.n,
-        [(-dom.y_radius, dom.y_radius)] * dom.m,
-    )
+        return [(0.0, 1.0)] * dom.N
+    return [(0.0, dom.radius)] * dom.n + [(-dom.y_radius, dom.y_radius)] * dom.m
 
 
 def _binomial_stderr(count: int, n: int) -> float:
@@ -88,18 +85,12 @@ class TransitionDecomposition:
         return self.masses.get(frozenset(stratum), (0.0, 0.0))
 
 
-def _free_columns(dom, stratum: StratumId) -> list[int]:
-    """Original-coordinate columns not pinned by the stratum's faces."""
-    if isinstance(dom, Simplex):
-        n, m = dom.N, 0
-        pinned = {f - 1 for f in stratum if f <= n}
-        # the slack face pins no single coordinate; its constraint shows up in
-        # the surviving coordinates' values
-        return [i for i in range(n) if i not in pinned]
-    pinned = {f - 1 for f in stratum}
-    return [i for i in range(dom.n) if i not in pinned] + [
-        dom.n + l for l in range(dom.m)
-    ]
+def _free_columns(L: KimuraOperator, stratum: StratumId) -> list[int]:
+    """Original-coordinate columns not pinned by the stratum's faces.  The
+    simplex slack face pins no single column (:func:`face_column` is None);
+    its constraint shows up in the surviving coordinates' values."""
+    pinned = {face_column(f, L.dom) for f in stratum}
+    return [c for c in range(L.dim) if c not in pinned]
 
 
 def decompose(
@@ -127,8 +118,7 @@ def decompose_ensemble(
 ) -> TransitionDecomposition:
     """Reduce an existing ensemble to a :class:`TransitionDecomposition`."""
     n = ens.n_paths
-    x_ext, y_ext = _domain_extent(L.dom)
-    extent = x_ext + y_ext
+    extent = _domain_extent(L.dom)
     counts: dict[StratumId, int] = {}
     masses: dict[StratumId, tuple[float, float]] = {}
     loc_hists: dict[StratumId, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
@@ -142,7 +132,7 @@ def decompose_ensemble(
         rows = np.flatnonzero(inv == u_idx)
         counts[stratum] = rows.size
         masses[stratum] = (rows.size / n, _binomial_stderr(rows.size, n))
-        cols = _free_columns(L.dom, stratum)
+        cols = _free_columns(L, stratum)
         if not cols:
             loc_hists[stratum] = ((), np.array(rows.size))
             continue
@@ -243,10 +233,8 @@ def hitting_histogram(
     else:
         n_paths = ens.n_paths
     time_edges = _as_edges(time_bins, 0.0, ens.T)
-    x_ext, y_ext = _domain_extent(L.dom)
-    extent = x_ext + y_ext
-    n = L.n
-    free_cols = restrict_rows(np.arange(n), face, L.dom).tolist() + [n + l for l in range(L.m)]
+    extent = _domain_extent(L.dom)
+    free_cols = restrict_rows(np.arange(L.dim), face, L.dom).tolist()
     if np.isscalar(loc_bins) or isinstance(loc_bins, np.ndarray):
         loc_edges = tuple(_as_edges(loc_bins, *extent[c]) for c in free_cols)
     else:

@@ -491,7 +491,6 @@ class KimuraOperator:
     d: tuple | None = None
     e: tuple | None = None
     lead: tuple | None = None
-    name: str = ""
 
     def __post_init__(self):
         n, m = self.dom.n, self.dom.m
@@ -823,7 +822,6 @@ class KimuraOperator:
             d=tuple(tuple(R(f) for f in row) for row in self.d),
             e=tuple(R(f) for f in self.e),
             lead=tuple(R(self.lead[i]) for i in keep),
-            name=f"{self.name}|face{face}" if self.name else "",
         )
 
     def _restrict_field(self, f: CoefficientField, face: int) -> CoefficientField:
@@ -882,7 +880,6 @@ class KimuraOperator:
             d=tuple(tuple(xf(f, 1.0) for f in row) for row in self.d),
             e=tuple(xf(f, root) for f in self.e),
             lead=tuple(xf(f, 1.0) for f in self.lead),
-            name=f"{self.name}@λ={lam:g}" if self.name else "",
         )
 
     # -- SDE coefficients --------------------------------------------------------
@@ -999,7 +996,7 @@ class _EulerUpdate:
     """
 
     def __init__(self, op: KimuraOperator, dt: float, raw: bool = False):
-        self.n, self.dt, self.raw = op.n, dt, raw
+        self.n, self.m, self.dt, self.raw = op.n, op.m, dt, raw
         self._fields = [_drop_zero_terms(f) for f in (*op.b, *op.e)]
         consts = [f.const for f in self._fields]
         if all(c is not None for c in consts):
@@ -1027,25 +1024,21 @@ class _EulerUpdate:
         #: precomputed arrays by their bits
         self.key = (self.n, dt, raw, self.drift, drift, self.noise, noise)
 
-    def __call__(self, x: np.ndarray, y: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(x′, y′)`` for rows ``(x, y)`` and scaled normals ``η``; the
-        inputs are left as they are."""
-        n = self.n
-        xp = np.maximum(x, 0.0) if self.raw else x
-        gx, gy = self._noise(xp, y, eta)
+    def __call__(self, z: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """``z′`` for rows ``z = (x | y)`` and scaled normals ``η``; ``z`` is
+        left as it is."""
+        xp = z[:, : self.n] if self.m else z
+        if self.raw:
+            xp = np.maximum(xp, 0.0)
+        g = self._noise(xp, z, eta)
         if self.drift == "zero":
-            return np.add(x, gx, out=gx), (y if gy is None else np.add(y, gy, out=gy))
+            return np.add(z, g, out=g)
         if self.drift == "constant":
-            xn = _by_columns(np.add, x, self._bdt[:n])
+            zn = _by_columns(np.add, z, self._bdt, np.empty(z.shape))
         else:
-            dd = self._drift_dt(xp, y)
-            xn = x + dd[:, :n]
-        xn += gx
-        if gy is None:
-            return xn, y
-        yn = _by_columns(np.add, y, self._bdt[n:]) if self.drift == "constant" else y + dd[:, n:]
-        yn += gy
-        return xn, yn
+            zn = z + self._drift_dt(xp, z[:, self.n :])
+        zn += g
+        return zn
 
     def _drift_dt(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty((x.shape[0], len(self._fields)))
@@ -1053,39 +1046,40 @@ class _EulerUpdate:
             np.multiply(f.eval(x, y), self.dt, out=out[:, i])
         return out
 
-    def _noise(self, x, y, eta) -> tuple[np.ndarray, np.ndarray | None]:
-        """``G·η`` at ``x ≥ 0`` as fresh x and y blocks (y None without y
-        coordinates)."""
+    def _noise(self, x: np.ndarray, z: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """``G·η`` at ``x ≥ 0``, the corner block of the rows ``z``, as one
+        fresh array of ``z``'s shape."""
         n, op = self.n, self._op
-        if self.noise == "wf":
+        if self.noise == "wf":  # a simplex: x is all of z
             if n > 1:
-                return _wf_noise(x, eta), None
+                return _wf_noise(x, eta)
             g = x * (1.0 - x)  # the factor's one pivot, with q₀ = 1
             np.maximum(g, 0.0, out=g)
             np.sqrt(g, out=g)
             g *= eta
-            return g, None
+            return g
         if self.noise == "generic":
-            g = op.noise_increment(x, y, eta)
-            return g[:, :n], (g[:, n:] if op.m else None)
+            return op.noise_increment(x, z[:, n:], eta)
+        g = np.empty(z.shape)
+        gx = g[:, :n] if self.m else g
         if self._two_lead is not None:
-            gx = _by_columns(np.multiply, x, self._two_lead)
+            _by_columns(np.multiply, x, self._two_lead, gx)
         else:
-            gx = x * (2.0 * np.column_stack([f.eval(x, y) for f in op.lead]))
+            np.multiply(x, 2.0 * np.column_stack([f.eval(x, z[:, n:]) for f in op.lead]), out=gx)
         np.sqrt(gx, out=gx)
         gx *= eta[:, :n]
-        if not op.m:
-            return gx, None
-        if self.noise == "diag":
-            return gx, self._y_factor * eta[:, n:]
-        return gx, eta[:, n:] @ self._y_factor
+        if self.m:
+            if self.noise == "diag":
+                _by_columns(np.multiply, eta[:, n:], self._y_factor, g[:, n:])
+            else:
+                g[:, n:] = eta[:, n:] @ self._y_factor
+        return g
 
 
-def _by_columns(ufunc, a: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``ufunc(a, row)`` for rows ``a`` and one short ``row``, one column at
-    a time: numpy broadcasts a short row as an inner loop of its length,
-    several times slower than one call per column."""
-    out = np.empty(a.shape)
+def _by_columns(ufunc, a: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(a, row)`` into ``out`` for rows ``a`` and one short ``row``,
+    one column at a time: numpy broadcasts a short row as an inner loop of
+    its length, several times slower than one call per column."""
     for j in range(a.shape[1]):
         ufunc(a[:, j], row[j], out=out[:, j])
     return out
@@ -1101,7 +1095,6 @@ def model1d(b: float, radius: float = 1.0) -> KimuraOperator:
     return KimuraOperator(
         dom=CornerBox(1, 0, radius),
         b=(float(b),),
-        name=f"model1d(b={b:g})",
     )
 
 
@@ -1135,7 +1128,6 @@ def wright_fisher(N: int, b: Sequence[float]) -> KimuraOperator:
         b=drift,
         a=tuple(tuple(mhalf for _ in range(N)) for _ in range(N)),
         lead=tuple(half for _ in range(N)),
-        name=f"wright-fisher(N={N})",
     )
 
 
@@ -1189,7 +1181,6 @@ def product_operator(*factors: KimuraOperator) -> KimuraOperator:
         d=tuple(tuple(r) for r in d),
         e=tuple(e),
         lead=tuple(lead),
-        name="product(" + ", ".join(f.name or "?" for f in factors) + ")",
     )
 
 
@@ -1206,7 +1197,6 @@ def remark_counterexample(radius: float = 32.0) -> KimuraOperator:
     return KimuraOperator(
         dom=CornerBox(2, 0, radius),
         b=(b1, b2),
-        name="remark-counterexample",
     )
 
 

@@ -48,7 +48,7 @@ raises :class:`~kimura.errors.KimuraError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -280,7 +280,6 @@ class Grid1D:
     dirichlet_right: bool
     face_left: int | None
     face_right: int | None
-    ss: SpeedScale = field(repr=False, compare=False)
 
     @property
     def edge(self) -> float:
@@ -344,7 +343,6 @@ class Grid1D:
             dirichlet_right,
             face_left,
             face_right,
-            ss,
         )
 
     @classmethod

@@ -34,6 +34,17 @@ live paths' rows are found through an index aligned with the state.
 Paths restricted to a face are keyed afresh in their child level's call, so
 no path joins a block midway.
 
+A path's state is one row ``z = (x | y)`` from the Euler step to the
+record, the layout of ``EnsembleResult.terminal_xy`` and of the noise slots:
+the queue, the step, the hit buffers and the terminal and first-hit records
+all carry that one array.  The ``x`` and ``y`` blocks are views of it, taken
+only where the drift, the noise or the box reflection reads them, and a
+level's rows reach original-domain rows through
+:func:`~kimura.geometry.embed_rows` on the last axis, which leaves the ``y``
+columns as they are.  :func:`_simulate_cohort` fills the
+:class:`EnsembleResult` it returns, with occupation held in steps until the
+run ends.
+
 No path's output depends on its row, so the engine reorders rows freely:
 it compacts by tail-fill (``_tail_fill``), counts occupation in steps
 (``_count_seconds``) and routes hits once per level (``_route_hits``).
@@ -273,7 +284,8 @@ class _Level:
     when its distance from that column
     (:func:`~kimura.geometry.column_distance_rows`) is at most ``tol``.  The
     transverse faces whose original face has a row in ``tracked_rows`` are
-    tracked, held as ``(id, column, occupation row)``.
+    tracked, held as ``(id, column, occupation row)``; every child keeps its
+    parent's ``tracked_rows``.
 
     ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
     (drift and noise at ``x⁺``).  :meth:`step` adds the domain step: the
@@ -293,6 +305,7 @@ class _Level:
                  raw: bool = False, parent: "_Level | None" = None, via_face: int | None = None):
         dom = self.dom = op.dom
         self.op, self.parent, self.via_face = op, parent, via_face
+        self.n, self.m, self.tracked_rows = op.n, op.m, tracked_rows
         if parent is None:
             self.face_orig = {f: f for f in dom.face_ids}
             self.stratum_bits, self.slots = 0, np.arange(op.dim, dtype=np.uint64)
@@ -314,30 +327,32 @@ class _Level:
         self.ties = len(self.tangent) > 1 and op.dim > 1
         self.key = (self.update.key, dom, self.tangent, self.ties, self.tracked)
 
-    def child(self, face: int, tracked_rows: dict[int, int]) -> "_Level":
-        """The level inside the tangent face ``face``, at this level's ``dt``
-        and scheme."""
+    def child(self, face: int) -> "_Level":
+        """The level inside the tangent face ``face``, at this level's
+        ``dt``, scheme and tracked rows."""
         op = self.op.restrict(face)
-        return _Level(op, op.classify_faces(), self.update.dt, tracked_rows, self.update.raw, self, face)
+        return _Level(op, op.classify_faces(), self.update.dt, self.tracked_rows, self.update.raw, self, face)
 
-    def to_root(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Rows of this level's coordinates → original-domain (x, y) rows."""
+    def to_root(self, z: np.ndarray) -> np.ndarray:
+        """Rows ``(x | y)`` of this level's coordinates → original-domain
+        rows (``z`` itself at the root)."""
         lvl = self
         while lvl.parent is not None:
-            x = embed_rows(x, lvl.via_face, lvl.parent.dom)
+            z = embed_rows(z, lvl.via_face, lvl.parent.dom)
             lvl = lvl.parent
-        return np.concatenate([x, y], axis=1)
+        return z
 
-    def step(self, x, y, eta):
-        """``(x′, y′, ov)`` one step on from rows ``(x, y)`` with the scaled
+    def step(self, z, eta):
+        """``(z′, ov)`` one step on from rows ``z = (x | y)`` with the scaled
         normals ``η``: ``ov`` row ``f − 1`` is each path's overshoot past face
         ``f``, or None when no tie needs it.  A box reflects only when some
         row is past its outer edge: for ``x ≤ r``, ``2r − x ≥ r ≥ x``."""
-        x, y = self.update(x, y, eta)
-        dom, nx = self.dom, x.shape[1]
+        z = self.update(z, eta)
+        dom, nx = self.dom, self.n
+        x = z[:, :nx] if self.m else z  # a view: the domain step writes z
         ov = None
         if self.ties:
-            ov = np.empty((self.n_faces, x.shape[0]))
+            ov = np.empty((self.n_faces, z.shape[0]))
             np.maximum(-x.T, 0.0, out=ov[:nx])
         if not self.update.raw:
             np.maximum(x, 0.0, out=x)
@@ -352,27 +367,29 @@ class _Level:
             r, ry = dom.radius, dom.y_radius
             if nx and r != math.inf and not x.max() <= r:
                 np.minimum(x, np.maximum(2.0 * r - x, 0.0), out=x)
-            if y.shape[1] and ry != math.inf and not (y.max() <= ry and y.min() >= -ry):
-                y = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
-        return x, y, ov
+            if self.m and ry != math.inf:
+                y = z[:, nx:]
+                if not (y.max() <= ry and y.min() >= -ry):
+                    y[...] = np.clip(np.where(y > ry, 2 * ry - y, np.where(y < -ry, -2 * ry - y, y)), -ry, ry)
+        return z, ov
 
-    def hits(self, x, ov) -> np.ndarray | None:
+    def hits(self, z, ov) -> np.ndarray | None:
         """Per-path hit face id (0 = none), or None when no path lies on a
         tangent face: of the tangent faces a path lies on, the one it
         overshot deepest (``ov`` None counts as no overshoot), the first in
         face order on a tie."""
         face = best = None
         for f, col, tol in self.tangent:
-            on = (column_distance_rows(x, col) <= tol).nonzero()[0]
+            on = (column_distance_rows(z, col) <= tol).nonzero()[0]
             if not on.size:
                 continue
             if face is None:
-                face = np.zeros(x.shape[0], dtype=np.int64)
+                face = np.zeros(z.shape[0], dtype=np.int64)
             if not self.ties:  # no path lies on two tangent faces
                 face[on] = f
                 continue
             if best is None:
-                best = np.full(x.shape[0], -np.inf)
+                best = np.full(z.shape[0], -np.inf)
             sc = np.zeros(on.size) if ov is None else ov[f - 1, on]
             deeper = sc > best[on]
             face[on[deeper]] = f
@@ -385,27 +402,6 @@ class _Level:
 # ---------------------------------------------------------------------------
 
 
-class _Collector:
-    def __init__(self, k: int, dim: int, cfg: SimConfig, tracked_ids, collect_events: bool):
-        self.term_time = np.full(k, np.nan)
-        self.term_xy = np.full((k, dim), np.nan)
-        self.term_bits = np.zeros(k, dtype=np.uint32)
-        self.first_time = np.full(k, np.nan)
-        self.first_face = np.zeros(k, dtype=np.int32)
-        self.first_xy = np.full((k, dim), np.nan)
-        n_eps = len(cfg.occupation_eps)
-        self.tracked_rows = {f: i for i, f in enumerate(tracked_ids)}
-        # steps each path ended within each threshold of each tracked face,
-        # over all its levels; ``occ`` is these in seconds, set at the end
-        self.occ_steps = (
-            np.zeros((k, len(tracked_ids), n_eps), dtype=np.int64) if n_eps and tracked_ids else None
-        )
-        self.occ: np.ndarray | None = None
-        self.events: list[list[HitEvent]] | None = (
-            [[] for _ in range(k)] if collect_events else None
-        )
-
-
 def _simulate_cohort(
     L: KimuraOperator,
     p0: Point,
@@ -413,38 +409,51 @@ def _simulate_cohort(
     path_ids: np.ndarray,
     collect_events: bool,
     stop: "_CornerStop | None" = None,
-) -> tuple[_Collector, tuple[int, ...], FaceClassification]:
+) -> EnsembleResult:
     """Run the paths ``path_ids`` from ``p0``; under a corner ``stop`` no
     face is classified, absorbs or is tracked.  A ``p0`` of the wrong
     dimension or outside the domain raises :class:`PointOutsideDomain`."""
     classify_point(p0, L.dom)
     if cfg.n_steps > _MAX_STEPS:
         raise MaxStepsExceeded(f"T/dt = {cfg.n_steps} steps exceeds {_MAX_STEPS}")
-    k = len(path_ids)
-    dim = L.dim
+    k, dim, n_eps = len(path_ids), L.dim, len(cfg.occupation_eps)
     fc = L.classify_faces() if stop is None else FaceClassification(frozenset(), frozenset(), {}, math.inf)
-    tracked_ids = tuple(sorted(fc.transverse)) if cfg.occupation_eps else ()
-    res = _Collector(k, dim, cfg, tracked_ids, collect_events)
+    tracked_ids = tuple(sorted(fc.transverse)) if n_eps else ()
+    res = EnsembleResult(
+        n_paths=k,
+        dt=cfg.dt,
+        T=cfg.T,
+        seed=cfg.seed,
+        terminal_time=np.full(k, np.nan),
+        terminal_xy=np.full((k, dim), np.nan),
+        strata_bits=np.zeros(k, dtype=np.uint32),
+        first_hit_time=np.full(k, np.nan),
+        first_hit_face=np.zeros(k, dtype=np.int32),
+        first_hit_xy=np.full((k, dim), np.nan),
+        # in steps, over all of a path's levels, until the run ends
+        occupation=np.zeros((k, len(tracked_ids), n_eps), dtype=np.int64) if tracked_ids else None,
+        tracked_faces=tracked_ids,
+        occupation_eps=cfg.occupation_eps,
+        classification=fc,
+        events=[[] for _ in range(k)] if collect_events else None,
+    )
+    root = _Level(L, fc, cfg.dt, {f: i for i, f in enumerate(tracked_ids)}, raw=stop is not None)
     # the queue alone holds each cohort's arrays, so _advance can release them
-    queue: list[tuple[_Level, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = [(
-        _Level(L, fc, cfg.dt, res.tracked_rows, raw=stop is not None),
-        np.tile(np.asarray(p0.x, dtype=float), (k, 1)),
-        np.tile(np.asarray(p0.y, dtype=float), (k, 1)),
-        np.zeros(k, dtype=np.int64),
-        np.arange(k),
-    )]
+    queue: list[tuple[_Level, np.ndarray, np.ndarray, np.ndarray]] = [
+        (root, np.tile(np.concatenate([p0.x, p0.y]), (k, 1)), np.zeros(k, dtype=np.int64), np.arange(k))
+    ]
     while queue:  # the last entry, with every queued entry whose level steps alike
         key = queue[-1][0].key
         group = [e for e in queue if e[0].key == key]
         queue[:] = [e for e in queue if e[0].key != key]
         _advance(group, path_ids, res, cfg, dim, queue, stop)
-    if np.any(np.isnan(res.term_time)):
+    if np.any(np.isnan(res.terminal_time)):
         raise KimuraError("internal: some paths finished without a terminal record")
-    hit = res.first_face[:, None] > 0
-    _check_finite(np.concatenate([res.term_xy, np.where(hit, res.first_xy, 0.0)], axis=1), path_ids)
-    if res.occ_steps is not None:
-        res.occ = _count_seconds(res.occ_steps, cfg.dt)
-    return res, tracked_ids, fc
+    hit = res.first_hit_face[:, None] > 0
+    _check_finite(np.concatenate([res.terminal_xy, np.where(hit, res.first_hit_xy, 0.0)], axis=1), path_ids)
+    if res.occupation is not None:
+        res.occupation = _count_seconds(res.occupation, cfg.dt)
+    return res
 
 
 def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
@@ -468,7 +477,7 @@ def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
-    """Step the queue entries ``group``, each ``(level, x, y, steps, rows)``
+    """Step the queue entries ``group``, each ``(level, z, steps, rows)``
     with levels of one key, as one cohort, until each path hits a tangent
     face, meets the corner ``stop`` or reaches the horizon.  ``steps`` holds
     each path's step count on entry; every live path takes the same steps
@@ -484,41 +493,41 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
     levels = [e[0] for e in group]
     level = levels[0]  # every level of the group steps alike
     keys = np.concatenate(
-        [_rng.stream_keys(cfg.seed, path_ids[r], s, lvl.slots, stride) for lvl, _, _, s, r in group]
+        [_rng.stream_keys(cfg.seed, path_ids[r], s, lvl.slots, stride) for lvl, _, s, r in group]
     )
-    x, y, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
-    lv = np.repeat(np.arange(len(group)), [e[4].size for e in group])
+    z, steps, rows = (np.concatenate(parts) for parts in zip(*(e[1:] for e in group)))
+    lv = np.repeat(np.arange(len(group)), [e[3].size for e in group])
     group.clear()
     eps = np.asarray(cfg.occupation_eps)[:, None]
     occ_rows = np.array([row for *_, row in level.tracked], dtype=np.intp)
     # steps each live path ended within each threshold of each tracked face
-    cnt = np.zeros((occ_rows.size, eps.size, x.shape[0]), dtype=np.int32)
+    cnt = np.zeros((occ_rows.size, eps.size, z.shape[0]), dtype=np.int32)
     ov = None  # each path's overshoot past each face in the last step
     eta_blk, k_blk = (), 0  # the scaled noise block and the next step's row in it
-    pos = np.arange(x.shape[0])  # row in eta_blk of each live path
+    pos = np.arange(z.shape[0])  # row in eta_blk of each live path
     ran = 0
     s_max = int(steps.max(initial=0))  # at least the live paths' largest entry count
-    # copies of (x, y, steps, rows, face, lv) of the paths that hit, in hit
+    # copies of (z, steps, rows, face, lv) of the paths that hit, in hit
     # order: each path hits at most once per level
-    hits = (np.empty_like(x), np.empty_like(y), np.empty_like(steps), np.empty_like(rows),
-            np.empty(x.shape[0], dtype=np.int64), np.empty_like(lv))
+    hits = (np.empty_like(z), np.empty_like(steps), np.empty_like(rows),
+            np.empty(z.shape[0], dtype=np.int64), np.empty_like(lv))
     n_hit = 0
-    while x.shape[0]:
+    while z.shape[0]:
         # --- absorption detection on the current states -------------------
-        hit_face = level.hits(x, ov)
+        hit_face = level.hits(z, ov)
         gone = None  # the rows that leave the level at this state
         if hit_face is not None:
             gone = hit_face != 0
             h = gone.nonzero()[0]
-            recs = (x[h], y[h], steps[h] + ran, rows[h], hit_face[h], lv[h])
+            recs = (z[h], steps[h] + ran, rows[h], hit_face[h], lv[h])
             for buf, rec in zip(hits, recs):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
         if stop is not None:  # its level has no tangent face, so no hit
-            left = stop.passed(x, steps, ran, rows)
+            left = stop.passed(z, steps, ran, rows)
             if np.count_nonzero(left):
                 for lvl, i in _per_level(levels, lv, left.nonzero()[0]):
-                    _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), x[i], y[i])
+                    _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), z[i])
                 gone = left
         # --- horizon ------------------------------------------------------
         horizon = s_max + ran >= n_total
@@ -528,14 +537,14 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
                 done &= ~gone
             if np.count_nonzero(done):
                 for lvl, i in _per_level(levels, lv, done.nonzero()[0]):
-                    _set_terminal(res, lvl, rows[i], T, x[i], y[i])
+                    _set_terminal(res, lvl, rows[i], T, z[i])
                 gone = done if gone is None else gone | done
         if gone is not None:
             out = gone.nonzero()[0]
             if cnt.size:
-                res.occ_steps[rows[out, None], occ_rows] += cnt[..., out].transpose(2, 0, 1)
-            cnt, x, y, steps, rows, pos, keys, lv = _tail_fill(out, cnt, x, y, steps, rows, pos, keys, lv)
-            if not x.shape[0]:
+                res.occupation[rows[out, None], occ_rows] += cnt[..., out].transpose(2, 0, 1)
+            cnt, z, steps, rows, pos, keys, lv = _tail_fill(out, cnt, z, steps, rows, pos, keys, lv)
+            if not z.shape[0]:
                 break
         if horizon:
             s_max = int(steps.max())
@@ -543,24 +552,24 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
         if k_blk == len(eta_blk):
             n_blk = max(
                 1,
-                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (level.slots.size * x.shape[0])),
+                min(n_total - int(steps.min()) - ran, _BLOCK_NORMALS // (level.slots.size * z.shape[0])),
             )
             eta_blk = _rng.next_normals(keys, n_blk, stride)
             eta_blk *= math.sqrt(dt)
-            k_blk, pos = 0, np.arange(x.shape[0])
+            k_blk, pos = 0, np.arange(z.shape[0])
         eta = eta_blk[k_blk]
         k_blk += 1
         if pos.size < eta.shape[0]:
             eta = eta.take(pos, 0)
-        x, y, ov = level.step(x, y, eta)
+        z, ov = level.step(z, eta)
         ran += 1
         # --- occupation: count the steps ending near each tracked face -----
         for i, (_, col, _) in enumerate(level.tracked):  # a copied column compares faster
-            cnt[i] += np.ascontiguousarray(column_distance_rows(x, col)) < eps
+            cnt[i] += np.ascontiguousarray(column_distance_rows(z, col)) < eps
     if n_hit:
         bufs = [buf[:n_hit] for buf in hits]
-        for lvl, i in _per_level(levels, bufs[5], np.arange(n_hit)):
-            _route_hits(lvl, *(buf[i] for buf in bufs[:5]), res, cfg, queue)
+        for lvl, i in _per_level(levels, bufs[4], np.arange(n_hit)):
+            _route_hits(lvl, *(buf[i] for buf in bufs[:4]), res, cfg, queue)
 
 
 def _per_level(levels, lv, idx):
@@ -571,11 +580,14 @@ def _per_level(levels, lv, idx):
     return [(level, i) for level, i in parts if i.size]
 
 
-def _set_terminal(res, level, r, t, x, y) -> None:
-    """Paths ``r`` end at time ``t`` on ``level`` in rows ``(x, y)``, kept as ``(x⁺, y)``."""
-    res.term_time[r] = t
-    res.term_xy[r] = level.to_root(np.maximum(x, 0.0), y)
-    res.term_bits[r] = level.stratum_bits
+def _set_terminal(res, level, r, t, z) -> None:
+    """Paths ``r`` end at time ``t`` on ``level`` in the copied rows ``z``,
+    kept as ``(x⁺ | y)``: ``x`` is clamped in place."""
+    x = z[:, : level.n]
+    np.maximum(x, 0.0, out=x)
+    res.terminal_time[r] = t
+    res.terminal_xy[r] = level.to_root(z)
+    res.strata_bits[r] = level.stratum_bits
 
 
 def _check_finite(rows: np.ndarray, ids: np.ndarray) -> None:
@@ -591,8 +603,7 @@ def _tail_fill(out: np.ndarray, cnt: np.ndarray, *arrays: np.ndarray) -> list[np
     axis, and of each array, in place: the last rows that stay move into the
     holes below ``m = rows − len(out)``, and each array is cut to its first
     ``m`` rows.  This moves O(len(out)) rows, where a ``take`` copies every
-    row; the rows change order, which no path's result depends on.  Empty
-    arrays are only cut (a zero-column ``y`` may be read-only)."""
+    row; the rows change order, which no path's result depends on."""
     n = cnt.shape[-1]
     m = n - out.size
     j = int(np.searchsorted(out, m))
@@ -601,16 +612,15 @@ def _tail_fill(out: np.ndarray, cnt: np.ndarray, *arrays: np.ndarray) -> list[np
         stay[out[j:] - m] = False
         holes, fill = out[:j], stay.nonzero()[0] + m
         for a in arrays:
-            if a.size:
-                a[holes] = a[fill]
+            a[holes] = a[fill]
         if cnt.size:
             cnt[..., holes] = cnt[..., fill]
     return [cnt[..., :m], *(a[:m] for a in arrays)]
 
 
-def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
+def _route_hits(level, z, steps, rows, face, res, cfg, queue):
     """Record the hits of one level's cohort, once its loop has ended: rows
-    ``(x, y)`` where each path lay when it hit ``face``, at its step count
+    ``z`` where each path lay when it hit ``face``, at its step count
     ``steps``.  Paths that go on inside a face join that face's child cohort
     on ``queue``."""
     T, dt = cfg.T, cfg.dt
@@ -619,30 +629,29 @@ def _route_hits(level, x, y, steps, rows, face, res, cfg, queue):
     for f in np.unique(face):
         idx = (face == f).nonzero()[0]
         f = int(f)
-        xc = restrict_rows(x[idx], f, level.dom)
-        xh = embed_rows(xc, f, level.dom)  # the hit point, exactly on the face
-        yh = y[idx]
+        zc = restrict_rows(z[idx], f, level.dom)
+        zh = embed_rows(zc, f, level.dom)  # the hit point, exactly on the face
         t_hit = np.minimum(steps[idx] * dt, T)
         orig = level.face_orig[f]
         bits = level.stratum_bits | (1 << (orig - 1))
         terminal_here = cfg.stop_at_first_tangent_hit or level.op._face_is_point(f)
         if first or terminal_here:
-            emb = level.to_root(xh, yh)
+            emb = level.to_root(zh)
         if first:
-            res.first_time[rows[idx]] = t_hit
-            res.first_face[rows[idx]] = orig
-            res.first_xy[rows[idx]] = emb
+            res.first_hit_time[rows[idx]] = t_hit
+            res.first_hit_face[rows[idx]] = orig
+            res.first_hit_xy[rows[idx]] = emb
         if collect:
-            depth = bin(level.stratum_bits).count("1") + 1
+            depth, n = bin(level.stratum_bits).count("1") + 1, level.n
             for r, (row_i, t_i) in enumerate(zip(rows[idx], t_hit)):
-                loc = Point(xh[r], yh[r])
+                loc = Point(zh[r, :n], zh[r, n:])
                 res.events[row_i].append(HitEvent(float(t_i), f, loc, depth))
         if terminal_here:
-            res.term_time[rows[idx]] = t_hit if cfg.stop_at_first_tangent_hit else T
-            res.term_xy[rows[idx]] = emb
-            res.term_bits[rows[idx]] = bits
+            res.terminal_time[rows[idx]] = t_hit if cfg.stop_at_first_tangent_hit else T
+            res.terminal_xy[rows[idx]] = emb
+            res.strata_bits[rows[idx]] = bits
             continue
-        queue.append((level.child(f, res.tracked_rows), xc, yh, steps[idx], rows[idx]))
+        queue.append((level.child(f), zc, steps[idx], rows[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -728,24 +737,7 @@ def _run_chunked(fn, n_paths: int, workers: int, path_offset: int = 0, **kwargs)
 
 def _ensemble_chunk(L, p0, cfg, n_paths, path_offset, collect_events) -> EnsembleResult:
     path_ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    res, tracked_ids, fc = _simulate_cohort(L, p0, cfg, path_ids, collect_events)
-    return EnsembleResult(
-        n_paths=n_paths,
-        dt=cfg.dt,
-        T=cfg.T,
-        seed=cfg.seed,
-        terminal_time=res.term_time,
-        terminal_xy=res.term_xy,
-        strata_bits=res.term_bits,
-        first_hit_time=res.first_time,
-        first_hit_face=res.first_face,
-        first_hit_xy=res.first_xy,
-        occupation=res.occ,
-        tracked_faces=tracked_ids,
-        occupation_eps=cfg.occupation_eps,
-        classification=fc,
-        events=res.events,
-    )
+    return _simulate_cohort(L, p0, cfg, path_ids, collect_events)
 
 
 def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
@@ -804,10 +796,7 @@ class _CornerStop:
     def passed(self, x, steps, ran, rows) -> np.ndarray:
         """Record the first passages of the rows ``x`` of paths ``rows`` (at
         step ``steps + ran``) in ``below``; return the rows that leave."""
-        xp = np.maximum(x, 0.0)
-        S = xp[:, 0]
-        for j in range(1, xp.shape[1]):  # by columns: a sum along short rows is far slower
-            S = S + xp[:, j]
+        S = row_sums(np.maximum(x, 0.0))
         low = (S <= self.hi).nonzero()[0]
         if low.size:
             for j, e in enumerate(self.eps):
@@ -888,7 +877,7 @@ def _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset):
         raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
     ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     stop = _CornerStop(eps, float(s_freeze), n_paths)
-    res, _, _ = _simulate_cohort(L, p0, cfg, ids, False, stop)
+    res = _simulate_cohort(L, p0, cfg, ids, False, stop)
     hit = stop.below >= 0
     hit_time = np.where(hit, np.minimum(stop.below * cfg.dt, cfg.T), np.nan)
-    return hit, hit_time, res.term_xy.sum(axis=1)
+    return hit, hit_time, res.terminal_xy.sum(axis=1)

@@ -94,7 +94,6 @@ class AppendixOperator(KimuraOperator):
             dom=CornerBox(2, 0, 1.0),
             b=(field(b1), field(b2)),
             lead=(field(a11), field(a22)),
-            name="appendix-A",
         )
         object.__setattr__(self, "nu", float(nu))
 

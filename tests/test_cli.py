@@ -101,6 +101,15 @@ def test_task_mismatch_exits_three(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
+def test_unknown_task_exits_three(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = {"version": "1", "seed": 0, "out": str(out), "operator": WF}
+    assert cli.run_config("nope", cfg) == 3
+    err = capsys.readouterr().err
+    assert "config invalid at task" in err and "decompose" in err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_one(tmp_path):
     out = tmp_path / "out"
     cfg = _base(

@@ -440,7 +440,6 @@ def test_registry_round_trip():
     for name in PRESET_NAMES:
         assert isinstance(name, str)
     L = make_preset("model1d", b=0.3, radius=2.0)
-    assert L.name == "model1d(b=0.3)"
     assert L.b[0].const == 0.3
     assert L.dom.radius == 2.0
 

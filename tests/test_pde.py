@@ -16,6 +16,7 @@ from kimura.pde import (
     Grid1D,
     SpeedScale,
     _march,
+    _probe_speed_scale,
     _spd_step,
     caloric_density,
     dirichlet_kernel,
@@ -78,7 +79,7 @@ def test_beta_family_on_edge_two_matches_quadrature():
     its scale increments are the quadrature of ``s′`` over that constant."""
     a_fn = lambda t: 0.5 * t * (2.0 - t) / 2.0
     b_fn = lambda t: 0.2 - 0.275 * t
-    closed = Grid1D.from_coefficients(a_fn, b_fn, 2.0, 16, False, False).ss
+    closed = _probe_speed_scale(a_fn, b_fn, 2.0)
     assert closed.kind == "beta"
     assert (closed.weight_left, closed.weight_right) == pytest.approx((0.4, 0.7), rel=1e-12)
     m = lambda x: 4.0 * x**-0.6 * (2.0 - x) ** -0.3

@@ -229,10 +229,10 @@ def test_a_queued_cohort_is_released_once_its_loop_starts(monkeypatch):
             refs[:] = [weakref.ref(e[1]) for e in group]
         return advance(group, *args, **kwargs)
 
-    def spy_step(level, x, y, eta):
+    def spy_step(level, z, eta):
         if refs and not dead:
             dead.append([r() is None for r in refs])
-        return step(level, x, y, eta)
+        return step(level, z, eta)
 
     monkeypatch.setattr(sde, "_advance", spy_advance)
     monkeypatch.setattr(sde._Level, "step", spy_step)
@@ -263,16 +263,18 @@ def test_cohort_in_reversed_row_order_gives_reversed_results(case):
     array reversed, bit for bit."""
     L, p0, cfg, n, events = case
     ids = np.arange(n, dtype=np.uint64)
-    fwd, *_ = _simulate_cohort(L, p0, cfg, ids, events)
-    rev, *_ = _simulate_cohort(L, p0, cfg, ids[::-1].copy(), events)
-    for name in ("term_time", "term_xy", "term_bits", "first_time", "first_face", "first_xy", "occ"):
+    fwd = _simulate_cohort(L, p0, cfg, ids, events)
+    rev = _simulate_cohort(L, p0, cfg, ids[::-1].copy(), events)
+    for name in (
+        "terminal_time", "terminal_xy", "strata_bits", "first_hit_time", "first_hit_face", "first_hit_xy", "occupation"
+    ):
         a, b = getattr(fwd, name), getattr(rev, name)
         assert (a is None) == (b is None)
         if a is not None:
             assert a.tobytes() == np.ascontiguousarray(b[::-1]).tobytes(), name
     if events:
         assert _event_rows(fwd.events) == _event_rows(rev.events[::-1])
-    assert fwd.first_face.any() and (fwd.occ is not None) == bool(cfg.occupation_eps)
+    assert fwd.first_hit_face.any() and (fwd.occupation is not None) == bool(cfg.occupation_eps)
 
 
 def test_simulate_occupation_equals_its_ensemble_row():

@@ -191,10 +191,12 @@ def test_update_equals_drift_batch_and_noise_increment(name, dt):
         assert (upd.drift, upd.noise) == (drift, noise)
         z = x if raw else np.maximum(x, 0.0)
         want_x, want_y = _ref_update(L, z, y, eta, dt)
-        z0, y0 = z.copy(), y.copy()
-        got_x, got_y = upd(z, y, eta)
+        zy = np.concatenate([z, y], axis=1)
+        zy0 = zy.copy()
+        got = upd(zy, eta)
+        got_x, got_y = got[:, : L.n], got[:, L.n :]
         assert _same(got_x, want_x) and _same(got_y, want_y)
-        assert _same(z, z0) and _same(y, y0)  # the inputs are left as they are
+        assert _same(zy, zy0)  # the input is left as it is
 
 
 def _levels(L, dt, raw=False):
@@ -206,7 +208,7 @@ def _levels(L, dt, raw=False):
     except NotClean:
         fc = FaceClassification(frozenset(), frozenset(), {}, math.inf)
     root = sde._Level(L, fc, dt, {}, raw)
-    kids = [root.child(f, {}) for f in sorted(fc.tangent) if L.dim > 1]
+    kids = [root.child(f) for f in sorted(fc.tangent) if L.dim > 1]
     return [root, *kids]
 
 
@@ -223,18 +225,20 @@ def test_step_and_hits_equal_the_reference(name):
         x = np.maximum(xr, 0.0)
         eta = np.random.default_rng(9).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
         rx, ry, rov = _ref_step(level, x, y, eta, dt)
-        px, py, pov = level.step(x, y, eta)
+        pz, pov = level.step(np.concatenate([x, y], axis=1), eta)
+        px, py = pz[:, : L.n], pz[:, L.n :]
         assert _same(px, rx) and _same(py, ry)
         want = _ref_hits(level, rx, rov)
-        got = level.hits(px, pov)
+        got = level.hits(pz, pov)
         assert _same(np.zeros_like(want) if got is None else got, want)
         # the first test of a level sees no overshoot: face order breaks ties
         want0 = _ref_hits(level, x, np.zeros_like(rov))
-        got0 = level.hits(x, None)
+        got0 = level.hits(np.concatenate([x, y], axis=1), None)
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
         if isinstance(level.dom, CornerBox):  # a raw level leaves x below 0
             rx, ry, _ = _ref_step(level, xr, y, eta, dt, raw=True)
-            px, py, _ = raw_level.step(xr, y, eta)
+            pz, _ = raw_level.step(np.concatenate([xr, y], axis=1), eta)
+            px, py = pz[:, : L.n], pz[:, L.n :]
             assert _same(px, rx) and _same(py, ry)
 
 
