@@ -1070,7 +1070,7 @@ class _EulerUpdate:
         gx *= eta[:, :n]
         if self.m:
             if self.noise == "diag":
-                _by_columns(np.multiply, eta[:, n:], self._y_factor, g[:, n:])
+                np.multiply(eta[:, n:], self._y_factor, out=g[:, n:])
             else:
                 g[:, n:] = eta[:, n:] @ self._y_factor
         return g

@@ -365,6 +365,8 @@ class _Level:
                     ov[nx] = over
         else:
             r, ry = dom.radius, dom.y_radius
+            if self.m and z.max() <= min(r, ry) and z.min() >= -ry:
+                return z, ov  # every row inside, x and y in one check
             if nx and r != math.inf and not x.max() <= r:
                 np.minimum(x, np.maximum(2.0 * r - x, 0.0), out=x)
             if self.m and ry != math.inf:
@@ -527,7 +529,7 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
             left = stop.passed(z, steps, ran, rows)
             if np.count_nonzero(left):
                 for lvl, i in _per_level(levels, lv, left.nonzero()[0]):
-                    _set_terminal(res, lvl, rows[i], np.minimum((steps[i] + ran) * dt, T), z[i])
+                    _set_terminal(res, lvl, np.minimum((steps[i] + ran) * dt, T), z, rows, i)
                 gone = left
         # --- horizon ------------------------------------------------------
         horizon = s_max + ran >= n_total
@@ -537,7 +539,7 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
                 done &= ~gone
             if np.count_nonzero(done):
                 for lvl, i in _per_level(levels, lv, done.nonzero()[0]):
-                    _set_terminal(res, lvl, rows[i], T, z[i])
+                    _set_terminal(res, lvl, T, z, rows, i)
                 gone = done if gone is None else gone | done
         if gone is not None:
             out = gone.nonzero()[0]
@@ -580,11 +582,12 @@ def _per_level(levels, lv, idx):
     return [(level, i) for level, i in parts if i.size]
 
 
-def _set_terminal(res, level, r, t, z) -> None:
-    """Paths ``r`` end at time ``t`` on ``level`` in the copied rows ``z``,
-    kept as ``(x⁺ | y)``: ``x`` is clamped in place."""
-    x = z[:, : level.n]
-    np.maximum(x, 0.0, out=x)
+def _set_terminal(res, level, t, z, rows, i) -> None:
+    """Paths ``rows[i]`` end at time ``t`` on ``level`` in the rows
+    ``z[i]``, kept as ``(x⁺ | y)``; ``z`` is left as it is."""
+    z = z[i]  # a copy, so x is clamped in place
+    np.maximum(z[:, : level.n], 0.0, out=z[:, : level.n])
+    r = rows[i]
     res.terminal_time[r] = t
     res.terminal_xy[r] = level.to_root(z)
     res.strata_bits[r] = level.stratum_bits
@@ -793,10 +796,11 @@ class _CornerStop:
         self.lo, self.hi = eps.min(), eps.max()
         self.below = np.full((k, eps.size), -1, dtype=np.int64)
 
-    def passed(self, x, steps, ran, rows) -> np.ndarray:
-        """Record the first passages of the rows ``x`` of paths ``rows`` (at
-        step ``steps + ran``) in ``below``; return the rows that leave."""
-        S = row_sums(np.maximum(x, 0.0))
+    def passed(self, z, steps, ran, rows) -> np.ndarray:
+        """Record the first passages of the rows ``z`` of paths ``rows`` (at
+        step ``steps + ran``) in ``below``; return the rows that leave.  The
+        rows are all ``x``: a corner stop runs on a domain with ``m = 0``."""
+        S = row_sums(np.maximum(z, 0.0))
         low = (S <= self.hi).nonzero()[0]
         if low.size:
             for j, e in enumerate(self.eps):
@@ -871,7 +875,9 @@ def sum_process_ensemble(
 
 def _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset):
     """The engine on ``L`` under a corner stop: ``(hit, hit_time)`` of shape
-    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped."""
+    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped.  ``L`` has
+    no ``y`` coordinates."""
+    assert L.m == 0, "a corner stop sums every column of the state"
     eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
     if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
         raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
