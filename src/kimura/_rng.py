@@ -24,10 +24,9 @@ engine keys each path's stream once (:func:`stream_keys`, an array of
 ``key + (step·stride + slot)·GOLD`` per path and slot), compacts that array
 with its state, and draws the next steps from it (:func:`next_normals`),
 which adds ``k·stride·GOLD`` per step ahead and advances the array past the
-steps it drew.  :func:`counter_uniforms`, :func:`counter_normals` and
-:func:`step_normals` are the same stream addressed by explicit counters; all
-of them share :func:`_key` and :func:`_uniforms`, the one copy of the mix
-chain.
+steps it drew.  :func:`_key` and :func:`_uniforms` are the one copy of the
+mix chain.  The tests address the same stream by explicit counters, through
+those two, as the oracle of the engine's draws.
 """
 
 from __future__ import annotations
@@ -86,23 +85,6 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
     return u
 
 
-def counter_uniforms(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
-    """Uniform(0,1) variates indexed by (seed, path, counter).
-
-    ``path`` and ``ctr`` broadcast against each other; uint64 arithmetic wraps
-    (mod 2^64) by design.
-    """
-    ctr = np.asarray(ctr, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _uniforms(_key(seed, path) + ctr * _GOLD)
-
-
-def counter_normals(seed: int, path: np.ndarray, ctr: np.ndarray) -> np.ndarray:
-    """Standard normal variates indexed by (seed, path, counter)."""
-    u = counter_uniforms(seed, path, ctr)
-    return ndtri(u, out=u)
-
-
 def _slot_index(slots: "int | np.ndarray") -> np.ndarray:
     """An int ``d`` means slots ``0..d-1``; an array names the slots."""
     if np.ndim(slots) == 0:
@@ -152,19 +134,3 @@ def next_normals(keys: np.ndarray, n_steps: int, slot_stride: int) -> np.ndarray
     u = _uniforms(z)
     return ndtri(u, out=u).reshape((n_steps,) + keys.shape)
 
-
-def step_normals(
-    seed: int,
-    path: np.ndarray,
-    step: "int | np.ndarray",
-    slots: "int | np.ndarray",
-    slot_stride: int,
-) -> np.ndarray:
-    """Noise block for one Euler step: shape ``(len(path), n_slots)``, the
-    normals of counters ``step·slot_stride + slot`` (arguments as in
-    :func:`stream_keys`).
-
-    This is the one-step definition of the stream, by explicit counters, that
-    the tests compare the engine's block draws against.
-    """
-    return ndtri(_uniforms(stream_keys(seed, path, step, slots, slot_stride)))

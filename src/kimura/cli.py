@@ -402,11 +402,10 @@ def _task_occupation(L, params, seed, workers, out: Path) -> dict:
             rows.append([face, eps, occ.mean[row_i, j], occ.stderr[row_i, j]])
     _write_csv(out / "occupation.csv", ["face", "eps", "mean", "stderr"], rows)
     per_face = {}
-    for face in occ.faces:
-        slope = occ.loglog_slope(face)
-        floor, floor_se = occ.intercept_estimate(face)
+    for face in occ.faces:  # an undefined fit is written as null
+        floor, floor_se = occ.intercept_estimate(face) or (None, None)
         per_face[str(face)] = {
-            "loglog_slope": slope,
+            "loglog_slope": occ.loglog_slope(face),
             "floor": floor,
             "floor_stderr": floor_se,
         }
@@ -556,23 +555,24 @@ def _task_corner(L, params, seed, workers, out: Path) -> dict:
 
 
 def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
-    from .sde import _is_cross_fed, _run_chunked, counterexample_ensemble
+    from .sde import _corner_run, _faces_or_corner_stop, _run_chunked
 
-    if not _is_cross_fed(L):
+    if _faces_or_corner_stop(L) is not None:
         raise ConfigInvalid(
-            "the counterexample task integrates the cross-fed-drift system only",
+            "the counterexample task runs operators whose faces do not classify; this one's do",
             field="operator.preset",
         )
     cfg = _sim_config(params, seed, params["T"])
     parts = _run_chunked(
-        counterexample_ensemble,
+        _corner_run,
         params["n_paths"],
         workers,
+        L=L,
         p0=_point(params),
         cfg=cfg,
         **_given(params, "eps_abs", "s_freeze"),
     )
-    hit, hit_time = (np.concatenate(a) for a in zip(*parts))
+    hit, hit_time = (np.concatenate([part[k][:, 0] for part in parts]) for k in (0, 1))
     _write_csv(
         out / "hits.csv",
         ["path", "hit", "hit_time"],

@@ -310,14 +310,18 @@ def corner_hit_probability(
     per value and a list of ``(eps, estimate, (lo, hi))`` is returned.  A zero
     count yields the rule-of-three interval ``(0, 3/n)``.
 
-    The cross-fed-drift system (``b = (x₂, x₁)`` on a two-dimensional box,
-    recognised by its coefficients) cannot be classified (its faces are
-    neither tangent nor transverse), so for it the estimate comes from the
-    engine under a corner stop: a hit is ``x₁⁺+x₂⁺ ≤ eps``.  One
-    call of :func:`sde.counterexample_ensemble` serves the whole sequence: each path
-    runs until it passes below the smallest ``eps`` and records its first
-    passage below every value on the way.  Either way the paths are split
-    over ``workers`` processes without changing the result.
+    An operator on a two-dimensional box with no ``y`` whose faces do not
+    classify (:class:`NotClean`), such as the cross-fed-drift system
+    ``b = (x₂, x₁)``, is run as it is given under a corner stop: a hit is
+    ``x₁⁺ + x₂⁺ ≤ eps`` (:func:`sde._corner_run`).  One run serves the
+    whole sequence: each path runs until it passes below the smallest
+    ``eps`` and records its first passage below every value on the way.  A
+    path is frozen as escaped at ``S ≥ 16``; the escape bound ``e^{−s}``
+    behind that is proved for the cross-fed sum only, so for any other such
+    operator the estimate is of a hit before escape at 16.  The box edge
+    reflects, so a box with ``2·radius ≤ 16`` freezes no path.  Any other
+    :class:`NotClean` is raised.  Either way the paths are split over
+    ``workers`` processes without changing the result.
 
     Raises :class:`ValueError` unless ``faces`` are two distinct faces of
     ``L.dom``.
@@ -327,14 +331,12 @@ def corner_hit_probability(
     eps_list = (
         [float(eps_corner)] if np.isscalar(eps_corner) else [float(e) for e in eps_corner]
     )
-    if sde._is_cross_fed(L):
-        parts = sde._run_chunked(
-            sde.counterexample_ensemble, n_paths, workers, p0=p0, cfg=cfg, eps_abs=eps_list
-        )
-        hit = np.concatenate([h for h, _ in parts])
+    fc = sde._faces_or_corner_stop(L)
+    if fc is None:
+        parts = sde._run_chunked(sde._corner_run, n_paths, workers, L=L, p0=p0, cfg=cfg, eps_abs=eps_list)
+        hit = np.concatenate([h for h, _, _ in parts])
         out = [(eps, *_prob_ci(int(h.sum()), n_paths)) for eps, h in zip(eps_list, hit.T)]
         return out if not np.isscalar(eps_corner) else out[0][1:]
-    fc = L.classify_faces()
     if i not in fc.tangent:
         raise FaceNotTangent(f"face {i} is not tangent")
     run_cfg = replace(cfg, occupation_eps=(), stop_at_first_tangent_hit=True)
@@ -388,17 +390,20 @@ class OccupationCurve:
         row = self.faces.index(face)
         return self.mean[row], self.stderr[row]
 
-    def loglog_slope(self, face: int) -> float:
-        """Least-squares slope of log(mean occupation) against log(eps)."""
+    def loglog_slope(self, face: int) -> float | None:
+        """Least-squares slope of log(mean occupation) against log(eps), or
+        None where it is undefined: with fewer than two ``eps`` or a zero
+        mean at some ``eps``."""
         m, _ = self.for_face(face)
-        if np.any(m <= 0):
-            raise EmptyBin("occupation is zero at some eps; cannot take logs")
+        if self.eps.size < 2 or np.any(m <= 0):
+            return None
         A = np.column_stack([np.log(self.eps), np.ones_like(self.eps)])
         coef, *_ = np.linalg.lstsq(A, np.log(m), rcond=None)
         return float(coef[0])
 
-    def intercept_estimate(self, face: int) -> tuple[float, float]:
-        """Extrapolated occupation at ``eps → 0`` and its standard error.
+    def intercept_estimate(self, face: int) -> tuple[float, float] | None:
+        """Extrapolated occupation at ``eps → 0`` and its standard error, or
+        None with fewer than three ``eps``, one per fitted parameter.
 
         Fits ``occ(eps) = c·eps^s + floor`` (the occupation of a transverse
         collar follows a power law, so the additive floor is the ``eps → 0``
@@ -407,6 +412,8 @@ class OccupationCurve:
         """
         from scipy.optimize import curve_fit
 
+        if self.eps.size < 3:
+            return None
         m, se = self.for_face(face)
         model = lambda e, c, s, d: c * e**s + d
         c0 = m[-1] / self.eps[-1] ** 0.5

@@ -33,8 +33,9 @@ Structural quantities computed here:
 * the **zoom rescaling** ``x = λ x′, y = √λ y′`` under which the class is
   invariant and first-order corner terms are *not* lower order;
 * SDE coefficients for path simulation: the drift vector, the second-order
-  matrix ``M`` (covariance ``2·M``) and the noise increment ``G·ξ`` with
-  ``G Gᵀ = 2M``, whose closed form is chosen from the coefficients.
+  matrix ``M`` (covariance ``2·M``) and one Euler step (``_EulerUpdate``),
+  whose noise factor ``G`` with ``G Gᵀ = 2M`` takes a closed form chosen
+  from the coefficients where one exists.
 
 Coefficients are :class:`CoefficientField` objects: constants, explicit
 polynomial tables (exact restriction/rescaling algebra), or user closures.
@@ -912,36 +913,6 @@ class KimuraOperator:
                 return "diag+chol"
         return "generic"
 
-    def noise_increment(self, x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """``G(z)·ξ`` for a batch of states: the martingale part of one Euler
-        step is ``√dt`` times this.  Dispatches to closed forms where the
-        operator's structure allows (diagonal blocks; the genetic-drift
-        covariance has an explicit triangular factor); otherwise factors the
-        full matrix per state with negative-curvature clipping."""
-        s = self._noise_strategy
-        if s == "wf":
-            return _wf_noise(x, xi)
-        if s in ("diag", "diag+chol"):
-            out = np.empty_like(xi)
-            n = self.n
-            if n:
-                lead = (
-                    self._lead_const
-                    if self._lead_const is not None
-                    else np.column_stack([f.eval(x, y) for f in self.lead])
-                )
-                out[:, :n] = np.sqrt(2.0 * lead * np.maximum(x, 0.0)) * xi[:, :n]
-            if self.m:
-                if s == "diag":
-                    out[:, n:] = np.sqrt(2.0 * self._d_diag_const) * xi[:, n:]
-                else:
-                    out[:, n:] = xi[:, n:] @ self._yy_chol_const.T
-            return out
-        A = 2.0 * self.diffusion_matrix_batch(x, y)
-        w, V = np.linalg.eigh(A)
-        G = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-        return np.einsum("kij,kj->ki", G, xi)
-
 
 def _wf_noise(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Closed-form triangular factor of ``diag(x) − x xᵀ`` applied to ξ.
@@ -985,14 +956,22 @@ class _EulerUpdate:
     ``raw`` plan (full truncation, a corner stop's scheme) ``x`` may lie below
     0 and takes the increment, while ``x⁺ = max(x, 0)`` is formed once for
     the coefficients; otherwise the plan's clamp leaves ``x ≥ 0`` and ``x⁺``
-    is ``x``.  It equals ``z + drift_batch(x⁺)·dt + noise_increment(x⁺, η)``
-    bit for bit at every finite state with no ``−0.0`` coordinate; those two
-    stay as the reference.  ``drift`` is chosen from the coefficients after
-    their zero polynomial terms are dropped: ``zero`` (skipped), ``constant``
-    (``b·dt`` precomputed) or ``varying`` (each field evaluated at ``x⁺``,
-    whether a table or a closure).  ``noise`` is the strategy of
-    :meth:`KimuraOperator.noise_increment`, with ``2ℓ`` and the ``y`` factor
-    precomputed where constant; ``wf`` in one coordinate is ``√(x(1−x))·η``.
+    is ``x``.  ``drift`` is chosen from the coefficients after their zero
+    polynomial terms are dropped: ``zero`` (skipped), ``constant`` (``b·dt``
+    precomputed) or ``varying`` (each field evaluated at ``x⁺``, whether a
+    table or a closure).
+
+    ``noise`` is the operator's strategy for the package's one noise factor
+    ``G``, with ``G Gᵀ = 2M``: ``wf``, the closed-form triangular factor of
+    the genetic-drift covariance (``√(x(1−x))·η`` in one coordinate);
+    ``diag`` and ``diag+chol``, ``√(2ℓx)`` on the corner block beside the
+    constant ``y`` factor (``√(2d)``, or the Cholesky factor of ``2d``), with
+    ``2ℓ`` and the ``y`` factor precomputed where constant; ``generic``, a
+    per-state ``eigh`` of ``2·diffusion_matrix_batch`` with its negative
+    eigenvalues clipped to 0.  The update equals
+    ``z + drift_batch(x⁺)·dt + G(x⁺)·η`` bit for bit at every finite state
+    with no ``−0.0`` coordinate; ``tests/test_step_plan.py`` holds that
+    reference, with each strategy's first form.
     """
 
     def __init__(self, op: KimuraOperator, dt: float, raw: bool = False):
@@ -1058,8 +1037,10 @@ class _EulerUpdate:
             np.sqrt(g, out=g)
             g *= eta
             return g
-        if self.noise == "generic":
-            return op.noise_increment(x, z[:, n:], eta)
+        if self.noise == "generic":  # per state, negative curvature clipped
+            w, V = np.linalg.eigh(2.0 * op.diffusion_matrix_batch(x, z[:, n:]))
+            G = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+            return np.einsum("kij,kj->ki", G, eta)
         g = np.empty(z.shape)
         gx = g[:, :n] if self.m else g
         if self._two_lead is not None:

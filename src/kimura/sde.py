@@ -63,21 +63,28 @@ chart artifacts, not faces; paths reflect there, and a step with no row past
 them skips the reflection.  Acceptance-scale runs are
 parameterized so paths essentially never reach them.
 
-Operators whose faces do not classify cleanly raise ``NotClean``; there is
-no opt-in.  Hits and occupation read each face's distance from its column
+:func:`simulate_ensemble` raises ``NotClean`` for an operator whose faces
+do not classify cleanly; there is no opt-in.  Hits and occupation read each
+face's distance from its column
 (:func:`~kimura.geometry.column_distance_rows`), found once per level: the
 column itself, or ``1 − Σx`` for the slack face, summed by columns
 (:func:`~kimura.geometry.row_sums`).
 
-The cross-fed-drift system (:func:`counterexample_ensemble`), whose corner
-is reached although neither face absorbs, runs through the same loop on an
-unbounded box with no face classified, under a private corner stop
-(``_CornerStop``) on ``S = X₁⁺ + X₂⁺``; so does its one-dimensional oracle
-:func:`sum_process_ensemble`.  There no coordinate clamps: the state is
-stepped by full truncation (Lord, Koekkoek & van Dijk 2010), left raw with
-only ``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.  The
-stop owns each path's first step below each threshold, which it records
-as the loop meets them and the corner estimate reads from it.
+An operator on a two-dimensional box with no ``y`` whose faces do not
+classify runs through the same loop under a private corner stop
+(``_CornerStop``) on ``S = X₁⁺ + X₂⁺``, with no face classified, absorbing
+or tracked (:func:`_corner_run`).  The cross-fed-drift system of
+:func:`counterexample_ensemble`, whose corner is reached although neither
+face absorbs, is one; its one-dimensional oracle
+:func:`sum_process_ensemble` runs the same way.  There no coordinate clamps:
+the state is stepped by full truncation (Lord, Koekkoek & van Dijk 2010),
+left raw with only ``x⁺`` entering the drift and the noise, and recorded as
+``x⁺``.  The box edge reflects as on any box, so a box with
+``2·radius ≤ s_freeze`` freezes no path.  The stop owns each path's first
+step below each threshold, which it records as the loop meets them and the
+corner estimate reads from it.  The escape bound ``e^{−s}`` behind
+``s_freeze`` is proved for the cross-fed sum only; for any other operator
+run this way, a hit means a hit before escape at ``s_freeze``.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _rng
-from .errors import KimuraError, MaxStepsExceeded, NonFinite
+from .errors import KimuraError, MaxStepsExceeded, NonFinite, NotClean
 from .geometry import (
     CornerBox,
     Point,
@@ -124,6 +131,11 @@ _SLACK_TOL = 1e-12
 # Guard on steps per path: T and dt come from outside input, and a run far
 # past this would not finish.
 _MAX_STEPS = 2_000_000_000
+
+# The corner stop's defaults: its ε, and the sum ``S`` at which a path is
+# frozen as escaped.
+_EPS_ABS = 1e-6
+_S_FREEZE = 16.0
 
 # Seed offset of the one-dimensional oracle ``sum_process_ensemble``: its
 # stream is ``cfg.seed ^ _SUM_SEED_TAG``, apart from the two-dimensional run's.
@@ -761,29 +773,20 @@ def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
 
 
 # ---------------------------------------------------------------------------
-# the cross-fed-drift counterexample
+# the corner stop: operators whose faces do not classify
 # ---------------------------------------------------------------------------
 
 
-# The drift ``(x₂, x₁)`` of the cross-fed system, as a polynomial table.
-_CROSS_FED_DRIFT = (((1.0, (0, 1), ()),), ((1.0, (1, 0), ()),))
-
-
-def _is_cross_fed(L: KimuraOperator) -> bool:
-    """Is ``L`` the system :func:`counterexample_ensemble` integrates?
-
-    That is ``x₁∂₁² + x₂∂₂² + x₂∂₁ + x₁∂₂`` on a two-dimensional box: unit
-    leading coefficients, the drift table ``(x₂, x₁)`` and no ``a``, ``c``,
-    ``d`` or ``e`` terms.  The box radius does not enter the run.
-    """
-    return (
-        isinstance(L.dom, CornerBox)
-        and (L.n, L.m) == (2, 0)
-        and all(isinstance(f, PolyField) for f in L.b)
-        and tuple(f.terms for f in L.b) == _CROSS_FED_DRIFT
-        and all(f.const == 1.0 for f in L.lead)
-        and L._a_zero
-    )
+def _faces_or_corner_stop(L: KimuraOperator) -> FaceClassification | None:
+    """``L.classify_faces()``, or None when ``L`` runs under the corner stop:
+    an operator on a two-dimensional ``CornerBox`` with no ``y`` whose faces
+    do not classify.  Any other :class:`NotClean` is raised."""
+    try:
+        return L.classify_faces()
+    except NotClean:
+        if isinstance(L.dom, CornerBox) and (L.n, L.m) == (2, 0):
+            return None
+        raise
 
 
 class _CornerStop:
@@ -814,8 +817,8 @@ def counterexample_ensemble(
     p0: Point,
     cfg: SimConfig,
     n_paths: int,
-    eps_abs: "float | Sequence[float]" = 1e-6,
-    s_freeze: float = 16.0,
+    eps_abs: "float | Sequence[float]" = _EPS_ABS,
+    s_freeze: float = _S_FREEZE,
     path_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate ``dX₁ = X₂ dt + √(2X₁) dW₁, dX₂ = X₁ dt + √(2X₂) dW₂``.
@@ -829,8 +832,8 @@ def counterexample_ensemble(
     ``S ≥ s_freeze``.  Each column equals the scalar run for its ε
     bit-for-bit, and a column with ``ε ≥ S₀`` is hit at time 0.
 
-    The run is the engine's on ``remark_counterexample`` over an unbounded
-    box, with no face classified or absorbing.  Both coordinates are stepped
+    The run is :func:`_corner_run` on ``remark_counterexample`` over an
+    unbounded box, so no path meets a box edge.  Both coordinates are stepped
     by full truncation, ``z ← z + z⁺[::-1]·dt + √(2z⁺)·(√dt·ξ)`` with ``z``
     left raw; a per-coordinate clamp would bias the hit frequency down (by
     ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``).
@@ -853,8 +856,8 @@ def sum_process_ensemble(
     s0: float,
     cfg: SimConfig,
     n_paths: int,
-    eps_abs: float = 1e-6,
-    s_freeze: float = 16.0,
+    eps_abs: float = _EPS_ABS,
+    s_freeze: float = _S_FREEZE,
     path_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direct simulation of the sum process ``dS = S dt + √(2S) dW``.
@@ -873,10 +876,14 @@ def sum_process_ensemble(
     return hit, hit_time, s_end
 
 
-def _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset):
+def _corner_run(L, p0, cfg, n_paths, eps_abs=_EPS_ABS, s_freeze=_S_FREEZE, path_offset=0):
     """The engine on ``L`` under a corner stop: ``(hit, hit_time)`` of shape
-    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped.  ``L`` has
-    no ``y`` coordinates."""
+    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped, by the rules
+    of :func:`counterexample_ensemble`.  ``L`` has no ``y`` coordinates and
+    no face is classified; the edge of a bounded box reflects, so on a box
+    with ``2·radius ≤ s_freeze`` no path is frozen.  The escape bound
+    ``e^{−s}`` holds for the cross-fed sum alone: for any other operator a
+    hit means a hit before escape at ``s_freeze``."""
     assert L.m == 0, "a corner stop sums every column of the state"
     eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
     if eps.ndim != 1 or not eps.size or not np.all(eps > 0):

@@ -143,6 +143,28 @@ def test_a_step_longer_than_one_runs_at_the_task_horizon(tmp_path, task, operato
     assert _summary(out)["status"] == "ok"
 
 
+_WF2 = {"preset": "wright-fisher", "params": {"N": 2, "b": [0.0, 0.0, 0.5]}}
+
+
+@pytest.mark.parametrize(
+    "seed, eps", [(0, [0.1]), (1, [0.1]), (0, [0.02, 0.1, 0.4])], ids=["zero-mean", "one-eps", "three-eps"]
+)
+def test_occupation_writes_null_for_an_undefined_fit(tmp_path, seed, eps):
+    """A zero mean occupation at some ε, or fewer than 2 ε, leaves the slope
+    undefined, and fewer than 3 ε the floor: each is written as null and
+    the run exits 0.  Seed 0 reads zero occupation of face 3 at ε = 0.1;
+    seed 1 does not."""
+    out = tmp_path / "out"
+    params = {"p0": [0.3, 0.3], "dt": 2.0, "n_paths": 8, "T": 8.0, "eps": eps}
+    cfg = _base("occupation", out, operator=_WF2, params=params, seed=seed)
+    assert cli.main(["occupation", "--config", _write(tmp_path, cfg)]) == 0
+    (fit,) = _summary(out)["results"]["faces"].values()
+    rows = (out / "occupation.csv").read_text().splitlines()[1:]
+    means = [float(r.split(",")[2]) for r in rows]
+    assert (fit["loglog_slope"] is None) == (len(eps) < 2 or min(means) == 0.0)
+    assert (fit["floor"] is None) == (fit["floor_stderr"] is None) == (len(eps) < 3)
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -269,15 +291,21 @@ def test_counterexample_all_hit_interval_is_rule_of_three(tmp_path):
     assert res["ci_hi"] == 1.0
 
 
+_BOX8 = {"preset": "model1d", "params": {"b": 0.0, "radius": 8.0}}
+
+
 def test_counterexample_rejects_other_operators(tmp_path, capsys):
-    """The task integrates the cross-fed system only; any other operator is a
-    config error (exit 3, no summary), not a silent cross-fed run."""
-    out = tmp_path / "out"
+    """The task runs the corner stop on a two-dimensional box whose faces do
+    not classify; an operator whose faces classify, on a simplex or on such
+    a box, is a config error (exit 3, no summary), not a silent corner run."""
+    clean_box = {"preset": "product", "params": {"factors": [_BOX8, _BOX8]}}
     params = {"p0": [0.05, 0.05], "dt": 1e-3, "n_paths": 20, "T": 1.0}
-    cfg = _base("counterexample", out, operator=WF, params=params)
-    assert cli.main(["counterexample", "--config", _write(tmp_path, cfg)]) == 3
-    assert "operator.preset" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    for i, operator in enumerate((WF, clean_box)):
+        out = tmp_path / f"out{i}"
+        cfg = _base("counterexample", out, operator=operator, params=params)
+        assert cli.main(["counterexample", "--config", _write(tmp_path, cfg)]) == 3
+        assert "operator.preset" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("faces", [[1, 3], [1, 1], [1, 2, 3]])

@@ -8,6 +8,8 @@ import pytest
 from kimura.errors import EmptyBin, FaceNotTangent, NotClean
 from kimura.estimators import (
     HittingHistogram,
+    OccupationCurve,
+    _prob_ci,
     aligned_hitting_edges,
     corner_hit_probability,
     decompose,
@@ -202,13 +204,13 @@ def test_corner_probability_eps_sweep_shares_paths():
 
 def test_corner_probability_crossfed_sweep_is_one_ensemble(monkeypatch):
     calls = []
-    real = sde.counterexample_ensemble
+    real = sde._corner_run
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("eps_abs"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sde, "counterexample_ensemble", counted)
+    monkeypatch.setattr(sde, "_corner_run", counted)
     eps = (1e-3, 1e-5, 1e-2)
     rows = corner_hit_probability(
         remark_counterexample(), Point([0.05, 0.05]), (1, 2), 300,
@@ -221,8 +223,9 @@ def test_corner_probability_crossfed_sweep_is_one_ensemble(monkeypatch):
 
 def test_corner_probability_crossfed_is_chosen_by_coefficients():
     """A hand-built operator with the cross-fed coefficients gets the preset's
-    estimate; changing one drift coefficient leaves it to the clean path,
-    which rejects it."""
+    estimate, on its own radius-8 box.  Changing one drift coefficient
+    (``b₂ = 2x₁``) leaves the faces unclassified still, so that operator is
+    run as it is given under the corner stop too."""
     def box_op(c2):
         return KimuraOperator(
             dom=CornerBox(2, 0, 8.0),
@@ -235,7 +238,37 @@ def test_corner_probability_crossfed_is_chosen_by_coefficients():
         remark_counterexample(), *args, **kw
     )
     with pytest.raises(NotClean):
-        corner_hit_probability(box_op(2.0), *args, **kw)
+        box_op(2.0).classify_faces()
+    hit, _, _ = sde._corner_run(box_op(2.0), Point([0.05, 0.05]), kw["cfg"], 300, eps_abs=kw["eps_corner"])
+    want = [(eps, *_prob_ci(int(h.sum()), 300)) for eps, h in zip(kw["eps_corner"], hit.T)]
+    assert corner_hit_probability(box_op(2.0), *args, **kw) == want
+
+
+def test_corner_probability_on_the_preset_counts_as_the_unbounded_run():
+    """The preset's radius-32 box reflects no path before ``S`` reaches 16:
+    its estimate equals :func:`sde.counterexample_ensemble`, whose box is
+    unbounded, count for count."""
+    p0, cfg, eps = Point([0.05, 0.05]), SimConfig(dt=1e-3, T=5.0, seed=6), (1e-2, 1e-3, 1e-4)
+    rows = corner_hit_probability(remark_counterexample(), p0, (1, 2), 400, cfg=cfg, eps_corner=eps)
+    hit, _ = sde.counterexample_ensemble(p0, cfg, 400, eps_abs=eps)
+    assert [round(p * 400) for _, p, _ in rows] == hit.sum(axis=0).tolist()
+    assert rows == [(e, *_prob_ci(int(h.sum()), 400)) for e, h in zip(eps, hit.T)]
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        KimuraOperator(dom=CornerBox(3, 0, 1.0), b=(-0.5, 1.0, 1.0)),
+        KimuraOperator(dom=CornerBox(2, 1, 1.0), b=(-0.5, 1.0), d=((1.0,),)),
+    ],
+    ids=["three-corner-coordinates", "with-y"],
+)
+def test_corner_probability_raises_other_not_clean_operators(L):
+    """Only a two-dimensional box with no ``y`` runs under the corner stop;
+    any other operator whose faces do not classify raises ``NotClean``."""
+    p0 = Point(np.full(L.n, 0.05), np.zeros(L.m))
+    with pytest.raises(NotClean):
+        corner_hit_probability(L, p0, (1, 2), 20, cfg=SimConfig(dt=1e-3, T=0.1))
 
 
 _TANGENT_BOX = product_operator(model1d(0.0, radius=8.0), model1d(0.0, radius=8.0))
@@ -272,6 +305,24 @@ def test_occupation_slope_recovers_weight():
     assert occ.faces == (1,)
     assert np.all(np.diff(occ.mean[0]) > 0)
     assert occ.loglog_slope(1) == pytest.approx(0.5, abs=0.15)
+
+
+def _curve(eps, mean):
+    mean = np.asarray([mean], dtype=float)
+    return OccupationCurve(np.asarray(eps), (1,), mean, np.full_like(mean, 1e-3), 1.0, 100)
+
+
+def test_undefined_occupation_fits_are_none():
+    """The log-log slope needs two ``eps`` and no zero mean; the floor fit,
+    with three parameters, needs three ``eps``.  Short of that there is no
+    fit, and each method says so with None."""
+    assert _curve([0.1, 0.2, 0.4], [0.0, 0.1, 0.2]).loglog_slope(1) is None
+    assert _curve([0.1], [0.05]).loglog_slope(1) is None
+    assert _curve([0.1, 0.2], [0.05, 0.1]).intercept_estimate(1) is None
+    assert _curve([0.1], [0.05]).intercept_estimate(1) is None
+    assert _curve([0.1, 0.4], [0.05, 0.1]).loglog_slope(1) == pytest.approx(0.5)
+    floor, se = _curve([0.1, 0.2, 0.4], [0.0, 0.1, 0.2]).intercept_estimate(1)
+    assert np.isfinite(floor) and np.isfinite(se)
 
 
 # ---------------------------------------------------------------------------

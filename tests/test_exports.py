@@ -95,6 +95,29 @@ def test_one_euler_loop_draws_the_noise():
     assert callers == ["sde._advance"], callers
 
 
+def test_the_engine_runs_the_operator_it_is_given():
+    """Inside the package only ``counterexample_ensemble`` (A3's entry) and
+    ``make_preset`` build ``remark_counterexample``, so no estimator or task
+    swaps a preset in for the operator it was given; and no code defines
+    ``noise_increment``, so ``_EulerUpdate`` holds the one noise factor."""
+    callers, defined = [], []
+    for path in Path(kimura.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name == "noise_increment":
+                defined.append(f"{path.stem}.{fn.name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "remark_counterexample":
+                        callers.append(f"{path.stem}.{fn.name}")
+    assert sorted(callers) == ["operator.make_preset", "sde.counterexample_ensemble"], callers
+    assert not defined, defined
+
+
 def test_every_definition_is_referenced():
     """Every function, method and class defined in the package is read by
     name (a name or an attribute) somewhere in the package or the tests

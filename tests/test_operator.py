@@ -17,9 +17,16 @@ from kimura.operator import (
     sample_domain,
     wright_fisher,
     PRESET_NAMES,
+    _EulerUpdate,
     _SliceField,
     _XformField,
 )
+
+
+def _noise(L, x, y, xi):
+    """``G·ξ`` of the engine's update (``_EulerUpdate``) at states
+    ``(x, y)`` with ``x ≥ 0``."""
+    return _EulerUpdate(L, 1.0)._noise(x, np.concatenate([x, y], axis=1), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def _assert_product_blocks(P, factors):
     x, y = sample_domain(P.dom, 200, seed=5)
     xi = np.random.default_rng(6).standard_normal((200, P.dim))
     drift, M = P.drift_batch(x, y), P.diffusion_matrix_batch(x, y)
-    noise = P.noise_increment(x, y, xi)
+    noise = _noise(P, x, y, xi)
     cross = np.ones((P.dim, P.dim), dtype=bool)
     x0 = y0 = 0
     for F in factors:
@@ -116,7 +123,7 @@ def _assert_product_blocks(P, factors):
         fx, fy = x[:, x0 : x0 + F.n], y[:, y0 : y0 + F.m]
         assert np.array_equal(drift[:, idx], F.drift_batch(fx, fy))
         assert np.array_equal(M[:, idx[:, None], idx], F.diffusion_matrix_batch(fx, fy))
-        assert np.array_equal(noise[:, idx], F.noise_increment(fx, fy, xi[:, idx]))
+        assert np.array_equal(noise[:, idx], _noise(F, fx, fy, xi[:, idx]))
         cross[np.ix_(idx, idx)] = False
         x0, y0 = x0 + F.n, y0 + F.m
     assert not np.any(M[:, cross])
@@ -164,7 +171,7 @@ def test_product_restriction_equals_the_factor():
     x[:10] = 0.0
     y, xi = np.empty((200, 0)), rng.standard_normal((200, 1))
     assert np.array_equal(R.drift_batch(x, y), F.drift_batch(x, y))
-    assert np.array_equal(R.noise_increment(x, y, xi), F.noise_increment(x, y, xi))
+    assert np.array_equal(_noise(R, x, y, xi), _noise(F, x, y, xi))
 
 
 def test_counterexample_is_not_clean():
@@ -343,7 +350,7 @@ def test_hand_built_wright_fisher_noise_is_the_presets():
     x = rng.dirichlet(np.ones(3), size=300)[:, :2]
     x[:20, 0] = 0.0
     y, xi = np.empty((300, 0)), rng.standard_normal((300, 2))
-    assert np.array_equal(H.noise_increment(x, y, xi), W.noise_increment(x, y, xi))
+    assert np.array_equal(_noise(H, x, y, xi), _noise(W, x, y, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,7 @@ def test_wright_fisher_restriction_is_wright_fisher(face):
     x[20:40, 1] = 1.0 - x[20:40, 0]
     y, xi = np.empty((300, 0)), rng.standard_normal((300, 2))
     assert np.array_equal(R.drift_batch(x, y), W.drift_batch(x, y))
-    assert np.array_equal(R.noise_increment(x, y, xi), W.noise_increment(x, y, xi))
+    assert np.array_equal(_noise(R, x, y, xi), _noise(W, x, y, xi))
 
 
 def test_slack_weight_follows_the_time_scale():
@@ -489,11 +496,11 @@ def _poly_operator():
 
 
 def _noise_factor(L, x, y):
-    """The factor ``G`` of ``noise_increment = G·ξ``, read off column by
+    """The factor ``G`` of the update's noise ``G·ξ``, read off column by
     column with unit vectors ξ."""
     k = x.shape[0]
     return np.stack(
-        [L.noise_increment(x, y, np.tile(e, (k, 1))) for e in np.eye(L.dim)], axis=2
+        [_noise(L, x, y, np.tile(e, (k, 1))) for e in np.eye(L.dim)], axis=2
     )
 
 
@@ -507,7 +514,7 @@ def _noise_factor(L, x, y):
 def test_noise_factor_squares_to_the_covariance(L, strategy):
     """``G Gᵀ = 2M`` on sampled states for the constant non-diagonal ``d``
     (Cholesky) and the varying-coefficient (per-state eigendecomposition)
-    branches of ``noise_increment``."""
+    branches of the update's noise."""
     assert L._noise_strategy == strategy
     x, y = sample_domain(L.dom, 256, seed=4)
     G = _noise_factor(L, x, y)

@@ -1,9 +1,37 @@
-"""Counter-based noise streams: determinism, independence, distribution."""
+"""Counter-based noise streams: determinism, independence, distribution.
+
+The stream addressed by explicit counters (``counter_uniforms``,
+``counter_normals``, ``step_normals`` below) is the oracle that the engine's
+keyed block draws are held to.
+"""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
-from kimura._rng import counter_normals, counter_uniforms, next_normals, step_normals, stream_keys
+from kimura._rng import _GOLD, _key, _uniforms, next_normals, stream_keys
+
+
+def counter_uniforms(seed, path, ctr):
+    """Uniform(0,1) variates indexed by (seed, path, counter); ``path`` and
+    ``ctr`` broadcast against each other, and uint64 arithmetic wraps
+    (mod 2^64) by design."""
+    ctr = np.asarray(ctr, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _uniforms(_key(seed, path) + ctr * _GOLD)
+
+
+def counter_normals(seed, path, ctr):
+    """Standard normal variates indexed by (seed, path, counter)."""
+    u = counter_uniforms(seed, path, ctr)
+    return ndtri(u, out=u)
+
+
+def step_normals(seed, path, step, slots, slot_stride):
+    """Noise block for one Euler step: shape ``(len(path), n_slots)``, the
+    normals of counters ``step·slot_stride + slot`` (arguments as in
+    ``stream_keys``)."""
+    return ndtri(_uniforms(stream_keys(seed, path, step, slots, slot_stride)))
 
 
 def test_uniforms_deterministic_and_in_range():

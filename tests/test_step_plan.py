@@ -2,7 +2,8 @@
 
 A level's step (``sde._Level``, with ``operator._EulerUpdate``) must give the
 same states, overshoots and hits as ``drift_batch`` + ``noise_increment``
-followed by the domain step and the hit test below.  The reference evaluates
+(the noise factor's first form, below) followed by the domain step and the
+hit test below.  The reference evaluates
 drift and noise at ``x⁺ = max(x, 0)`` with the normals scaled by ``√dt``
 first, adds the increment to ``x``, and clamps every coordinate to 0, or
 none in a raw level (full truncation, the corner stop's).  Nothing here is
@@ -48,11 +49,41 @@ def _ref_simplex_clamp(x):
     return over
 
 
+def noise_increment(L, x, y, xi):
+    """``G(z)·ξ`` for a batch of states, ``G Gᵀ = 2M``: the closed forms
+    where the operator's structure allows (diagonal blocks; the genetic-drift
+    covariance has an explicit triangular factor), otherwise the full matrix
+    factored per state with negative-curvature clipping."""
+    s = L._noise_strategy
+    if s == "wf":
+        return _wf_noise(x, xi)
+    if s in ("diag", "diag+chol"):
+        out = np.empty_like(xi)
+        n = L.n
+        if n:
+            lead = (
+                L._lead_const
+                if L._lead_const is not None
+                else np.column_stack([f.eval(x, y) for f in L.lead])
+            )
+            out[:, :n] = np.sqrt(2.0 * lead * np.maximum(x, 0.0)) * xi[:, :n]
+        if L.m:
+            if s == "diag":
+                out[:, n:] = np.sqrt(2.0 * L._d_diag_const) * xi[:, n:]
+            else:
+                out[:, n:] = xi[:, n:] @ L._yy_chol_const.T
+        return out
+    A = 2.0 * L.diffusion_matrix_batch(x, y)
+    w, V = np.linalg.eigh(A)
+    G = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return np.einsum("kij,kj->ki", G, xi)
+
+
 def _ref_update(L, x, y, eta, dt):
     """``(x′, y′)``: drift and noise at ``x⁺``, normals ``η`` already scaled
     by ``√dt``, added to the raw state."""
     xp = np.maximum(x, 0.0)
-    drift, inc = L.drift_batch(xp, y), L.noise_increment(xp, y, eta)
+    drift, inc = L.drift_batch(xp, y), noise_increment(L, xp, y, eta)
     xn = x + drift[:, : L.n] * dt + inc[:, : L.n]
     yn = y + drift[:, L.n :] * dt + inc[:, L.n :] if L.m else y
     return xn, yn
