@@ -555,7 +555,7 @@ def _task_corner(L, params, seed, workers, out: Path) -> dict:
 
 
 def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
-    from .sde import _corner_run, _faces_or_corner_stop, _run_chunked
+    from .sde import _corner_run, _faces_or_corner_stop
 
     if _faces_or_corner_stop(L) is not None:
         raise ConfigInvalid(
@@ -563,16 +563,10 @@ def _task_counterexample(L, params, seed, workers, out: Path) -> dict:
             field="operator.preset",
         )
     cfg = _sim_config(params, seed, params["T"])
-    parts = _run_chunked(
-        _corner_run,
-        params["n_paths"],
-        workers,
-        L=L,
-        p0=_point(params),
-        cfg=cfg,
-        **_given(params, "eps_abs", "s_freeze"),
+    hit, hit_time, _ = _corner_run(
+        L, _point(params), cfg, params["n_paths"], workers=workers, **_given(params, "eps_abs", "s_freeze")
     )
-    hit, hit_time = (np.concatenate([part[k][:, 0] for part in parts]) for k in (0, 1))
+    hit, hit_time = hit[:, 0], hit_time[:, 0]
     _write_csv(
         out / "hits.csv",
         ["path", "hit", "hit_time"],

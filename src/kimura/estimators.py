@@ -333,8 +333,7 @@ def corner_hit_probability(
     )
     fc = sde._faces_or_corner_stop(L)
     if fc is None:
-        parts = sde._run_chunked(sde._corner_run, n_paths, workers, L=L, p0=p0, cfg=cfg, eps_abs=eps_list)
-        hit = np.concatenate([h for h, _, _ in parts])
+        hit, _, _ = sde._corner_run(L, p0, cfg, n_paths, eps_list, workers=workers)
         out = [(eps, *_prob_ci(int(h.sum()), n_paths)) for eps, h in zip(eps_list, hit.T)]
         return out if not np.isscalar(eps_corner) else out[0][1:]
     if i not in fc.tangent:
@@ -403,7 +402,10 @@ class OccupationCurve:
 
     def intercept_estimate(self, face: int) -> tuple[float, float] | None:
         """Extrapolated occupation at ``eps → 0`` and its standard error, or
-        None with fewer than three ``eps``, one per fitted parameter.
+        None where the fit is undefined: with fewer than three ``eps``, one
+        per fitted parameter, with an ``eps`` whose standard error is not
+        positive (every path read the same occupation there, so it has no
+        weight), or when no fit is found.
 
         Fits ``occ(eps) = c·eps^s + floor`` (the occupation of a transverse
         collar follows a power law, so the additive floor is the ``eps → 0``
@@ -412,19 +414,22 @@ class OccupationCurve:
         """
         from scipy.optimize import curve_fit
 
-        if self.eps.size < 3:
-            return None
         m, se = self.for_face(face)
+        if self.eps.size < 3 or not np.all(se > 0):
+            return None
         model = lambda e, c, s, d: c * e**s + d
         c0 = m[-1] / self.eps[-1] ** 0.5
-        popt, pcov = curve_fit(
-            model, self.eps, m,
-            p0=(c0, 0.5, 0.0),
-            sigma=np.maximum(se, 1e-12),
-            absolute_sigma=True,
-            bounds=([0.0, 0.05, -np.inf], [np.inf, 2.0, np.inf]),
-            maxfev=10000,
-        )
+        try:
+            popt, pcov = curve_fit(
+                model, self.eps, m,
+                p0=(c0, 0.5, 0.0),
+                sigma=se,
+                absolute_sigma=True,
+                bounds=([0.0, 0.05, -np.inf], [np.inf, 2.0, np.inf]),
+                maxfev=10000,
+            )
+        except RuntimeError:  # no fit within maxfev evaluations
+            return None
         return float(popt[2]), float(math.sqrt(max(pcov[2, 2], 0.0)))
 
 

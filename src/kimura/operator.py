@@ -952,14 +952,14 @@ def _drop_zero_terms(f: CoefficientField) -> CoefficientField:
 
 class _EulerUpdate:
     """One operator's Euler–Maruyama update ``z′ = z + drift(x⁺)·dt + G(x⁺)·η``
-    at one ``dt``, ``η`` being the normals scaled by ``√dt``.  Under a
-    ``raw`` plan (full truncation, a corner stop's scheme) ``x`` may lie below
-    0 and takes the increment, while ``x⁺ = max(x, 0)`` is formed once for
-    the coefficients; otherwise the plan's clamp leaves ``x ≥ 0`` and ``x⁺``
-    is ``x``.  ``drift`` is chosen from the coefficients after their zero
-    polynomial terms are dropped: ``zero`` (skipped), ``constant`` (``b·dt``
-    precomputed) or ``varying`` (each field evaluated at ``x⁺``, whether a
-    table or a closure).
+    at one ``dt``, ``η`` being the normals scaled by ``√dt``.  The level hands
+    it ``x⁺ = max(x, 0)`` beside the rows: ``x`` itself where the level's
+    clamp leaves ``x ≥ 0``, and a copy under a corner stop, whose rows keep
+    ``x`` below 0 and take the increment (full truncation).  ``drift`` is
+    chosen from the coefficients after their zero polynomial terms are
+    dropped: ``zero`` (skipped), ``constant`` (``b·dt`` precomputed) or
+    ``varying`` (each field evaluated at ``x⁺``, whether a table or a
+    closure).
 
     ``noise`` is the operator's strategy for the package's one noise factor
     ``G``, with ``G Gᵀ = 2M``: ``wf``, the closed-form triangular factor of
@@ -974,8 +974,8 @@ class _EulerUpdate:
     reference, with each strategy's first form.
     """
 
-    def __init__(self, op: KimuraOperator, dt: float, raw: bool = False):
-        self.n, self.m, self.dt, self.raw = op.n, op.m, dt, raw
+    def __init__(self, op: KimuraOperator, dt: float):
+        self.n, self.m, self.dt = op.n, op.m, dt
         self._fields = [_drop_zero_terms(f) for f in (*op.b, *op.e)]
         consts = [f.const for f in self._fields]
         if all(c is not None for c in consts):
@@ -1001,14 +1001,11 @@ class _EulerUpdate:
         #: equal keys give equal updates, bit for bit, on the same rows:
         #: fields compare as frozen dataclasses (a closure by identity) and
         #: precomputed arrays by their bits
-        self.key = (self.n, dt, raw, self.drift, drift, self.noise, noise)
+        self.key = (self.n, dt, self.drift, drift, self.noise, noise)
 
-    def __call__(self, z: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """``z′`` for rows ``z = (x | y)`` and scaled normals ``η``; ``z`` is
-        left as it is."""
-        xp = z[:, : self.n] if self.m else z
-        if self.raw:
-            xp = np.maximum(xp, 0.0)
+    def __call__(self, z: np.ndarray, xp: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """``z′`` for rows ``z = (x | y)``, their ``x⁺`` and scaled normals
+        ``η``; ``z`` is left as it is."""
         g = self._noise(xp, z, eta)
         if self.drift == "zero":
             return np.add(z, g, out=g)

@@ -71,20 +71,20 @@ column itself, or ``1 − Σx`` for the slack face, summed by columns
 (:func:`~kimura.geometry.row_sums`).
 
 An operator on a two-dimensional box with no ``y`` whose faces do not
-classify runs through the same loop under a private corner stop
-(``_CornerStop``) on ``S = X₁⁺ + X₂⁺``, with no face classified, absorbing
-or tracked (:func:`_corner_run`).  The cross-fed-drift system of
-:func:`counterexample_ensemble`, whose corner is reached although neither
-face absorbs, is one; its one-dimensional oracle
-:func:`sum_process_ensemble` runs the same way.  There no coordinate clamps:
-the state is stepped by full truncation (Lord, Koekkoek & van Dijk 2010),
-left raw with only ``x⁺`` entering the drift and the noise, and recorded as
-``x⁺``.  The box edge reflects as on any box, so a box with
-``2·radius ≤ s_freeze`` freezes no path.  The stop owns each path's first
-step below each threshold, which it records as the loop meets them and the
-corner estimate reads from it.  The escape bound ``e^{−s}`` behind
-``s_freeze`` is proved for the cross-fed sum only; for any other operator
-run this way, a hit means a hit before escape at ``s_freeze``.
+classify runs through the same loop under a corner stop (``_CornerStop``) on
+``S = X₁⁺ + X₂⁺``, with no face classified, absorbing or tracked, such as
+the cross-fed-drift system of :func:`counterexample_ensemble`, whose corner
+is reached although neither face absorbs.  :func:`_corner_run` is the one
+door to it, for the ``corner`` estimate, the ``counterexample`` task, that
+system and its one-dimensional oracle :func:`sum_process_ensemble`: it
+splits the paths over workers and joins their parts in path order.  The
+stop rides on its root level, which skips the coordinate clamp: the state is
+stepped by full truncation (Lord, Koekkoek & van Dijk 2010), with only
+``x⁺`` entering the drift and the noise, and recorded as ``x⁺``.  The box
+edge reflects, so a box with ``2·radius ≤ s_freeze`` freezes no path.  The
+stop records each path's first step below each threshold.  The escape bound
+``e^{−s}`` behind ``s_freeze`` is proved for the cross-fed sum only; for any
+other operator run this way, a hit means a hit before escape at ``s_freeze``.
 """
 
 from __future__ import annotations
@@ -300,21 +300,24 @@ class _Level:
     parent's ``tracked_rows``.
 
     ``update`` is the operator's :class:`~kimura.operator._EulerUpdate`
-    (drift and noise at ``x⁺``).  :meth:`step` adds the domain step: the
-    clamp of every coordinate to 0 (none when ``raw``, full truncation), then
-    box reflection, or the simplex chart-swap clamp, which on ``Simplex(1)``
+    (drift and noise at ``x⁺``, which :meth:`step` hands it).  :meth:`step`
+    adds the domain step: the clamp of every coordinate to 0, then box
+    reflection, or the simplex chart-swap clamp, which on ``Simplex(1)``
     is ``min(x, 1)`` because the swap lands exactly on 1.  The overshoots
     that break ties between faces a path lies on at once are kept only where
-    two tangent faces meet, so not on ``Simplex(1)``.
+    two tangent faces meet, so not on ``Simplex(1)``.  A root level under a
+    corner ``stop`` (:class:`_CornerStop`) has no face classified and skips
+    the clamp: its rows keep ``x`` below 0, and ``x⁺`` is formed for the
+    update (full truncation).
 
     ``key`` holds all that the step, the hit test and the occupation count
-    read: the update's key, the domain, the tangent faces, ``ties`` and the
-    tracked faces.  Levels with equal keys step the same rows to the same
-    bits, so they run as one cohort.
+    read: the update's key, the domain, the tangent faces, ``ties``, the
+    tracked faces and the stop.  Levels with equal keys step the same rows
+    to the same bits, so they run as one cohort.
     """
 
     def __init__(self, op: KimuraOperator, fc: FaceClassification, dt: float, tracked_rows: dict[int, int],
-                 raw: bool = False, parent: "_Level | None" = None, via_face: int | None = None):
+                 stop: "_CornerStop | None" = None, parent: "_Level | None" = None, via_face: int | None = None):
         dom = self.dom = op.dom
         self.op, self.parent, self.via_face = op, parent, via_face
         self.n, self.m, self.tracked_rows = op.n, op.m, tracked_rows
@@ -326,7 +329,7 @@ class _Level:
             self.face_orig = {new: parent.face_orig[old] for new, old in fmap.items()}
             self.stratum_bits = parent.stratum_bits | (1 << (parent.face_orig[via_face] - 1))
             self.slots = restrict_rows(parent.slots, via_face, parent.dom)  # a simplex has no y slots
-        self.update = _EulerUpdate(op, dt, raw)
+        self.update, self.stop = _EulerUpdate(op, dt), stop
         self.n_faces = len(dom.face_ids)
         self.tangent = tuple(
             (f, face_column(f, dom), _SLACK_TOL if f > op.n else 0.0) for f in sorted(fc.tangent)
@@ -337,13 +340,13 @@ class _Level:
             if self.face_orig[f] in tracked_rows
         )
         self.ties = len(self.tangent) > 1 and op.dim > 1
-        self.key = (self.update.key, dom, self.tangent, self.ties, self.tracked)
+        self.key = (self.update.key, dom, self.tangent, self.ties, self.tracked, stop)
 
     def child(self, face: int) -> "_Level":
         """The level inside the tangent face ``face``, at this level's
-        ``dt``, scheme and tracked rows."""
+        ``dt`` and tracked rows."""
         op = self.op.restrict(face)
-        return _Level(op, op.classify_faces(), self.update.dt, self.tracked_rows, self.update.raw, self, face)
+        return _Level(op, op.classify_faces(), self.update.dt, self.tracked_rows, parent=self, via_face=face)
 
     def to_root(self, z: np.ndarray) -> np.ndarray:
         """Rows ``(x | y)`` of this level's coordinates → original-domain
@@ -359,14 +362,15 @@ class _Level:
         normals ``η``: ``ov`` row ``f − 1`` is each path's overshoot past face
         ``f``, or None when no tie needs it.  A box reflects only when some
         row is past its outer edge: for ``x ≤ r``, ``2r − x ≥ r ≥ x``."""
-        z = self.update(z, eta)
         dom, nx = self.dom, self.n
+        x = z[:, :nx] if self.m else z
+        z = self.update(z, x if self.stop is None else np.maximum(x, 0.0), eta)
         x = z[:, :nx] if self.m else z  # a view: the domain step writes z
         ov = None
         if self.ties:
             ov = np.empty((self.n_faces, z.shape[0]))
             np.maximum(-x.T, 0.0, out=ov[:nx])
-        if not self.update.raw:
+        if self.stop is None:
             np.maximum(x, 0.0, out=x)
         if isinstance(dom, Simplex):  # the slack face N+1 takes the last row
             if nx == 1:
@@ -451,16 +455,18 @@ def _simulate_cohort(
         classification=fc,
         events=[[] for _ in range(k)] if collect_events else None,
     )
-    root = _Level(L, fc, cfg.dt, {f: i for i, f in enumerate(tracked_ids)}, raw=stop is not None)
+    root = _Level(L, fc, cfg.dt, {f: i for i, f in enumerate(tracked_ids)}, stop)
+    # a clamping root starts from x⁺: classify_point admits x a hair below 0
+    z0 = np.concatenate([p0.x if stop is not None else np.maximum(p0.x, 0.0), p0.y])
     # the queue alone holds each cohort's arrays, so _advance can release them
     queue: list[tuple[_Level, np.ndarray, np.ndarray, np.ndarray]] = [
-        (root, np.tile(np.concatenate([p0.x, p0.y]), (k, 1)), np.zeros(k, dtype=np.int64), np.arange(k))
+        (root, np.tile(z0, (k, 1)), np.zeros(k, dtype=np.int64), np.arange(k))
     ]
     while queue:  # the last entry, with every queued entry whose level steps alike
         key = queue[-1][0].key
         group = [e for e in queue if e[0].key == key]
         queue[:] = [e for e in queue if e[0].key != key]
-        _advance(group, path_ids, res, cfg, dim, queue, stop)
+        _advance(group, path_ids, res, cfg, dim, queue)
     if np.any(np.isnan(res.terminal_time)):
         raise KimuraError("internal: some paths finished without a terminal record")
     hit = res.first_hit_face[:, None] > 0
@@ -490,10 +496,10 @@ def _count_seconds(counts: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
+def _advance(group, path_ids, res, cfg, stride, queue):
     """Step the queue entries ``group``, each ``(level, z, steps, rows)``
     with levels of one key, as one cohort, until each path hits a tangent
-    face, meets the corner ``stop`` or reaches the horizon.  ``steps`` holds
+    face, meets the level's corner stop or reaches the horizon.  ``steps`` holds
     each path's step count on entry; every live path takes the same steps
     here, so the count is that plus ``ran``.  The entries' arrays are joined
     and ``group`` is emptied, so the cohort's state is held once; the joined
@@ -537,8 +543,8 @@ def _advance(group, path_ids, res, cfg, stride, queue, stop=None):
             for buf, rec in zip(hits, recs):
                 buf[n_hit : n_hit + h.size] = rec
             n_hit += h.size
-        if stop is not None:  # its level has no tangent face, so no hit
-            left = stop.passed(z, steps, ran, rows)
+        if level.stop is not None:  # its level has no tangent face, so no hit
+            left = level.stop.passed(z, steps, ran, rows)
             if np.count_nonzero(left):
                 for lvl, i in _per_level(levels, lv, left.nonzero()[0]):
                     _set_terminal(res, lvl, np.minimum((steps[i] + ran) * dt, T), z, rows, i)
@@ -682,22 +688,12 @@ def simulate(
     The path is identified by ``(cfg.seed, path_index)``; running it alone or
     inside any ensemble yields the identical trajectory.
     """
-    ens = simulate_ensemble(
-        L, p0, cfg, n_paths=1, path_offset=path_index, collect_events=True
-    )
-    events = tuple(ens.events[0]) if ens.events else ()
-    dimn = L.n
-    term_pt = Point(ens.terminal_xy[0, :dimn], ens.terminal_xy[0, dimn:])
-    terminal = (
-        float(ens.terminal_time[0]),
-        term_pt,
-        _bits_to_stratum(int(ens.strata_bits[0])),
-    )
-    occupation: dict[int, np.ndarray] = {}
-    if ens.occupation is not None:
-        for row, fid in enumerate(ens.tracked_faces):
-            occupation[fid] = ens.occupation[0, row].copy()
-    return PathRecord(events=events, terminal=terminal, occupation=occupation)
+    ens = simulate_ensemble(L, p0, cfg, n_paths=1, path_offset=path_index, collect_events=True)
+    xy = ens.terminal_xy[0]
+    stratum = _bits_to_stratum(int(ens.strata_bits[0]))
+    terminal = (float(ens.terminal_time[0]), Point(xy[: L.n], xy[L.n :]), stratum)
+    occupation = {fid: ens.occupation[0, row].copy() for row, fid in enumerate(ens.tracked_faces)}
+    return PathRecord(events=tuple(ens.events[0]), terminal=terminal, occupation=occupation)
 
 
 def simulate_ensemble(
@@ -719,18 +715,20 @@ def simulate_ensemble(
     if n_paths < 1:
         raise ValueError("n_paths must be ≥ 1")
     parts = _run_chunked(
-        _ensemble_chunk, n_paths, workers, path_offset,
+        _simulate_cohort, n_paths, workers, path_offset,
         L=L, p0=p0, cfg=cfg, collect_events=collect_events,
     )
     return parts[0] if len(parts) == 1 else _merge_ensembles(parts)
 
 
 def _run_chunked(fn, n_paths: int, workers: int, path_offset: int = 0, **kwargs) -> list:
-    """``fn(n_paths=…, path_offset=…, **kwargs)`` over contiguous path-index
-    chunks, one per worker process when ``workers > 1`` and every worker gets
-    at least four paths, else one chunk in this process.  The noise is
-    counter-based, so the results, taken in order, do not depend on the split.
+    """``fn(path_ids=…, **kwargs)`` over contiguous chunks of the path indices
+    ``path_offset .. path_offset+n_paths-1``, one per worker process when
+    ``workers > 1`` and every worker gets at least four paths, else one chunk
+    in this process.  The noise is counter-based, so the results, taken in
+    order, do not depend on the split.
     """
+    ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     if workers > 1 and n_paths >= 4 * workers:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -741,18 +739,10 @@ def _run_chunked(fn, n_paths: int, workers: int, path_offset: int = 0, **kwargs)
             raise KimuraError(f"cannot send the run to worker processes ({exc}); {msg}") from exc
         bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fn, n_paths=int(b - a), path_offset=path_offset + int(a), **kwargs)
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
+            chunks = (ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a)
+            futures = [pool.submit(fn, path_ids=chunk, **kwargs) for chunk in chunks]
             return [f.result() for f in futures]
-    return [fn(n_paths=n_paths, path_offset=path_offset, **kwargs)]
-
-
-def _ensemble_chunk(L, p0, cfg, n_paths, path_offset, collect_events) -> EnsembleResult:
-    path_ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    return _simulate_cohort(L, p0, cfg, path_ids, collect_events)
+    return [fn(path_ids=ids, **kwargs)]
 
 
 def _merge_ensembles(parts: list[EnsembleResult]) -> EnsembleResult:
@@ -818,8 +808,6 @@ def counterexample_ensemble(
     cfg: SimConfig,
     n_paths: int,
     eps_abs: "float | Sequence[float]" = _EPS_ABS,
-    s_freeze: float = _S_FREEZE,
-    path_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate ``dX₁ = X₂ dt + √(2X₁) dW₁, dX₂ = X₁ dt + √(2X₂) dW₂``.
 
@@ -828,9 +816,9 @@ def counterexample_ensemble(
     step before the horizon, and ``hit_time`` is the first such time (NaN if
     there is none).  A scalar ``eps_abs`` gives arrays of shape
     ``(n_paths,)``; a sequence gives ``(n_paths, n_eps)``, one column per ε,
-    from one ensemble whose paths run until ``S ≤ min(ε)`` or
-    ``S ≥ s_freeze``.  Each column equals the scalar run for its ε
-    bit-for-bit, and a column with ``ε ≥ S₀`` is hit at time 0.
+    from one ensemble whose paths run until ``S ≤ min(ε)`` or ``S ≥ 16``.
+    Each column equals the scalar run for its ε bit-for-bit, and a column
+    with ``ε ≥ S₀`` is hit at time 0.
 
     The run is :func:`_corner_run` on ``remark_counterexample`` over an
     unbounded box, so no path meets a box edge.  Both coordinates are stepped
@@ -838,15 +826,14 @@ def counterexample_ensemble(
     left raw; a per-coordinate clamp would bias the hit frequency down (by
     ≈0.011 at ``dt = 1e-4`` from ``(0.05, 0.05)``).
 
-    A path with ``S ≥ s_freeze`` is frozen as escaped (at once, if it starts
+    A path with ``S ≥ 16`` is frozen as escaped (at once, if it starts
     there): the sum process returns to 0 from level ``s`` with probability
-    ``e^{−s}`` (≈ 1.1e−7 at the default 16), far below the estimator
-    tolerances.
+    ``e^{−s}`` (≈ 1.1e−7 at 16), far below the estimator tolerances.
     """
     if np.any(np.asarray(p0.x) < 0) or p0.n != 2:
         raise ValueError("p0 must have two non-negative corner coordinates")
     L = remark_counterexample(math.inf)
-    hit, hit_time, _ = _corner_run(L, p0, cfg, n_paths, eps_abs, s_freeze, path_offset)
+    hit, hit_time, _ = _corner_run(L, p0, cfg, n_paths, eps_abs)
     if np.ndim(eps_abs) == 0:
         return hit[:, 0], hit_time[:, 0]
     return hit, hit_time
@@ -857,8 +844,6 @@ def sum_process_ensemble(
     cfg: SimConfig,
     n_paths: int,
     eps_abs: float = _EPS_ABS,
-    s_freeze: float = _S_FREEZE,
-    path_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Direct simulation of the sum process ``dS = S dt + √(2S) dW``.
 
@@ -870,27 +855,32 @@ def sum_process_ensemble(
     """
     L = KimuraOperator(dom=CornerBox(1, 0, math.inf), b=(PolyField(((1.0, (1,), ()),), 1),))
     cfg = replace(cfg, seed=cfg.seed ^ _SUM_SEED_TAG)
-    hit, hit_time, s_end = _corner_run(L, Point([s0]), cfg, n_paths, eps_abs, s_freeze, path_offset)
+    hit, hit_time, s_end = _corner_run(L, Point([s0]), cfg, n_paths, eps_abs)
     hit, hit_time = hit[:, 0], hit_time[:, 0]
     s_end[hit] = 0.0
     return hit, hit_time, s_end
 
 
-def _corner_run(L, p0, cfg, n_paths, eps_abs=_EPS_ABS, s_freeze=_S_FREEZE, path_offset=0):
-    """The engine on ``L`` under a corner stop: ``(hit, hit_time)`` of shape
-    ``(n_paths, n_eps)``, and ``S⁺`` where each path stopped, by the rules
-    of :func:`counterexample_ensemble`.  ``L`` has no ``y`` coordinates and
-    no face is classified; the edge of a bounded box reflects, so on a box
-    with ``2·radius ≤ s_freeze`` no path is frozen.  The escape bound
-    ``e^{−s}`` holds for the cross-fed sum alone: for any other operator a
-    hit means a hit before escape at ``s_freeze``."""
+def _corner_run(L, p0, cfg, n_paths, eps_abs=_EPS_ABS, s_freeze=_S_FREEZE, workers=1):
+    """The engine on ``L`` under a corner stop, the one door to it:
+    ``(hit, hit_time)`` of shape ``(n_paths, n_eps)``, and ``S⁺`` where each
+    path stopped, by the rules of :func:`counterexample_ensemble`, with the
+    paths split over ``workers`` processes and joined in path order.  ``L``
+    has no ``y`` coordinates and no face is classified; the edge of a bounded
+    box reflects, so on a box with ``2·radius ≤ s_freeze`` no path is frozen.
+    The escape bound ``e^{−s}`` holds for the cross-fed sum alone: for any
+    other operator a hit means a hit before escape at ``s_freeze``."""
     assert L.m == 0, "a corner stop sums every column of the state"
     eps = np.atleast_1d(np.asarray(eps_abs, dtype=float))
     if eps.ndim != 1 or not eps.size or not np.all(eps > 0):
         raise ValueError("eps_abs must be a positive number or a non-empty sequence of them")
-    ids = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
-    stop = _CornerStop(eps, float(s_freeze), n_paths)
-    res = _simulate_cohort(L, p0, cfg, ids, False, stop)
+    parts = _run_chunked(_corner_chunk, n_paths, workers, L=L, p0=p0, cfg=cfg, eps=eps, s_freeze=s_freeze)
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _corner_chunk(L, p0, cfg, path_ids, eps, s_freeze):
+    stop = _CornerStop(eps, float(s_freeze), path_ids.size)
+    res = _simulate_cohort(L, p0, cfg, path_ids, False, stop)
     hit = stop.below >= 0
     hit_time = np.where(hit, np.minimum(stop.below * cfg.dt, cfg.T), np.nan)
     return hit, hit_time, res.terminal_xy.sum(axis=1)

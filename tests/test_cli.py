@@ -110,6 +110,56 @@ def test_unknown_task_exits_three(tmp_path, capsys):
     assert not out.exists()
 
 
+_SIM = {"p0": [0.3], "dt": 1e-3, "n_paths": 8, "T": 0.01}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda c: [c], "<root>"),
+        (lambda c: {**c, "params": {**c["params"], "n_paths": "8"}}, "params.n_paths"),
+        (lambda c: {**c, "params": {**c["params"], "dt": 0.0}}, "params.dt"),
+        (lambda c: {**c, "operator": {"preset": "nope"}}, "operator.preset"),
+        (lambda c: {**c, "seed": -1}, "seed"),
+        (lambda c: {k: v for k, v in c.items() if k != "operator"}, "operator"),
+    ],
+    ids=["root-not-object", "wrong-type", "not-positive", "unknown-preset", "negative-seed", "no-operator"],
+)
+def test_invalid_config_exits_three(tmp_path, capsys, edit, field):
+    """Each schema error exits 3 naming its field, before any output."""
+    out = tmp_path / "out"
+    cfg = edit(_base("simulate", out, operator=MODEL0, params=dict(_SIM)))
+    assert cli.main(["simulate", "--config", _write(tmp_path, cfg)]) == 3
+    assert f"config invalid at {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "cannot read config"), ("{not json", "config is not valid JSON")],
+    ids=["unreadable", "invalid-json"],
+)
+def test_config_that_does_not_load_exits_three(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["simulate", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_not_clean_inside_a_task_exits_two(tmp_path, capsys):
+    """``simulate`` classifies its operator's faces; the cross-fed preset's
+    do not classify, so the task's :class:`NotClean` exits 2 with a summary
+    naming it."""
+    out = tmp_path / "out"
+    params = {"p0": [0.05, 0.05], "dt": 1e-3, "n_paths": 8, "T": 0.01}
+    cfg = _base("simulate", out, operator={"preset": "remark-counterexample", "params": {}}, params=params)
+    assert cli.main(["simulate", "--config", _write(tmp_path, cfg)]) == 2
+    doc = _summary(out)
+    assert doc["status"] == "assumption-failure"
+    assert doc["results"]["error"] == "NotClean"
+    assert capsys.readouterr().err.startswith("simulate: ")
+
+
 def test_runtime_error_exits_one(tmp_path):
     out = tmp_path / "out"
     cfg = _base(
@@ -151,8 +201,9 @@ _WF2 = {"preset": "wright-fisher", "params": {"N": 2, "b": [0.0, 0.0, 0.5]}}
 )
 def test_occupation_writes_null_for_an_undefined_fit(tmp_path, seed, eps):
     """A zero mean occupation at some ε, or fewer than 2 ε, leaves the slope
-    undefined, and fewer than 3 ε the floor: each is written as null and
-    the run exits 0.  Seed 0 reads zero occupation of face 3 at ε = 0.1;
+    undefined, and fewer than 3 ε or a zero standard error at some ε the
+    floor: each is written as null and the run exits 0.  Seed 0 reads zero
+    occupation of face 3 at ε = 0.1, and at ε = 0.02 and 0.1 on every path;
     seed 1 does not."""
     out = tmp_path / "out"
     params = {"p0": [0.3, 0.3], "dt": 2.0, "n_paths": 8, "T": 8.0, "eps": eps}
@@ -161,8 +212,9 @@ def test_occupation_writes_null_for_an_undefined_fit(tmp_path, seed, eps):
     (fit,) = _summary(out)["results"]["faces"].values()
     rows = (out / "occupation.csv").read_text().splitlines()[1:]
     means = [float(r.split(",")[2]) for r in rows]
+    stderrs = [float(r.split(",")[3]) for r in rows]
     assert (fit["loglog_slope"] is None) == (len(eps) < 2 or min(means) == 0.0)
-    assert (fit["floor"] is None) == (fit["floor_stderr"] is None) == (len(eps) < 3)
+    assert (fit["floor"] is None) == (fit["floor_stderr"] is None) == (len(eps) < 3 or min(stderrs) == 0.0)
 
 
 # ---------------------------------------------------------------------------

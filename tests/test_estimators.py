@@ -314,7 +314,8 @@ def _curve(eps, mean):
 
 def test_undefined_occupation_fits_are_none():
     """The log-log slope needs two ``eps`` and no zero mean; the floor fit,
-    with three parameters, needs three ``eps``.  Short of that there is no
+    with three parameters, needs three ``eps``, each with a positive
+    standard error, and a fit that converges.  Short of that there is no
     fit, and each method says so with None."""
     assert _curve([0.1, 0.2, 0.4], [0.0, 0.1, 0.2]).loglog_slope(1) is None
     assert _curve([0.1], [0.05]).loglog_slope(1) is None
@@ -323,6 +324,14 @@ def test_undefined_occupation_fits_are_none():
     assert _curve([0.1, 0.4], [0.05, 0.1]).loglog_slope(1) == pytest.approx(0.5)
     floor, se = _curve([0.1, 0.2, 0.4], [0.0, 0.1, 0.2]).intercept_estimate(1)
     assert np.isfinite(floor) and np.isfinite(se)
+    # every path read zero occupation at the two smallest eps (stderr 0)
+    zero_se = OccupationCurve(np.array([0.02, 0.1, 0.4]), (1,), np.array([[0.0, 0.0, 0.75]]),
+                              np.array([[0.0, 0.0, 0.2]]), 1.0, 8)
+    assert zero_se.intercept_estimate(1) is None
+    # curve_fit exhausts its evaluations (RuntimeError) on this curve
+    no_fit = OccupationCurve(np.array([0.02, 0.1, 0.4]), (1,), np.array([[0.0, 1e-3, 0.75]]),
+                             np.array([[1e-4, 1e-4, 1e-9]]), 1.0, 8)
+    assert no_fit.intercept_estimate(1) is None
 
 
 # ---------------------------------------------------------------------------

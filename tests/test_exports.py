@@ -118,6 +118,22 @@ def test_the_engine_runs_the_operator_it_is_given():
     assert not defined, defined
 
 
+def test_only_sde_splits_paths_over_workers():
+    """``_run_chunked`` is named only in ``sde``, where each ensemble and the
+    corner run split their paths and join the parts, so no caller splits
+    and joins a run itself."""
+    where = set()
+    for path in Path(kimura.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                name = node.name
+            else:
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "_run_chunked":
+                where.add(path.stem)
+    assert where == {"sde"}, sorted(where)
+
+
 def test_every_definition_is_referenced():
     """Every function, method and class defined in the package is read by
     name (a name or an attribute) somewhere in the package or the tests

@@ -354,6 +354,19 @@ def test_transverse_only_operator_never_absorbs():
     assert np.all(ens.terminal_xy[:, 0] >= 0.0)
 
 
+@pytest.mark.parametrize("b", [0.5, 0.0], ids=["transverse", "tangent"])
+def test_a_start_inside_the_tolerance_runs_as_the_face_point(b):
+    """``classify_point`` admits a coordinate a hair below 0.  The run
+    starts from ``x⁺``, so it equals the run from the face bit for bit: on a
+    transverse face its first step is finite, and on a tangent face its
+    first hit test still sees the path on the face."""
+    cfg = SimConfig(dt=1e-3, T=0.01)
+    want = simulate_ensemble(model1d(b), Point([0.0]), cfg, 4)
+    got = simulate_ensemble(model1d(b), Point([-1e-11]), cfg, 4)
+    for f in ("terminal_time", "terminal_xy", "strata_bits", "first_hit_time", "first_hit_face", "first_hit_xy"):
+        assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), f
+
+
 def test_martingale_mean_is_preserved(wf, p03):
     # b ≡ 0 makes X_t a bounded martingale: E[X_t] = 0.3 at every t
     ens = simulate_ensemble(wf, p03, SimConfig(dt=1e-3, T=2.0, seed=4), 20_000)

@@ -6,7 +6,7 @@ same states, overshoots and hits as ``drift_batch`` + ``noise_increment``
 hit test below.  The reference evaluates
 drift and noise at ``x⁺ = max(x, 0)`` with the normals scaled by ``√dt``
 first, adds the increment to ``x``, and clamps every coordinate to 0, or
-none in a raw level (full truncation, the corner stop's).  Nothing here is
+none in a raw level (full truncation, a level under the corner stop).  Nothing here is
 timed.
 """
 
@@ -218,29 +218,40 @@ def test_update_equals_drift_batch_and_noise_increment(name, dt):
     x, y = _states(L, 300, seed=3)
     eta = np.random.default_rng(5).standard_normal((x.shape[0], L.dim)) * math.sqrt(dt)
     for raw in (False, True):
-        upd = _EulerUpdate(L, dt, raw)
+        upd = _EulerUpdate(L, dt)
         assert (upd.drift, upd.noise) == (drift, noise)
         z = x if raw else np.maximum(x, 0.0)
         want_x, want_y = _ref_update(L, z, y, eta, dt)
         zy = np.concatenate([z, y], axis=1)
         zy0 = zy.copy()
-        got = upd(zy, eta)
+        got = upd(zy, np.maximum(zy[:, : L.n], 0.0) if raw else zy[:, : L.n], eta)
         got_x, got_y = got[:, : L.n], got[:, L.n :]
         assert _same(got_x, want_x) and _same(got_y, want_y)
         assert _same(zy, zy0)  # the input is left as it is
 
 
-def _levels(L, dt, raw=False):
-    """The root level of ``L`` at ``dt`` and, through each tangent face, its
-    child; an operator that does not classify gets the corner stop's level,
-    with no face classified."""
+def _faces(L):
+    """``L``'s classification, or none for an operator that does not
+    classify, as under the corner stop."""
     try:
-        fc = L.classify_faces()
+        return L.classify_faces()
     except NotClean:
-        fc = FaceClassification(frozenset(), frozenset(), {}, math.inf)
-    root = sde._Level(L, fc, dt, {}, raw)
+        return FaceClassification(frozenset(), frozenset(), {}, math.inf)
+
+
+def _levels(L, dt):
+    """The root level of ``L`` at ``dt`` and, through each tangent face, its
+    child."""
+    fc = _faces(L)
+    root = sde._Level(L, fc, dt, {})
     kids = [root.child(f) for f in sorted(fc.tangent) if L.dim > 1]
     return [root, *kids]
+
+
+def _raw_level(L, dt):
+    """A raw level of ``L`` at ``dt``: built under a corner stop, it skips
+    the clamp and hands its update ``x⁺``."""
+    return sde._Level(L, _faces(L), dt, {}, sde._CornerStop(np.array([1e-6]), 16.0, 0))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -250,7 +261,7 @@ def test_step_and_hits_equal_the_reference(name):
     starts from states below 0; a clamped level never holds one."""
     dt = 0.05
     L0 = CASES[name][0]
-    for level, raw_level in zip(_levels(L0, dt), _levels(L0, dt, raw=True)):
+    for level in _levels(L0, dt):
         L = level.op
         xr, y = _states(L, 400, seed=7)
         x = np.maximum(xr, 0.0)
@@ -268,7 +279,7 @@ def test_step_and_hits_equal_the_reference(name):
         assert _same(np.zeros_like(want0) if got0 is None else got0, want0)
         if isinstance(level.dom, CornerBox):  # a raw level leaves x below 0
             rx, ry, _ = _ref_step(level, xr, y, eta, dt, raw=True)
-            pz, _ = raw_level.step(np.concatenate([xr, y], axis=1), eta)
+            pz, _ = _raw_level(L, dt).step(np.concatenate([xr, y], axis=1), eta)
             px, py = pz[:, : L.n], pz[:, L.n :]
             assert _same(px, rx) and _same(py, ry)
 
